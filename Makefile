@@ -2,40 +2,10 @@
 
 .PHONY: check test vet test-race race bench bench-go bench-push bench-hotpath bench-chaos bench-rest bench-fleet bench-rollup bench-slo drills harness run verify
 
-check: test vet test-race vet-push vet-trace vet-rest vet-fleet vet-rollup vet-slo drills  ## the default CI gate: build + tests + vet + race detector + chaos drills
+check: test vet test-race drills  ## the default CI gate: build + tests + vet + race detector + chaos drills
 
 drills:          ## fast chaos-drill smoke: every catalog scenario + unit drills under -race
 	go test -race -run Drill -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/
-
-.PHONY: vet-push
-vet-push:        ## focused gate on the push subsystem (vet + race over its packages)
-	go vet ./internal/push/ ./internal/browser/ ./cmd/loadgen/
-	go test -race ./internal/push/ ./internal/browser/
-
-.PHONY: vet-trace
-vet-trace:       ## focused gate on span tracing (vet + race over the instrumented layers)
-	go vet ./internal/trace/ ./internal/cache/ ./internal/resilience/ ./internal/slurmcli/
-	go test -race ./internal/trace/
-
-.PHONY: vet-rest
-vet-rest:        ## focused gate on the REST backend (vet + race over its packages)
-	go vet ./internal/slurmrest/ ./cmd/dashboard/
-	go test -race ./internal/slurmrest/
-
-.PHONY: vet-fleet
-vet-fleet:       ## focused gate on the scale-out tier (vet + race over its packages)
-	go vet ./internal/fleet/ ./cmd/dashboard/ ./cmd/loadgen/
-	go test -race ./internal/fleet/
-
-.PHONY: vet-rollup
-vet-rollup:      ## focused gate on the rollup pipeline (vet + race over its layers)
-	go vet ./internal/slurm/ ./internal/core/ ./cmd/loadgen/
-	go test -race -run Rollup ./internal/slurm/ ./internal/slurmcli/ ./internal/slurmrest/ ./internal/core/
-
-.PHONY: vet-slo
-vet-slo:         ## focused gate on the SLO engine (vet + race over every wired layer)
-	go vet ./internal/slo/ ./internal/core/ ./internal/fleet/ ./internal/chaos/
-	go test -race -run SLO -count=1 ./internal/slo/ ./internal/core/ ./internal/fleet/ ./internal/chaos/
 
 test:            ## full test suite
 	go build ./... && go test ./...
@@ -67,18 +37,18 @@ bench-chaos: drills  ## full chaos catalog under open-loop load, SLO-gated -> BE
 	go run ./cmd/loadgen -chaos all -arrival-rate 400 -seed 7 \
 		-chaos-wall 250ms -fill-cap 24 -bench-out BENCH_chaos.json
 
-bench-rest: vet-rest  ## CLI vs REST backend A/B + token-scope probes -> BENCH_rest.json (gated)
+bench-rest:      ## CLI vs REST backend A/B + token-scope probes -> BENCH_rest.json (gated)
 	go run ./cmd/loadgen -backend-ab -ab-requests 300 \
 		-max-rest-p95-ratio 1.5 -bench-out BENCH_rest.json
 
-bench-fleet: vet-fleet  ## 1->4 replica scale-out: RPC flatness + kill drill -> BENCH_fleet.json (gated)
+bench-fleet:     ## 1->4 replica scale-out: RPC flatness + kill drill -> BENCH_fleet.json (gated)
 	go run ./cmd/loadgen -fleet -users 50 -fleet-replicas 4 -rounds 6 \
 		-interval 75s -max-fleet-rpc-ratio 1.3 -bench-out BENCH_fleet.json
 
-bench-slo: vet-slo  ## SLI recording allocs/op + chaos alert truth table -> BENCH_slo.json (gated)
+bench-slo:       ## SLI recording allocs/op + chaos alert truth table -> BENCH_slo.json (gated)
 	go run ./cmd/loadgen -slo -max-slo-allocs 1 -bench-out BENCH_slo.json
 
-bench-rollup: vet-rollup  ## rollup vs raw-scan latency at 1x/100x/1000x history -> BENCH_rollup.json (gated)
+bench-rollup:    ## rollup vs raw-scan latency at 1x/100x/1000x history -> BENCH_rollup.json (gated)
 	go run ./cmd/loadgen -rollup -rollup-requests 40 \
 		-max-rollup-p95-ratio 1.5 -bench-out BENCH_rollup.json
 

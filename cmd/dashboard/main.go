@@ -114,7 +114,7 @@ func main() {
 			`Slurm data path: "cli", "rest", or per source like "slurmctld=rest,slurmdbd=cli"`)
 
 		noPush        = flag.Bool("no-push", false, "disable the live-update push subsystem (/api/events serves only the legacy delta poll)")
-		pushInterval  = flag.Duration("push-interval", time.Second, "wall-clock cadence of the background refresh scheduler")
+		pushInterval  = flag.Duration("push-interval", time.Second, "wall-clock cadence of the background tick (cache purge, push refresh, SLO evaluation)")
 		pushHeartbeat = flag.Duration("push-heartbeat", 15*time.Second, "SSE keep-alive comment interval (0 disables heartbeats)")
 
 		replicas = flag.Int("replicas", 1, "dashboard replicas behind the simulated load balancer (>1 enables the fleet tier)")
@@ -290,8 +290,10 @@ func main() {
 		if *accessLog {
 			server.SetAccessLog(func(line string) { log.Print(line) })
 		}
+		// The background tick runs with or without push: it also purges the
+		// caches, which a poll-only server fills just the same.
+		server.StartPush(*pushInterval)
 		if !*noPush {
-			server.StartPush(*pushInterval)
 			log.Printf("push subsystem on: SSE at /api/events, refresh scheduler every %v", *pushInterval)
 		}
 		handler, shutdown = server, server.Close

@@ -65,12 +65,9 @@ import (
 	"time"
 
 	"ooddash/internal/browser"
+	"ooddash/internal/clock"
 	"ooddash/internal/workload"
 )
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // widgetAgg tracks one widget's health and latency across the run.
 type widgetAgg struct {
@@ -390,7 +387,7 @@ func runLive(url string, users int, duration, interval time.Duration, prefix str
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("%s%03d", prefix, i%userCount+1)
-			b := browser.New(name, url, client, realClock{})
+			b := browser.New(name, url, client, clock.Real{})
 			for time.Now().Before(deadline) {
 				col.record(b.LoadHomepage())
 				time.Sleep(interval)

@@ -16,6 +16,7 @@ import (
 
 	"ooddash/internal/auth"
 	"ooddash/internal/clientcache"
+	"ooddash/internal/clock"
 )
 
 // WidgetRequest names one widget fetch within a page load: the API path and
@@ -83,12 +84,6 @@ type PageLoad struct {
 // FullyPainted reports whether every widget rendered something.
 func (p *PageLoad) FullyPainted() bool { return p.Failed == 0 }
 
-// Clock supplies the logical time for client-cache freshness decisions;
-// it matches the simulation clock shared by the whole stack.
-type Clock interface {
-	Now() time.Time
-}
-
 // Browser is one simulated user's browser profile.
 type Browser struct {
 	User    string
@@ -105,12 +100,13 @@ type Browser struct {
 
 // New returns a browser for user against the dashboard at baseURL. Each
 // browser has its own IndexedDB (per-profile, as in real browsers), driven
-// by the shared simulation clock.
-func New(user, baseURL string, client *http.Client, clock Clock) *Browser {
+// by the shared simulation clock, which makes the client-cache freshness
+// decisions.
+func New(user, baseURL string, client *http.Client, clk clock.Clock) *Browser {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	db := clientcache.New(clock)
+	db := clientcache.New(clk)
 	return &Browser{
 		User:    user,
 		BaseURL: baseURL,

@@ -47,7 +47,7 @@ func BenchmarkFetchHitParallel(b *testing.B) {
 }
 
 func BenchmarkPurge(b *testing.B) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	for i := 0; i < 10_000; i++ {
 		c.Set(fmt.Sprintf("k%d", i), i, time.Hour)

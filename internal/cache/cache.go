@@ -31,18 +31,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/trace"
 )
-
-// Clock supplies the current time; it matches slurm.Clock so tests can share
-// one simulated clock across the whole stack.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // Stats reports cache effectiveness counters.
 type Stats struct {
@@ -98,7 +89,7 @@ type breakerOpenError interface {
 
 type entry struct {
 	value      any
-	rev        uint64    // cache-wide revision, new on every store
+	rev        uint64 // cache-wide revision, new on every store
 	storedAt   time.Time
 	expiresAt  time.Time // fresh until here
 	staleUntil time.Time // then servable as degraded until here
@@ -149,18 +140,18 @@ type shard struct {
 type Cache struct {
 	Disabled bool
 
-	clock  Clock
+	clock  clock.Clock
 	rev    atomic.Uint64
 	stats  counters
 	shards [numShards]shard
 }
 
-// New returns an empty cache reading time from clock (nil means wall clock).
-func New(clock Clock) *Cache {
-	if clock == nil {
-		clock = realClock{}
+// New returns an empty cache reading time from clk (nil means wall clock).
+func New(clk clock.Clock) *Cache {
+	if clk == nil {
+		clk = clock.Real{}
 	}
-	c := &Cache{clock: clock}
+	c := &Cache{clock: clk}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]entry)
 		c.shards[i].calls = make(map[string]*call)

@@ -8,30 +8,14 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-// fakeClock is a minimal manual clock for cache tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1_000_000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
+func newTestClock() *clock.Sim { return clock.NewSim(time.Unix(1_000_000, 0)) }
 
 func TestFetchCachesWithinTTL(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	calls := 0
 	get := func() (any, error) { calls++; return calls, nil }
@@ -57,7 +41,7 @@ func TestFetchCachesWithinTTL(t *testing.T) {
 }
 
 func TestFetchDistinctKeys(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(newTestClock())
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
 		want := i
@@ -72,7 +56,7 @@ func TestFetchDistinctKeys(t *testing.T) {
 }
 
 func TestFetchErrorNotCached(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(newTestClock())
 	boom := errors.New("slurm timeout")
 	calls := 0
 	_, err := c.Fetch("k", time.Minute, func() (any, error) { calls++; return nil, boom })
@@ -136,7 +120,7 @@ func TestFetchSingleflightCollapsesConcurrentMisses(t *testing.T) {
 }
 
 func TestDisabledCacheAlwaysComputes(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(newTestClock())
 	c.Disabled = true
 	calls := 0
 	for i := 0; i < 3; i++ {
@@ -150,7 +134,7 @@ func TestDisabledCacheAlwaysComputes(t *testing.T) {
 }
 
 func TestGetSetDelete(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("Get on empty cache returned ok")
@@ -171,7 +155,7 @@ func TestGetSetDelete(t *testing.T) {
 }
 
 func TestPurge(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	c.Set("short", 1, time.Second)
 	c.Set("long", 2, time.Hour)
@@ -185,7 +169,7 @@ func TestPurge(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(newTestClock())
 	c.Set("a", 1, time.Hour)
 	if _, err := c.Fetch("a", time.Hour, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
@@ -214,7 +198,7 @@ func TestTTLBoundaryProperty(t *testing.T) {
 	f := func(ttlSec uint8, stepSec uint8) bool {
 		ttl := time.Duration(int(ttlSec)%300+1) * time.Second
 		step := time.Duration(int(stepSec)%600) * time.Second
-		clock := newFakeClock()
+		clock := newTestClock()
 		c := New(clock)
 		calls := 0
 		get := func() (any, error) { calls++; return calls, nil }

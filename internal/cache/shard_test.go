@@ -17,7 +17,7 @@ func TestShardedStatsExactness(t *testing.T) {
 		perG       = 2000
 		keys       = 32
 	)
-	c := New(newFakeClock())
+	c := New(newTestClock())
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

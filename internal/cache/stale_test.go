@@ -11,7 +11,7 @@ import (
 var errDown = errors.New("slurmctld down")
 
 func TestFetchStaleServesLastKnownGoodOnError(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 
 	res, err := c.FetchStale("k", time.Minute, 10*time.Minute, func() (any, error) { return "good", nil })
@@ -45,7 +45,7 @@ func TestFetchStaleServesLastKnownGoodOnError(t *testing.T) {
 }
 
 func TestFetchStaleColdCacheSurfacesError(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(newTestClock())
 	_, err := c.FetchStale("cold", time.Minute, time.Hour, func() (any, error) { return nil, errDown })
 	if !errors.Is(err, errDown) {
 		t.Fatalf("cold fetch err = %v, want errDown", err)
@@ -56,7 +56,7 @@ func TestFetchStaleColdCacheSurfacesError(t *testing.T) {
 }
 
 func TestFetchStaleRecoveryServesFresh(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	must := func(v any, want string, degraded bool) {
 		t.Helper()
@@ -83,7 +83,7 @@ type openErr struct{ error }
 func (openErr) BreakerOpen() bool { return true }
 
 func TestBreakerOpenErrorsAreCounted(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	if _, err := c.FetchStale("k", time.Minute, time.Hour, func() (any, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestBreakerOpenErrorsAreCounted(t *testing.T) {
 }
 
 func TestFetchZeroTTLBypassesStorage(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	var calls int
 	for i := 0; i < 3; i++ {
@@ -126,7 +126,7 @@ func TestFetchZeroTTLBypassesStorage(t *testing.T) {
 }
 
 func TestPurgeKeepsGracedEntries(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	if _, err := c.FetchStale("graced", time.Minute, time.Hour, func() (any, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestPurgeKeepsGracedEntries(t *testing.T) {
 // exactly one compute call, every goroutine gets the error, and — because
 // errors are not cached — a subsequent Fetch retries the compute.
 func TestSingleflightUnderError(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(newTestClock())
 	const n = 24
 	var calls int32
 	started := make(chan struct{})
@@ -203,7 +203,7 @@ func TestSingleflightUnderError(t *testing.T) {
 // TestFetchClearPurgeRace exercises Fetch, FetchStale, Clear, Purge, Set and
 // Delete concurrently; run under -race it guards the locking discipline.
 func TestFetchClearPurgeRace(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	c := New(clock)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

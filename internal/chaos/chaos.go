@@ -185,7 +185,7 @@ func NewRun(opts Options) (*Run, error) {
 	}, nil
 }
 
-// Close shuts the run's server down (push subsystem, purge loop).
+// Close shuts the run's server down (its background work and push subsystem).
 func (r *Run) Close() { r.Server.Close() }
 
 // Step executes one scenario step: the scenario's action, then one

@@ -17,21 +17,14 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // ErrNotModified is the sentinel a tagged fetch function returns when the
 // server answered 304 Not Modified: the cached copy is still current and
 // only its freshness clock needs resetting.
 var ErrNotModified = errors.New("clientcache: not modified")
-
-// Clock supplies the current time (matches slurm.Clock / cache.Clock).
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // Record is one stored API response.
 type Record struct {
@@ -51,7 +44,7 @@ type Store struct {
 	mu      sync.RWMutex
 	name    string
 	records map[string]Record
-	clock   Clock
+	clock   clock.Clock
 }
 
 // Put stores value under key, stamping it with the current time.
@@ -135,15 +128,15 @@ func (s *Store) Len() int {
 type DB struct {
 	mu     sync.Mutex
 	stores map[string]*Store
-	clock  Clock
+	clock  clock.Clock
 }
 
 // New returns an empty client cache database. A nil clock uses wall time.
-func New(clock Clock) *DB {
-	if clock == nil {
-		clock = realClock{}
+func New(clk clock.Clock) *DB {
+	if clk == nil {
+		clk = clock.Real{}
 	}
-	return &DB{stores: make(map[string]*Store), clock: clock}
+	return &DB{stores: make(map[string]*Store), clock: clk}
 }
 
 // ObjectStore returns the named store, creating it on first use (IndexedDB

@@ -8,29 +8,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1_000_000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
+func newTestClock() *clock.Sim { return clock.NewSim(time.Unix(1_000_000, 0)) }
 
 func TestPutGet(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	s := db.ObjectStore("api")
 	s.Put("recent_jobs", []byte(`{"jobs":[]}`))
 	rec, ok := s.Get("recent_jobs")
@@ -43,7 +28,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestPutCopiesValue(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	s := db.ObjectStore("api")
 	buf := []byte("original")
 	s.Put("k", buf)
@@ -55,7 +40,7 @@ func TestPutCopiesValue(t *testing.T) {
 }
 
 func TestObjectStoreReuse(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	a := db.ObjectStore("api")
 	b := db.ObjectStore("api")
 	if a != b {
@@ -67,7 +52,7 @@ func TestObjectStoreReuse(t *testing.T) {
 }
 
 func TestKeysSorted(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	s := db.ObjectStore("api")
 	for _, k := range []string{"zeta", "alpha", "mid"} {
 		s.Put(k, nil)
@@ -79,7 +64,7 @@ func TestKeysSorted(t *testing.T) {
 }
 
 func TestDeleteAndClear(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	s := db.ObjectStore("api")
 	s.Put("a", []byte("1"))
 	s.Put("b", []byte("2"))
@@ -94,7 +79,7 @@ func TestDeleteAndClear(t *testing.T) {
 }
 
 func TestFetchFreshServesCacheWithoutNetwork(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	db := New(clock)
 	s := db.ObjectStore("api")
 	s.Put("k", []byte("cached"))
@@ -116,7 +101,7 @@ func TestFetchFreshServesCacheWithoutNetwork(t *testing.T) {
 }
 
 func TestFetchStaleShowsCachedThenRefreshes(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	db := New(clock)
 	s := db.ObjectStore("api")
 	s.Put("k", []byte("old"))
@@ -141,7 +126,7 @@ func TestFetchStaleShowsCachedThenRefreshes(t *testing.T) {
 }
 
 func TestFetchMissGoesToNetwork(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	s := db.ObjectStore("api")
 	res, err := s.Fetch("k", time.Minute, func() ([]byte, error) {
 		return []byte("net"), nil
@@ -158,7 +143,7 @@ func TestFetchMissGoesToNetwork(t *testing.T) {
 }
 
 func TestFetchErrorFallsBackToStale(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	db := New(clock)
 	s := db.ObjectStore("api")
 	s.Put("k", []byte("stale-but-usable"))
@@ -176,7 +161,7 @@ func TestFetchErrorFallsBackToStale(t *testing.T) {
 }
 
 func TestFetchErrorWithNoCacheFails(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	s := db.ObjectStore("api")
 	_, err := s.Fetch("k", time.Minute, func() ([]byte, error) {
 		return nil, errors.New("backend down")
@@ -213,7 +198,7 @@ func TestConcurrentAccess(t *testing.T) {
 // network only when the record is missing.
 func TestFetchPolicyProperty(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		clock := newFakeClock()
+		clock := newTestClock()
 		db := New(clock)
 		s := db.ObjectStore("api")
 		hasRecord := seed%3 != 0
@@ -253,7 +238,7 @@ func TestFetchPolicyProperty(t *testing.T) {
 // return the map's Record.Value slice directly, so a caller mutating the
 // returned bytes corrupted the cached record for every later reader.
 func TestGetReturnsCopy(t *testing.T) {
-	db := New(newFakeClock())
+	db := New(newTestClock())
 	s := db.ObjectStore("api")
 	s.Put("storage", []byte(`{"dirs":[1,2,3]}`))
 
@@ -273,7 +258,7 @@ func TestGetReturnsCopy(t *testing.T) {
 // TestFetchReturnsCopy covers the same aliasing through Fetch's cache-hit
 // and degraded (stale-after-error) paths.
 func TestFetchReturnsCopy(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	db := New(clock)
 	s := db.ObjectStore("api")
 	s.Put("jobs", []byte(`original`))
@@ -312,7 +297,7 @@ func TestFetchReturnsCopy(t *testing.T) {
 }
 
 func TestFetchTaggedRevalidates(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	db := New(clock)
 	s := db.ObjectStore("api")
 
@@ -352,7 +337,7 @@ func TestFetchTaggedRevalidates(t *testing.T) {
 }
 
 func TestFetchTaggedErrorFallsBackStale(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	db := New(clock)
 	s := db.ObjectStore("api")
 	s.PutTagged("w", []byte(`{"a":1}`), `"v1"`)

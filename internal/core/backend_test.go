@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
 	"ooddash/internal/slurmrest"
@@ -103,7 +104,7 @@ func TestBackendRESTMetricsBridged(t *testing.T) {
 // without a client, and unknown mode names.
 func TestBackendConfigValidation(t *testing.T) {
 	base := func() (Config, Deps) {
-		clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+		clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 		cl, err := slurm.NewCluster(slurm.ClusterConfig{
 			Name:       "t",
 			Nodes:      []slurm.NodeSpec{{NamePrefix: "c", Count: 1, CPUs: 4, MemMB: 8 * 1024, Partitions: []string{"cpu"}}},

@@ -87,9 +87,6 @@ type PushConfig struct {
 	// Disabled turns the push path off; /api/events then serves only the
 	// legacy delta-poll feed and no background refreshing happens.
 	Disabled bool
-	// Widgets lists the push-enabled widgets (the allowed ?widgets= values
-	// and the default subscription set). Empty means DefaultPushWidgets.
-	Widgets []string
 	// Heartbeat is the SSE keep-alive comment interval (wall clock, since
 	// it exists to keep real sockets open). Zero means 15 s; negative
 	// disables heartbeats.
@@ -102,17 +99,6 @@ type PushConfig struct {
 	// DisableIdlePause keeps refreshing sources that have no subscribers
 	// (by default an idle source's schedule pauses until a client returns).
 	DisableIdlePause bool
-	// DisableDegradedSkip keeps the 1×TTL cadence for degraded sources (by
-	// default a source whose refresh came back degraded is stretched to
-	// 2×TTL until a fresh result returns).
-	DisableDegradedSkip bool
-}
-
-// DefaultPushWidgets are the homepage widgets the SSE stream subscribes to
-// when the client names none — the §2.4 set whose polling traffic the push
-// layer replaces.
-func DefaultPushWidgets() []string {
-	return []string{"announcements", "recent_jobs", "system_status", "accounts", "storage"}
 }
 
 // TraceConfig tunes the span-tracing subsystem (internal/trace). Semantics
@@ -245,9 +231,6 @@ func (c Config) withDefaults() Config {
 		c.Resilience.MaxConcurrentFills = 32
 	case c.Resilience.MaxConcurrentFills < 0:
 		c.Resilience.MaxConcurrentFills = 0
-	}
-	if len(c.Push.Widgets) == 0 {
-		c.Push.Widgets = DefaultPushWidgets()
 	}
 	switch {
 	case c.Push.Heartbeat == 0:

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"ooddash/internal/auth"
-	"ooddash/internal/etag"
 )
 
 // Widget routes answer conditional polling requests with 304 Not Modified:
@@ -16,7 +15,7 @@ import (
 //
 // The tag construction and If-None-Match matching live in internal/etag
 // so the Slurm REST surface (internal/slurmrest) shares the exact same
-// semantics; the wrappers here keep core's call sites unchanged.
+// semantics.
 
 // etagHeaderKey is the ETag header name in the pre-canonicalized MIME form
 // net/textproto produces. Setting it by direct map assignment skips the
@@ -64,14 +63,4 @@ var (
 func setPrivateCache(h http.Header) {
 	h[varyHeaderKey] = varyUserValue
 	h[cacheControlHeaderKey] = cachePrivateValue
-}
-
-// etagFor returns the strong entity tag for a response body.
-func etagFor(body []byte) string {
-	return etag.For(body)
-}
-
-// etagMatch implements If-None-Match against a single strong tag.
-func etagMatch(header, tag string) bool {
-	return etag.Match(header, tag)
 }

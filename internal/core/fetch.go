@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"ooddash/internal/etag"
 	"ooddash/internal/resilience"
 	"ooddash/internal/slurmcli"
 )
@@ -202,9 +203,9 @@ func (s *Server) writeWidgetJSON(w http.ResponseWriter, r *http.Request, status 
 		}
 		body := buf.Bytes()
 		if status == http.StatusOK && r != nil {
-			tag := etagFor(body)
+			tag := etag.For(body)
 			setETag(w.Header(), tag)
-			if etagMatch(r.Header.Get("If-None-Match"), tag) {
+			if etag.Match(r.Header.Get("If-None-Match"), tag) {
 				s.obsm.notModified.With(widgetFromContext(r.Context())).Inc()
 				w.WriteHeader(http.StatusNotModified)
 				return

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ooddash/internal/etag"
 	"ooddash/internal/push"
 )
 
@@ -27,12 +28,11 @@ import (
 // FleetSource identifies one push-enabled refresh source to the fleet:
 // everything a replica needs to register and re-fetch it locally.
 type FleetSource struct {
-	Widget  string        // event/widget name ("system_status", ...)
-	Key     string        // scheduler/hub key (Widget, or "widget:user")
-	Path    string        // polling route the loopback refresh fetches
-	User    string        // identity the refresh runs as
-	PerUser bool          // payload varies by user (private cache class)
-	TTL     time.Duration // refresh cadence = the widget's cache TTL
+	Widget string        // event/widget name ("system_status", ...)
+	Key    string        // scheduler/hub key (Widget, or "widget:user")
+	Path   string        // polling route the loopback refresh fetches
+	User   string        // identity the refresh runs as
+	TTL    time.Duration // refresh cadence = the widget's cache TTL
 }
 
 // FleetSnapshot is one rendered widget response in propagation form: the
@@ -67,7 +67,7 @@ func NewFleetSnapshot(snap push.Snapshot, at time.Time) FleetSnapshot {
 		Widget:   snap.Widget,
 		Key:      snap.Key,
 		Body:     body,
-		ETag:     etagFor(body),
+		ETag:     etag.For(body),
 		Degraded: snap.Degraded,
 		Version:  snap.Version,
 		At:       at,
@@ -112,15 +112,14 @@ func (s *Server) fleetDelegate() FleetDelegate {
 	return nil
 }
 
-// fleetSource builds the FleetSource for a push route and user.
-func fleetSource(route pushRoute, user string) FleetSource {
+// fleetSource builds the FleetSource for a push widget and user.
+func fleetSource(w *Widget, user string) FleetSource {
 	return FleetSource{
-		Widget:  route.widget,
-		Key:     route.key(user),
-		Path:    route.path,
-		User:    user,
-		PerUser: route.perUser,
-		TTL:     route.ttl,
+		Widget: w.Name,
+		Key:    w.sourceKey(user),
+		Path:   w.path(),
+		User:   user,
+		TTL:    w.TTL,
 	}
 }
 
@@ -128,12 +127,11 @@ func fleetSource(route pushRoute, user string) FleetSource {
 // (idempotent). The fleet controller calls this on the replica that owns
 // src's key.
 func (s *Server) RegisterPushSource(src FleetSource) error {
-	route := pushRoute{widget: src.Widget, path: src.Path, perUser: src.PerUser, ttl: src.TTL}
 	_, err := s.pushSched.Register(push.Source{
 		Widget: src.Widget,
 		Key:    src.Key,
 		TTL:    src.TTL,
-		Fetch:  s.pushFetch(route, src.User),
+		Fetch:  s.pushFetch(src.Widget, src.Path, src.User),
 	})
 	return err
 }
@@ -168,9 +166,9 @@ const fleetHeaderKey = "X-Ooddash-Fleet"
 
 var fleetPeerValue = []string{"peer"}
 
-// fleetIntercept wraps a push-enabled widget handler with the fleet serving
-// policy. Outside a fleet (no delegate installed) it is a transparent
-// pass-through; inside one:
+// fleetIntercept wraps a push widget's handler with the fleet serving
+// policy; other widgets' handlers are returned unwrapped. Outside a fleet
+// (no delegate installed) it is a transparent pass-through; inside one:
 //
 //   - the key's owner serves locally as always (its cache is the source of
 //     truth) after recording client interest via Touch;
@@ -184,15 +182,15 @@ var fleetPeerValue = []string{"peer"}
 // Only plain widget polls are intercepted: GET, no query string, the
 // route's exact path, and not a scheduler loopback refresh (those must
 // reach the real fetch path — they are how owners produce snapshots).
-func (s *Server) fleetIntercept(widget string, next http.HandlerFunc) http.HandlerFunc {
-	route, pushable := s.pushRoutes[widget]
-	if !pushable {
+func (s *Server) fleetIntercept(wd *Widget, next http.HandlerFunc) http.HandlerFunc {
+	if wd.push == pushNone {
 		return next
 	}
+	widget, path := wd.Name, wd.path()
 	return func(w http.ResponseWriter, r *http.Request) {
 		fd := s.fleetDelegate()
 		if fd == nil || r.Method != http.MethodGet || r.URL.RawQuery != "" ||
-			r.URL.Path != route.path || len(r.Header[pushRefreshHeaderKey]) != 0 {
+			r.URL.Path != path || len(r.Header[pushRefreshHeaderKey]) != 0 {
 			next(w, r)
 			return
 		}
@@ -201,28 +199,28 @@ func (s *Server) fleetIntercept(widget string, next http.HandlerFunc) http.Handl
 			next(w, r) // let the route produce its own auth error
 			return
 		}
-		src := fleetSource(route, user.Name)
+		src := fleetSource(wd, user.Name)
 		if fd.Owns(src.Key) {
 			fd.Touch(src)
 			next(w, r)
 			return
 		}
 		snap, ok := fd.Snapshot(src.Key)
-		if ok && s.clock.Now().Sub(snap.At) <= fleetFreshFor(route.ttl) {
+		if ok && s.clock.Now().Sub(snap.At) <= fleetFreshFor(wd.TTL) {
 			// A degraded copy inside the window still serves directly (with
 			// the degraded header): the owner is already stale-serving, and
 			// re-ensuring on every peer request would only multiply loopbacks.
-			s.writeFleetSnapshot(w, r, route, snap, false)
+			s.writeFleetSnapshot(w, r, wd, snap, false)
 			s.obsm.fleetPeerServes.With(widget, "fresh").Inc()
 			return
 		}
 		if es, eok := fd.Ensure(r.Context(), src); eok {
-			s.writeFleetSnapshot(w, r, route, es, false)
+			s.writeFleetSnapshot(w, r, wd, es, false)
 			s.obsm.fleetPeerServes.With(widget, "ensured").Inc()
 			return
 		}
 		if ok {
-			s.writeFleetSnapshot(w, r, route, snap, true)
+			s.writeFleetSnapshot(w, r, wd, snap, true)
 			s.obsm.fleetPeerServes.With(widget, "stale").Inc()
 			return
 		}
@@ -237,9 +235,9 @@ func (s *Server) fleetIntercept(widget string, next http.HandlerFunc) http.Handl
 // owner's rendered path: strong ETag plus If-None-Match 304s for current
 // payloads, the degraded header (and no ETag) for degraded or aged-out
 // ones, and the private/Vary cache class on per-user routes.
-func (s *Server) writeFleetSnapshot(w http.ResponseWriter, r *http.Request, route pushRoute, snap FleetSnapshot, stale bool) {
+func (s *Server) writeFleetSnapshot(w http.ResponseWriter, r *http.Request, wd *Widget, snap FleetSnapshot, stale bool) {
 	h := w.Header()
-	if route.perUser {
+	if wd.push == pushPerUser {
 		setPrivateCache(h)
 	}
 	h[fleetHeaderKey] = fleetPeerValue
@@ -247,9 +245,9 @@ func (s *Server) writeFleetSnapshot(w http.ResponseWriter, r *http.Request, rout
 		h.Set(degradedHeader, "stale")
 	} else {
 		setETag(h, snap.ETag)
-		if etagMatch(r.Header.Get("If-None-Match"), snap.ETag) {
+		if etag.Match(r.Header.Get("If-None-Match"), snap.ETag) {
 			w.WriteHeader(http.StatusNotModified)
-			s.obsm.notModified.With(route.widget).Inc()
+			s.obsm.notModified.With(wd.Name).Inc()
 			return
 		}
 	}

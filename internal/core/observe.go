@@ -579,38 +579,30 @@ const pushRefreshHeaderKey = "X-Ooddash-Push"
 // per request.
 const degradedHeaderKey = "X-Ooddash-Degraded"
 
-// selfObserving marks the widgets the middleware never opens spans for:
-// the observability surface itself ("metrics" and the admin trace
-// endpoints, where tracing would make every trace-store read mint its
-// own trace — self-tracing recursion) and the "events" feed, whose SSE
-// variant holds the connection open so a span would measure stream
-// lifetime rather than work and retain every disconnect as a bogus
-// slow trace. Upstream work triggered by push stays traced: the
-// scheduler's loopback refreshes own their push.refresh roots.
-// The SLO admin view joins the list for the same reason: reading alert
-// state must not perturb the SLIs it reports (or mint traces about
-// reading traces of itself).
-func selfObserving(widget string) bool {
-	switch widget {
-	case "metrics", "admin_traces", "admin_trace", "admin_slo", "events":
-		return true
-	}
-	return false
-}
-
 // instrument wraps a widget handler with the request-scoped observability
 // envelope: a trace ID (assigned or adopted, returned as X-OODDash-Trace,
 // and propagated via context), a root span feeding the tail-sampled trace
 // store, a per-widget latency histogram sample, a status-labelled request
 // counter, and a structured access log line.
-func (s *Server) instrument(widget string, h http.HandlerFunc) http.HandlerFunc {
+//
+// Self-observing widgets get neither spans nor SLI records: the
+// observability surface itself ("metrics" and the admin trace endpoints,
+// where tracing would make every trace-store read mint its own trace —
+// self-tracing recursion), the SLO admin view (reading alert state must not
+// perturb the SLIs it reports), and the "events" feed, whose SSE variant
+// holds the connection open so a span would measure stream lifetime rather
+// than work and retain every disconnect as a bogus slow trace. Upstream
+// work triggered by push stays traced: the scheduler's loopback refreshes
+// own their push.refresh roots.
+func (s *Server) instrument(wd *Widget, h http.HandlerFunc) http.HandlerFunc {
+	widget := wd.Name
 	// Metric handles for this widget resolve once at mount time; the With
 	// calls they replace allocated per request. 200 and 304 cover every
 	// serve on the hot path; other statuses resolve lazily below.
 	lat := s.obsm.widgetLatency.With(widget)
 	req200 := s.obsm.widgetRequests.With(widget, "200")
 	req304 := s.obsm.widgetRequests.With(widget, "304")
-	spannable := !selfObserving(widget)
+	spannable := !wd.selfObserving
 	return func(w http.ResponseWriter, r *http.Request) {
 		var traceID string
 		if vs := r.Header[traceHeaderKey]; len(vs) > 0 {

@@ -4,6 +4,7 @@ import (
 	"html/template"
 	"log"
 	"net/http"
+	"time"
 )
 
 // The page templates reproduce the paper's frontend structure (§2.3): every
@@ -43,28 +44,30 @@ const baseTemplate = `<!DOCTYPE html>
 
 // pageTemplates maps page names to their content blocks. Each widget div
 // carries its API route and client-cache TTL as data attributes consumed by
-// widgets.js; this is the template/API-route pairing of §2.3.
+// widgets.js; this is the template/API-route pairing of §2.3. The TTL is the
+// serving widget's configured one, so the browser cache (§2.4's second
+// layer) ages its copy on the same cadence as the server cache.
 var pageTemplates = map[string]string{
 	"home": `{{define "content"}}
 <h1 class="sr-only">Dashboard homepage</h1>
 <div class="widget-grid">
-  <section class="widget" id="announcements" data-api="/api/announcements" data-ttl="1800">
+  <section class="widget" id="announcements" data-api="/api/announcements" data-ttl="{{index .TTL "announcements"}}">
     <h2>Announcements <a class="more" href="/news">All news</a></h2>
     <div class="widget-body loading" role="status">Loading announcements…</div>
   </section>
-  <section class="widget" id="recent-jobs" data-api="/api/recent_jobs" data-ttl="30">
+  <section class="widget" id="recent-jobs" data-api="/api/recent_jobs" data-ttl="{{index .TTL "recent_jobs"}}">
     <h2>Recent Jobs <a class="more" href="/myjobs">All jobs</a></h2>
     <div class="widget-body loading" role="status">Loading recent jobs…</div>
   </section>
-  <section class="widget" id="system-status" data-api="/api/system_status" data-ttl="60">
+  <section class="widget" id="system-status" data-api="/api/system_status" data-ttl="{{index .TTL "system_status"}}">
     <h2>System Status <a class="more" href="/clusterstatus">Details</a></h2>
     <div class="widget-body loading" role="status">Loading system status…</div>
   </section>
-  <section class="widget" id="accounts" data-api="/api/accounts" data-ttl="60">
+  <section class="widget" id="accounts" data-api="/api/accounts" data-ttl="{{index .TTL "accounts"}}">
     <h2>Accounts <a class="more" href="{{.UserGuideURL}}">User guide</a></h2>
     <div class="widget-body loading" role="status">Loading accounts…</div>
   </section>
-  <section class="widget" id="storage" data-api="/api/storage" data-ttl="3600">
+  <section class="widget" id="storage" data-api="/api/storage" data-ttl="{{index .TTL "storage"}}">
     <h2>Storage</h2>
     <div class="widget-body loading" role="status">Loading storage…</div>
   </section>
@@ -84,11 +87,11 @@ var pageTemplates = map[string]string{
   </select>
   <button id="toggle-efficiency">Toggle Efficiency Data</button>
 </div>
-<section class="widget" id="myjobs-charts" data-api="/api/myjobs/charts" data-ttl="120">
+<section class="widget" id="myjobs-charts" data-api="/api/myjobs/charts" data-ttl="{{index .TTL "my_jobs_charts"}}">
   <h2>Job distribution</h2>
   <div class="widget-body loading" role="status">Loading charts…</div>
 </section>
-<section class="widget" id="myjobs-table" data-api="/api/myjobs" data-ttl="120">
+<section class="widget" id="myjobs-table" data-api="/api/myjobs" data-ttl="{{index .TTL "my_jobs"}}">
   <h2>Jobs</h2>
   <div class="widget-body loading" role="status">Loading jobs…</div>
 </section>
@@ -96,7 +99,7 @@ var pageTemplates = map[string]string{
 
 	"jobperf": `{{define "content"}}
 <h1>Job Performance Metrics</h1>
-<section class="widget" id="jobperf" data-api="/api/jobperf" data-ttl="120">
+<section class="widget" id="jobperf" data-api="/api/jobperf" data-ttl="{{index .TTL "job_perf"}}">
   <div class="widget-body loading" role="status">Loading metrics…</div>
 </section>
 {{end}}`,
@@ -108,17 +111,17 @@ var pageTemplates = map[string]string{
   <button id="view-list" aria-pressed="false">List view</button>
   <input id="search" type="search" placeholder="Filter nodes…" aria-label="Filter nodes">
 </div>
-<section class="widget" id="cluster-status" data-api="/api/cluster_status" data-ttl="60">
+<section class="widget" id="cluster-status" data-api="/api/cluster_status" data-ttl="{{index .TTL "cluster_status"}}">
   <div class="widget-body loading" role="status">Loading nodes…</div>
 </section>
 {{end}}`,
 
 	"node": `{{define "content"}}
 <h1>Node {{.Subject}}</h1>
-<section class="widget" id="node-overview" data-api="/api/node/{{.Subject}}" data-ttl="30">
+<section class="widget" id="node-overview" data-api="/api/node/{{.Subject}}" data-ttl="{{index .TTL "node_overview"}}">
   <div class="widget-body loading" role="status">Loading node…</div>
 </section>
-<section class="widget" id="node-jobs" data-api="/api/node/{{.Subject}}/jobs" data-ttl="30">
+<section class="widget" id="node-jobs" data-api="/api/node/{{.Subject}}/jobs" data-ttl="{{index .TTL "node_jobs"}}">
   <h2>Running jobs</h2>
   <div class="widget-body loading" role="status">Loading jobs…</div>
 </section>
@@ -126,11 +129,11 @@ var pageTemplates = map[string]string{
 
 	"job": `{{define "content"}}
 <h1>Job {{.Subject}}</h1>
-<section class="widget" id="job-overview" data-api="/api/job/{{.Subject}}" data-ttl="15">
+<section class="widget" id="job-overview" data-api="/api/job/{{.Subject}}" data-ttl="{{index .TTL "job_overview"}}">
   <div class="widget-body loading" role="status">Loading job…</div>
 </section>
 <section class="widget tabs" id="job-logs"
-         data-api="/api/job/{{.Subject}}/logs" data-ttl="0">
+         data-api="/api/job/{{.Subject}}/logs" data-ttl="{{index .TTL "job_logs"}}">
   <h2>Output</h2>
   <div class="widget-body loading" role="status">Loading logs…</div>
 </section>
@@ -139,14 +142,14 @@ var pageTemplates = map[string]string{
 	"insights": `{{define "content"}}
 <h1>Job Insights</h1>
 <p>Automated analysis of your recent jobs with recommendations.</p>
-<section class="widget" id="insights" data-api="/api/insights?range=30d" data-ttl="120">
+<section class="widget" id="insights" data-api="/api/insights?range=30d" data-ttl="{{index .TTL "insights"}}">
   <div class="widget-body loading" role="status">Analyzing your jobs…</div>
 </section>
 {{end}}`,
 
 	"news": `{{define "content"}}
 <h1>All News</h1>
-<section class="widget" id="all-news" data-api="/api/announcements" data-ttl="1800">
+<section class="widget" id="all-news" data-api="/api/announcements" data-ttl="{{index .TTL "announcements"}}">
   <div class="widget-body loading" role="status">Loading news…</div>
 </section>
 {{end}}`,
@@ -222,6 +225,8 @@ type pageData struct {
 	Subject string
 	// IsAdmin gates the staff-only navigation entries.
 	IsAdmin bool
+	// TTL maps widget names to their TTLs in whole seconds (data-ttl).
+	TTL map[string]int64
 }
 
 // renderPage executes a page template; authentication failures render a 401
@@ -245,6 +250,7 @@ func (s *Server) renderPage(w http.ResponseWriter, r *http.Request, page, title,
 		UserGuideURL: s.cfg.UserGuideURL,
 		Subject:      subject,
 		IsAdmin:      user.Admin,
+		TTL:          s.pageTTLs,
 	}
 	if err := t.ExecuteTemplate(w, "base", data); err != nil {
 		log.Printf("core: rendering %s: %v", page, err)
@@ -253,6 +259,10 @@ func (s *Server) renderPage(w http.ResponseWriter, r *http.Request, page, title,
 
 // registerPages mounts the HTML pages and static assets.
 func (s *Server) registerPages(mux *http.ServeMux) {
+	s.pageTTLs = make(map[string]int64, len(s.widgets))
+	for _, w := range s.widgets {
+		s.pageTTLs[w.Name] = int64(w.TTL / time.Second)
+	}
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		s.renderPage(w, r, "home", "Home", "")
 	})

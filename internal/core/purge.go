@@ -1,32 +1,14 @@
 package core
 
-import "time"
-
-// Cache purging. cache.Purge drops entries past their stale grace window,
-// but nothing called it in the long-running server, so the server cache (and
-// now the rendered-response cache, whose keys include per-user variants and
-// query strings) grew without bound over weeks of uptime. The server sweeps
-// both caches every Config.PurgeInterval: production servers get a
-// wall-clock ticker from StartPush, simulated-clock runs get the same sweep
-// from TickPush, and both paths share purgeNow so the /metrics counters
-// agree.
-
-// purgeNow sweeps both caches immediately and returns how many entries were
-// dropped. Safe to call from any goroutine.
-func (s *Server) purgeNow() int {
-	n := s.cache.Purge() + s.rendered.Purge()
-	if n > 0 {
-		s.purgedTotal.Add(int64(n))
-	}
-	s.purgeMu.Lock()
-	s.lastPurge = s.clock.Now()
-	s.purgeMu.Unlock()
-	return n
-}
+// Cache purging. cache.Purge drops entries past their stale grace window;
+// without a sweep the server cache (and the rendered-response cache, whose
+// keys include per-user variants and query strings) would grow without bound
+// over weeks of uptime. TickPush — the server's one background step, driven
+// by the StartPush loop or by a simulated-clock driver — sweeps both caches
+// every Config.PurgeInterval on the shared clock.
 
 // maybePurge sweeps when at least PurgeInterval has elapsed on the shared
-// clock since the last sweep — the simulated-clock path, driven from
-// TickPush.
+// clock since the last sweep.
 func (s *Server) maybePurge() {
 	if s.cfg.PurgeInterval <= 0 {
 		return
@@ -45,26 +27,4 @@ func (s *Server) maybePurge() {
 	if n := s.cache.Purge() + s.rendered.Purge(); n > 0 {
 		s.purgedTotal.Add(int64(n))
 	}
-}
-
-// startPurgeLoop runs the wall-clock sweep until Close. The interval is the
-// configured PurgeInterval (it bounds how long a dead entry can linger, so
-// the data clock is irrelevant here); a non-positive interval disables the
-// loop.
-func (s *Server) startPurgeLoop() {
-	if s.cfg.PurgeInterval <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(s.cfg.PurgeInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.pushDone:
-				return
-			case <-t.C:
-				s.purgeNow()
-			}
-		}
-	}()
 }

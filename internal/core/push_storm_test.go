@@ -36,11 +36,11 @@ func TestDrillPushBackoffUnderNodeFailureStorm(t *testing.T) {
 		return fr
 	})
 	sched := e.server.PushScheduler()
-	route := e.server.pushRoutes["system_status"]
-	ttl := route.ttl
+	wd := e.server.widget("system_status")
+	ttl := wd.TTL
 	if _, err := sched.Register(push.Source{
-		Widget: route.widget, Key: route.key("alice"), TTL: ttl,
-		Fetch: e.server.pushFetch(route, "alice"),
+		Widget: wd.Name, Key: wd.sourceKey("alice"), TTL: ttl,
+		Fetch: e.server.pushFetch(wd.Name, wd.path(), "alice"),
 	}); err != nil {
 		t.Fatal(err)
 	}

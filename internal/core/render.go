@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+
+	"ooddash/internal/etag"
 )
 
 // The rendered-response layer is the serving half of the paper's §2.4
@@ -129,7 +131,7 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 		return
 	}
 	body := append(raw, '\n')
-	re := &renderedResponse{rev: meta.rev, body: body, etag: etagFor(body)}
+	re := &renderedResponse{rev: meta.rev, body: body, etag: etag.For(body)}
 	re.etagVal = []string{re.etag}
 	// The body stays valid as long as the source entry it was built from, so
 	// it shares the source's TTL; a source refill bumps rev and overwrites.
@@ -143,7 +145,7 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 func (s *Server) writeRendered(w http.ResponseWriter, r *http.Request, re *renderedResponse) {
 	h := w.Header()
 	h[etagHeaderKey] = re.etagVal
-	if etagMatch(r.Header.Get("If-None-Match"), re.etag) {
+	if etag.Match(r.Header.Get("If-None-Match"), re.etag) {
 		s.obsm.notModified.With(widgetFromContext(r.Context())).Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return

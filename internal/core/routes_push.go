@@ -18,8 +18,9 @@ import (
 
 // This file wires the live-update push subsystem (internal/push) into the
 // dashboard: the SSE fan-out on GET /api/events, the per-widget refresh
-// sources the background scheduler re-fetches on their cache TTL cadence,
-// and the server lifecycle hooks (StartPush / TickPush / Close).
+// sources the background scheduler re-fetches on their cache TTL cadence
+// (the widgets whose table entry has a push mode), and the server lifecycle
+// hooks (StartPush / TickPush / Close).
 //
 // A refresh is a loopback request through the server's own mux, so it takes
 // exactly the route's normal path — auth, cache fill, resilience policy,
@@ -27,42 +28,6 @@ import (
 // poll would. Connected SSE clients then receive the bytes the polling
 // route would have served them, without issuing requests of their own:
 // upstream cost becomes O(sources), not O(clients).
-
-// pushRoute describes one push-enabled widget: the polling route the
-// refresh scheduler re-fetches, whether its payload is per-user, and its
-// refresh cadence (the widget's server cache TTL).
-type pushRoute struct {
-	widget  string
-	path    string
-	perUser bool
-	ttl     time.Duration
-}
-
-// key returns the scheduler/hub source key for this route and user.
-func (pr pushRoute) key(user string) string {
-	if pr.perUser {
-		return pr.widget + ":" + user
-	}
-	return pr.widget
-}
-
-// buildPushRoutes derives the push-enabled route table from the configured
-// TTLs. Cluster-wide widgets share one source across all subscribers;
-// per-user widgets get one source per subscribed user (paused when that
-// user has no open stream).
-func (s *Server) buildPushRoutes() map[string]pushRoute {
-	ttls := s.cfg.TTLs
-	routes := map[string]pushRoute{
-		"announcements":  {widget: "announcements", path: "/api/announcements", ttl: ttls.Announcements},
-		"system_status":  {widget: "system_status", path: "/api/system_status", ttl: ttls.SystemStatus},
-		"cluster_status": {widget: "cluster_status", path: "/api/cluster_status", ttl: ttls.ClusterNodes},
-		"recent_jobs":    {widget: "recent_jobs", path: "/api/recent_jobs", perUser: true, ttl: ttls.RecentJobs},
-		"accounts":       {widget: "accounts", path: "/api/accounts", perUser: true, ttl: ttls.Accounts},
-		"storage":        {widget: "storage", path: "/api/storage", perUser: true, ttl: ttls.Storage},
-		"my_jobs":        {widget: "my_jobs", path: "/api/myjobs", perUser: true, ttl: ttls.JobHistory},
-	}
-	return routes
-}
 
 // pushRefreshHeader marks scheduler-issued loopback requests so access logs
 // can tell background refreshes from client traffic.
@@ -101,20 +66,20 @@ func (l *loopbackRecorder) WriteHeader(code int)        { l.status = code }
 func (l *loopbackRecorder) Write(p []byte) (int, error) { return l.body.Write(p) }
 func (l *loopbackRecorder) Flush()                      {}
 
-// pushFetch builds the scheduler fetch for one route: a loopback GET
-// through the server's own mux as the given user. Cluster-wide widgets
-// capture the first subscriber's identity; their payloads are
+// pushFetch builds the scheduler fetch for one widget source: a loopback
+// GET of path through the server's own mux as the given user. Cluster-wide
+// widgets capture the first subscriber's identity; their payloads are
 // user-independent, the credential is only needed to pass the route's auth
 // check.
-func (s *Server) pushFetch(route pushRoute, user string) push.FetchFunc {
+func (s *Server) pushFetch(widget, path, user string) push.FetchFunc {
 	return func(ctx context.Context) ([]byte, bool, error) {
 		// Root the refresh in its own trace, origin "push": the loopback
 		// request carries the minted ID in the trace header so the instrument
 		// middleware joins this trace as a child "http" span instead of
 		// minting an orphaned root it would misattribute to client traffic.
 		id := obs.NewTraceID()
-		tctx, sp := s.tracer.StartRoot(ctx, id, "push.refresh", route.widget, "push")
-		req, err := http.NewRequestWithContext(tctx, http.MethodGet, route.path, nil)
+		tctx, sp := s.tracer.StartRoot(ctx, id, "push.refresh", widget, "push")
+		req, err := http.NewRequestWithContext(tctx, http.MethodGet, path, nil)
 		if err != nil {
 			sp.End()
 			return nil, false, err
@@ -135,7 +100,7 @@ func (s *Server) pushFetch(route pushRoute, user string) push.FetchFunc {
 		}
 		if rec.status != http.StatusOK {
 			return nil, false, fmt.Errorf("core: push refresh %s: status %d: %.120s",
-				route.path, rec.status, rec.body.Bytes())
+				path, rec.status, rec.body.Bytes())
 		}
 		// The hub retains the payload; the recorder is about to be reused, so
 		// hand over an exact-size copy rather than a view into its buffer.
@@ -157,36 +122,37 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.handleEventsPoll(w, r)
 }
 
-// parseSubscription resolves the requested widget set against the
-// push-enabled table, returning routes in deterministic order.
-func (s *Server) parseSubscription(r *http.Request) ([]pushRoute, error) {
-	names := s.cfg.Push.Widgets
-	if raw := r.URL.Query().Get("widgets"); raw != "" {
-		names = strings.Split(raw, ",")
-	}
-	enabled := make(map[string]bool, len(s.cfg.Push.Widgets))
-	for _, n := range s.cfg.Push.Widgets {
-		enabled[n] = true
-	}
-	seen := make(map[string]bool, len(names))
-	routes := make([]pushRoute, 0, len(names))
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" || seen[n] {
-			continue
+// parseSubscription resolves the requested widget set (every SSE widget
+// when the client names none) against the widget table, returning widgets
+// in name order.
+func (s *Server) parseSubscription(r *http.Request) ([]*Widget, error) {
+	var subs []*Widget
+	if raw := r.URL.Query().Get("widgets"); raw == "" {
+		for i := range s.widgets {
+			if s.widgets[i].sse {
+				subs = append(subs, &s.widgets[i])
+			}
 		}
-		seen[n] = true
-		route, ok := s.pushRoutes[n]
-		if !ok || !enabled[n] {
-			return nil, fmt.Errorf("%w: widget %q is not push-enabled", errBadRequest, n)
+	} else {
+		seen := make(map[string]bool)
+		for _, n := range strings.Split(raw, ",") {
+			n = strings.TrimSpace(n)
+			if n == "" || seen[n] {
+				continue
+			}
+			seen[n] = true
+			w := s.widget(n)
+			if w == nil || !w.sse {
+				return nil, fmt.Errorf("%w: widget %q is not push-enabled", errBadRequest, n)
+			}
+			subs = append(subs, w)
 		}
-		routes = append(routes, route)
 	}
-	if len(routes) == 0 {
+	if len(subs) == 0 {
 		return nil, fmt.Errorf("%w: empty widget subscription", errBadRequest)
 	}
-	sort.Slice(routes, func(i, j int) bool { return routes[i].widget < routes[j].widget })
-	return routes, nil
+	sort.Slice(subs, func(i, j int) bool { return subs[i].Name < subs[j].Name })
+	return subs, nil
 }
 
 // lastEventID reads the client's resume position: the standard
@@ -219,7 +185,7 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("core: event stream: response writer cannot flush"))
 		return
 	}
-	routes, err := s.parseSubscription(r)
+	subs, err := s.parseSubscription(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -232,9 +198,9 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	// source during an outage) leaves the stream open; events begin when
 	// the source recovers.
 	fd := s.fleetDelegate()
-	keys := make([]string, 0, len(routes))
-	for _, route := range routes {
-		key := route.key(user.Name)
+	keys := make([]string, 0, len(subs))
+	for _, wd := range subs {
+		key := wd.sourceKey(user.Name)
 		keys = append(keys, key)
 		if fd != nil {
 			// In a fleet, the key's owner (which may be another replica)
@@ -242,7 +208,7 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 			// replica's hub, so the stream below works unchanged. Touch
 			// records interest; Ensure additionally produces the initial
 			// snapshot when the local hub has none yet.
-			src := fleetSource(route, user.Name)
+			src := fleetSource(wd, user.Name)
 			if _, ok := s.pushHub.Latest(key); !ok {
 				_, _ = fd.Ensure(r.Context(), src)
 			} else {
@@ -251,10 +217,10 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if _, err := s.pushSched.Register(push.Source{
-			Widget: route.widget,
+			Widget: wd.Name,
 			Key:    key,
-			TTL:    route.ttl,
-			Fetch:  s.pushFetch(route, user.Name),
+			TTL:    wd.TTL,
+			Fetch:  s.pushFetch(wd.Name, wd.path(), user.Name),
 		}); err != nil {
 			writeError(w, err)
 			return
@@ -326,22 +292,37 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// StartPush begins background refreshing on a wall-clock loop that checks
-// source due-times every interval, and starts the periodic cache purge
-// sweep (which runs even with push disabled — a poll-only server still
-// accumulates cache entries). Production servers call this once; tests and
-// the loadgen smoke mode drive TickPush on the simulated clock instead.
+// StartPush starts the server's background loop: one goroutine calling
+// TickPush every interval of wall time (1 s when interval <= 0) until Close.
+// Start it whether or not push is enabled — TickPush also runs the cache
+// purge, and a poll-only server still accumulates cache entries. Production
+// servers call this once; tests, drills and benchmarks call TickPush
+// themselves after advancing the simulated clock.
 func (s *Server) StartPush(interval time.Duration) {
-	s.startPurgeLoop()
-	if s.cfg.Push.Disabled {
-		return
+	if interval <= 0 {
+		interval = time.Second
 	}
-	s.pushSched.Run(interval)
+	s.tickLoop.Add(1)
+	go func() {
+		defer s.tickLoop.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.pushDone:
+				return
+			case <-t.C:
+				s.TickPush()
+			}
+		}
+	}()
 }
 
-// TickPush runs every due background refresh synchronously and reports how
-// many sources were fetched. Call after advancing the shared simulated
-// clock. It also runs the cache purge sweep when one is due on that clock.
+// TickPush is the server's one background step: the cache purge sweep when
+// one is due on the shared clock, every due push refresh (run synchronously;
+// the count is returned), and SLO alert evaluation. The StartPush loop calls
+// it on a wall ticker; simulated-clock runs call it after advancing the
+// clock.
 func (s *Server) TickPush() int {
 	s.maybePurge()
 	n := s.pushSched.Tick()
@@ -359,13 +340,16 @@ func (s *Server) PushHub() *push.Hub { return s.pushHub }
 // PushScheduler exposes the refresh scheduler for tests and experiments.
 func (s *Server) PushScheduler() *push.Scheduler { return s.pushSched }
 
-// Close shuts the push subsystem down: the refresh scheduler stops, every
-// SSE stream receives a final "shutdown" event and ends, and the hub
-// rejects further publishes. The server remains able to serve plain HTTP
-// requests (the push path simply reports closed). Idempotent.
+// Close shuts the background work down: the StartPush loop exits (Close
+// waits for it, so no tick is in flight once Close returns), the refresh
+// scheduler stops, every SSE stream receives a final "shutdown" event and
+// ends, and the hub rejects further publishes. The server remains able to
+// serve plain HTTP requests (the push path simply reports closed).
+// Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.pushDone)
+		s.tickLoop.Wait()
 		s.pushSched.Close()
 		s.pushHub.Close()
 	})

@@ -13,6 +13,7 @@ import (
 
 	"ooddash/internal/auth"
 	"ooddash/internal/cache"
+	"ooddash/internal/clock"
 	"ooddash/internal/newsfeed"
 	"ooddash/internal/push"
 	"ooddash/internal/resilience"
@@ -24,17 +25,6 @@ import (
 	"ooddash/internal/trace"
 )
 
-// Clock supplies the current time (matches slurm.Clock). The server's clock
-// must be the same instance that drives the simulated cluster so cache TTLs
-// and Slurm time agree in tests and benchmarks.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
 // Deps are the external systems the dashboard talks to (Figure 1's data
 // flow): Slurm via its command-line surface, the center's news API, the
 // storage quota database, the user directory, and the job log files.
@@ -44,7 +34,11 @@ type Deps struct {
 	Storage *storagedb.Database
 	Users   *auth.Directory
 	Logs    LogStore
-	Clock   Clock
+	// Clock is the server's time source; nil means the wall clock. It must
+	// be the same instance that drives the simulated cluster so cache TTLs
+	// and Slurm time agree in tests and benchmarks. Retry backoff sleeps on
+	// it, so on a simulated clock backoff advances simulated time.
+	Clock clock.Clock
 	// REST is the slurmrestd-style client; required when Config.Backend
 	// selects BackendREST for either source. The dashboard's token should
 	// carry staff scope — per-user visibility is enforced by the
@@ -61,10 +55,6 @@ type Deps struct {
 	// simulator wires it to DBD.RollupStats; a real deployment would scrape
 	// slurmdbd directly instead.
 	RollupStats func() slurm.RollupStats
-	// Sleep pauses between retry attempts; nil means time.Sleep, unless
-	// Clock itself exposes a Sleep method (slurm.SimClock does), in which
-	// case retry backoff advances the simulated clock instead of blocking.
-	Sleep func(time.Duration)
 }
 
 // Server is the dashboard backend: a set of JSON API routes (one per
@@ -81,12 +71,14 @@ type Server struct {
 	storage *storagedb.Database
 	users   *auth.Directory
 	logs    LogStore
-	clock   Clock
+	clock   clock.Clock
 	events  EventSource
 	cache   *cache.Cache
 	res     *resilience.Set
 	mux     *http.ServeMux
 	widgets []Widget
+	// pageTTLs holds each widget's TTL in seconds for the pages' data-ttl.
+	pageTTLs map[string]int64
 
 	// fills are the per-source cold-fill admission gates (see admission.go):
 	// they bound concurrent upstream fills where singleflight cannot (many
@@ -115,13 +107,13 @@ type Server struct {
 	tracer *trace.Tracer
 
 	// Push subsystem: the versioned snapshot hub fanning out to SSE
-	// clients, the background refresh scheduler feeding it, the
-	// push-enabled route table, and the shutdown broadcast channel.
-	pushHub    *push.Hub
-	pushSched  *push.Scheduler
-	pushRoutes map[string]pushRoute
-	pushDone   chan struct{}
-	closeOnce  sync.Once
+	// clients, the background refresh scheduler feeding it, the shutdown
+	// broadcast channel, and the StartPush loop Close waits for.
+	pushHub   *push.Hub
+	pushSched *push.Scheduler
+	pushDone  chan struct{}
+	tickLoop  sync.WaitGroup
+	closeOnce sync.Once
 
 	// fleet, when set, is the scale-out tier's delegate (see fleet.go):
 	// push-enabled widget polls consult it for refresh ownership and
@@ -151,17 +143,10 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 		return nil, fmt.Errorf("core: NewServer: missing user directory")
 	}
 	if deps.Clock == nil {
-		deps.Clock = realClock{}
+		deps.Clock = clock.Real{}
 	}
 	if deps.Logs == nil {
 		deps.Logs = NewMemLogStore()
-	}
-	if deps.Sleep == nil {
-		if sl, ok := deps.Clock.(interface{ Sleep(time.Duration) }); ok {
-			deps.Sleep = sl.Sleep
-		} else {
-			deps.Sleep = time.Sleep
-		}
 	}
 	if len(cfg.SLO.Objectives) > 0 {
 		if err := slo.Validate(cfg.SLO.Objectives); err != nil {
@@ -191,7 +176,6 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	s.fills = newFillGates(s.cfg.Resilience.MaxConcurrentFills)
 	s.res = resilience.NewSet(resilience.Options{
 		Clock: deps.Clock,
-		Sleep: deps.Sleep,
 		Seed:  1,
 		OnStateChange: func(c resilience.StateChange) {
 			log.Printf("core: breaker %s: %s -> %s", c.Source, c.From, c.To)
@@ -202,14 +186,12 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	// read hub and scheduler stats; the scheduler's refresh hook records
 	// into obsm, which is always set by the time any refresh can run.
 	s.pushHub = push.NewHub(deps.Clock)
-	s.pushRoutes = s.buildPushRoutes()
 	s.pushDone = make(chan struct{})
 	s.pushSched = push.NewScheduler(push.SchedulerOptions{
-		Clock:            deps.Clock,
-		Hub:              s.pushHub,
-		Jitter:           s.cfg.Push.Jitter,
-		PauseWhenIdle:    !s.cfg.Push.DisableIdlePause,
-		SkipWhenDegraded: !s.cfg.Push.DisableDegradedSkip,
+		Clock:         deps.Clock,
+		Hub:           s.pushHub,
+		Jitter:        s.cfg.Push.Jitter,
+		PauseWhenIdle: !s.cfg.Push.DisableIdlePause,
 		OnRefresh: func(widget string, d time.Duration, published bool, err error) {
 			s.observeRefresh(widget, d, published, err)
 		},
@@ -323,29 +305,76 @@ type Widget struct {
 	Name string
 	// Route is the mux pattern, e.g. "GET /api/recent_jobs".
 	Route string
-	// TTL is the server-cache expiration for the widget's data source.
+	// TTL is the server-cache expiration for the widget's data source, and
+	// the client-cache TTL its page sections carry (data-ttl).
 	TTL time.Duration
 	// DataSource documents Table 1's mapping for the widget.
 	DataSource string
 	// Handler serves the route.
 	Handler http.HandlerFunc
+
+	// push is the widget's background refresh source (routes_push.go), which
+	// the fleet also partitions and serves from peers (fleet.go).
+	push pushMode
+	// sse admits the widget to the /api/events subscription set, and to the
+	// default subscription when a client names none. Requires push.
+	sse bool
+	// selfObserving widgets get no span and no SLI record from the
+	// instrument middleware (observe.go).
+	selfObserving bool
 }
 
-// registerWidgets builds the widget table. Order matches Table 1.
+// pushMode says whether and how a widget's payload is refreshed in the
+// background: not at all, once for every subscriber (a cluster-wide
+// payload), or once per subscribed user.
+type pushMode uint8
+
+const (
+	pushNone pushMode = iota
+	pushShared
+	pushPerUser
+)
+
+// path is the URL path of the widget's route ("GET /api/x" → "/api/x").
+func (w *Widget) path() string { return w.Route[strings.IndexByte(w.Route, ' ')+1:] }
+
+// sourceKey is the scheduler/hub key of the widget's push source for user:
+// the widget name for a shared source, "widget:user" for a per-user one.
+func (w *Widget) sourceKey(user string) string {
+	if w.push == pushPerUser {
+		return w.Name + ":" + user
+	}
+	return w.Name
+}
+
+// widget returns the table entry named name, or nil.
+func (s *Server) widget(name string) *Widget {
+	for i := range s.widgets {
+		if s.widgets[i].Name == name {
+			return &s.widgets[i]
+		}
+	}
+	return nil
+}
+
+// registerWidgets builds the widget table. Order matches Table 1. The five
+// homepage widgets are the §2.4 set whose polling the SSE stream replaces;
+// cluster_status and my_jobs also refresh in the background, so a fleet can
+// serve them from peers, but are not offered on the stream.
 func (s *Server) registerWidgets() {
 	s.widgets = []Widget{
 		{Name: "announcements", Route: "GET /api/announcements",
 			TTL: s.cfg.TTLs.Announcements, DataSource: "API call to center news page",
-			Handler: s.handleAnnouncements},
+			Handler: s.handleAnnouncements, push: pushShared, sse: true},
 		{Name: "recent_jobs", Route: "GET /api/recent_jobs",
 			TTL: s.cfg.TTLs.RecentJobs, DataSource: "squeue (Slurm)",
-			Handler: s.handleRecentJobs},
+			Handler: s.handleRecentJobs, push: pushPerUser, sse: true},
 		{Name: "system_status", Route: "GET /api/system_status",
 			TTL: s.cfg.TTLs.SystemStatus, DataSource: "sinfo (Slurm)",
-			Handler: s.handleSystemStatus},
+			Handler: s.handleSystemStatus, push: pushShared, sse: true},
 		{Name: "accounts", Route: "GET /api/accounts",
 			TTL: s.cfg.TTLs.Accounts, DataSource: "scontrol show assoc (Slurm)",
-			Handler: s.handleAccounts},
+			Handler: s.handleAccounts, push: pushPerUser, sse: true},
 		{Name: "accounts_export", Route: "GET /api/accounts/{account}/export.csv",
 			TTL: s.cfg.TTLs.Accounts, DataSource: "scontrol show assoc (Slurm)",
 			Handler: s.handleAccountExport},
@@ -354,10 +383,10 @@ func (s *Server) registerWidgets() {
 			Handler: s.handleAccountExportXLSX},
 		{Name: "storage", Route: "GET /api/storage",
 			TTL: s.cfg.TTLs.Storage, DataSource: "ZFS and GPFS storage database",
-			Handler: s.handleStorage},
+			Handler: s.handleStorage, push: pushPerUser, sse: true},
 		{Name: "my_jobs", Route: "GET /api/myjobs",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleMyJobs},
+			Handler: s.handleMyJobs, push: pushPerUser},
 		{Name: "my_jobs_export", Route: "GET /api/myjobs/export.csv",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
 			Handler: s.handleMyJobsExport},
@@ -369,7 +398,7 @@ func (s *Server) registerWidgets() {
 			Handler: s.handleJobPerf},
 		{Name: "cluster_status", Route: "GET /api/cluster_status",
 			TTL: s.cfg.TTLs.ClusterNodes, DataSource: "scontrol show node (Slurm)",
-			Handler: s.handleClusterStatus},
+			Handler: s.handleClusterStatus, push: pushShared},
 		{Name: "node_overview", Route: "GET /api/node/{name}",
 			TTL: s.cfg.TTLs.NodeDetail, DataSource: "scontrol show node (Slurm)",
 			Handler: s.handleNodeOverview},
@@ -388,7 +417,7 @@ func (s *Server) registerWidgets() {
 		// §9 extensions: real-time monitoring, job analysis, admin accounting.
 		{Name: "events", Route: "GET /api/events",
 			TTL: 0, DataSource: "controller event feed (extension)",
-			Handler: s.handleEvents},
+			Handler: s.handleEvents, selfObserving: true},
 		{Name: "insights", Route: "GET /api/insights",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
 			Handler: s.handleInsights},
@@ -413,16 +442,16 @@ func (s *Server) registerWidgets() {
 			Handler: s.handleAdminHealth},
 		{Name: "metrics", Route: "GET /metrics",
 			TTL: 0, DataSource: "backend cache stats + sdiag (Slurm)",
-			Handler: s.handleMetrics},
+			Handler: s.handleMetrics, selfObserving: true},
 		{Name: "admin_slo", Route: "GET /api/admin/slo",
 			TTL: 0, DataSource: "SLO engine (error budgets + burn-rate alerts)",
-			Handler: s.handleAdminSLO},
+			Handler: s.handleAdminSLO, selfObserving: true},
 		{Name: "admin_traces", Route: "GET /api/admin/traces",
 			TTL: 0, DataSource: "trace store (tail-sampled request spans)",
-			Handler: s.handleAdminTraces},
+			Handler: s.handleAdminTraces, selfObserving: true},
 		{Name: "admin_trace", Route: "GET /api/admin/traces/{id}",
 			TTL: 0, DataSource: "trace store (tail-sampled request spans)",
-			Handler: s.handleAdminTrace},
+			Handler: s.handleAdminTrace, selfObserving: true},
 	}
 }
 
@@ -445,11 +474,12 @@ func (s *Server) Mount(mux *http.ServeMux, names ...string) error {
 		want[n] = true
 	}
 	mounted := 0
-	for _, w := range s.widgets {
+	for i := range s.widgets {
+		w := &s.widgets[i]
 		if len(names) > 0 && !want[w.Name] {
 			continue
 		}
-		mux.HandleFunc(w.Route, s.instrument(w.Name, s.fleetIntercept(w.Name, w.Handler)))
+		mux.HandleFunc(w.Route, s.instrument(w, s.fleetIntercept(w, w.Handler)))
 		mounted++
 		delete(want, w.Name)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/clock"
 	"ooddash/internal/newsfeed"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -19,7 +20,7 @@ import (
 // env is a full dashboard stack over a small simulated cluster.
 type env struct {
 	t       testing.TB
-	clock   *slurm.SimClock
+	clock   *clock.Sim
 	cluster *slurm.Cluster
 	feed    *newsfeed.Feed
 	feedSrv *httptest.Server
@@ -50,7 +51,7 @@ func newEnvWith(t testing.TB, mutate func(*Config), wrapRunner func(slurmcli.Run
 // test can attach extra backends (the REST client/server pair).
 func newEnvDeps(t testing.TB, mutate func(*Config), wrapRunner func(slurmcli.Runner) slurmcli.Runner, mutateDeps func(*Deps, *slurm.Cluster)) *env {
 	t.Helper()
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := slurm.ClusterConfig{
 		Name: "testcluster",
 		Nodes: []slurm.NodeSpec{

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
 	"ooddash/internal/trace"
@@ -105,7 +106,7 @@ func TestTraceSpanDepthEndToEnd(t *testing.T) {
 // concentrated in the slurmdbd child span, the slow-request log line fires
 // with the trace ID, and a fast request made alongside is NOT retained.
 func TestSreportSlowdownTraceAttribution(t *testing.T) {
-	var clk *slurm.SimClock
+	var clk *clock.Sim
 	var fr *slurmcli.FaultRunner
 	e := newEnvWith(t, func(c *Config) {
 		// Baseline off: only the slow/error tail classes retain, so the
@@ -200,7 +201,7 @@ func TestSelfObservingEndpointsNotTraced(t *testing.T) {
 		t.Errorf("observability endpoints changed sampling decisions: %+v -> %+v", decBefore, dec)
 	}
 	for _, sum := range list.Traces {
-		if selfObserving(sum.Widget) {
+		if wd := e.server.widget(sum.Widget); wd != nil && wd.selfObserving {
 			t.Errorf("self-observing widget %q has a retained trace", sum.Widget)
 		}
 	}
@@ -240,11 +241,11 @@ func TestPushRefreshTraceOrigin(t *testing.T) {
 	e := tracedEnv(t)
 	s := e.server
 
-	route, ok := s.pushRoutes["recent_jobs"]
-	if !ok {
+	wd := s.widget("recent_jobs")
+	if wd.push == pushNone {
 		t.Fatal("recent_jobs is not push-enabled")
 	}
-	if _, _, err := s.pushFetch(route, "alice")(context.Background()); err != nil {
+	if _, _, err := s.pushFetch(wd.Name, wd.path(), "alice")(context.Background()); err != nil {
 		t.Fatalf("push refresh: %v", err)
 	}
 

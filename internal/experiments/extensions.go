@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
@@ -158,8 +159,8 @@ type PreemptionResult struct {
 // preemption the urgent job starts on the next scheduling pass; without it
 // the job waits for the running work to drain.
 func ExtensionPreemption() (PreemptionResult, error) {
-	build := func(preemptable bool) (*slurm.Cluster, *slurm.SimClock, error) {
-		clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	build := func(preemptable bool) (*slurm.Cluster, *clock.Sim, error) {
+		clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 		qosName := "normal"
 		if preemptable {
 			qosName = "standby"
@@ -181,7 +182,7 @@ func ExtensionPreemption() (PreemptionResult, error) {
 				{Account: "lab"}, {Account: "lab", User: "filler"}, {Account: "lab", User: "urgent"},
 			},
 		}
-		cl, err := slurm.NewCluster(cfg, clock)
+		cl, err := slurm.NewCluster(cfg, clk)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -200,7 +201,7 @@ func ExtensionPreemption() (PreemptionResult, error) {
 			}
 		}
 		cl.Ctl.Tick()
-		return cl, clock, nil
+		return cl, clk, nil
 	}
 
 	measure := func(preemptable bool) (time.Duration, int, error) {

@@ -28,21 +28,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/core"
 	"ooddash/internal/push"
 	"ooddash/internal/slo"
 	"ooddash/internal/slurmcli"
 )
-
-// Clock matches slurm.Clock: the fleet shares the simulation clock with
-// every replica and the cluster itself.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // Options configure a Fleet.
 type Options struct {
@@ -50,8 +41,9 @@ type Options struct {
 	Replicas int
 	// Policy selects the load-balancing policy (default round_robin).
 	Policy Policy
-	// Clock is the shared (possibly simulated) clock; nil means wall clock.
-	Clock Clock
+	// Clock is the shared (possibly simulated) clock the fleet, every
+	// replica and the cluster read; nil means wall clock.
+	Clock clock.Clock
 	// Build constructs one replica's server. It receives the replica id and
 	// the runner the replica must use for upstream Slurm commands (the
 	// fleet wraps the base runner with a per-replica RPC meter). Replicas
@@ -169,7 +161,7 @@ func (m *meterRunner) snapshot() map[string]int64 {
 // Fleet runs the replicas, the load balancer, membership, and ownership.
 type Fleet struct {
 	opts  Options
-	clock Clock
+	clock clock.Clock
 	met   *metrics
 	memo  *memoRunner // nil when NoCoherence or MemoTTL < 0
 
@@ -212,7 +204,7 @@ func New(opts Options) (*Fleet, error) {
 		opts.Replicas = 1
 	}
 	if opts.Clock == nil {
-		opts.Clock = realClock{}
+		opts.Clock = clock.Real{}
 	}
 	if opts.Policy == "" {
 		opts.Policy = PolicyRoundRobin
@@ -679,8 +671,8 @@ func (fl *Fleet) Join() (string, error) {
 	return rep.id, nil
 }
 
-// Run wraps Tick in a wall-clock loop until Close, mirroring the push
-// scheduler's production mode.
+// Run wraps Tick in a wall-clock loop until Close, as core.Server.StartPush
+// does for a single server's TickPush.
 func (fl *Fleet) Run(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurmcli"
 )
 
@@ -24,7 +25,7 @@ import (
 // never mask a refresh cadence — it only absorbs the same-instant
 // duplicates of a single fleet-wide refresh wave. Errors are never cached.
 type memoRunner struct {
-	clock Clock
+	clock clock.Clock
 	ttl   time.Duration
 	next  slurmcli.Runner
 
@@ -41,9 +42,9 @@ type memoEntry struct {
 	at   time.Time
 }
 
-func newMemoRunner(clock Clock, ttl time.Duration, next slurmcli.Runner) *memoRunner {
+func newMemoRunner(clk clock.Clock, ttl time.Duration, next slurmcli.Runner) *memoRunner {
 	return &memoRunner{
-		clock:   clock,
+		clock:   clk,
 		ttl:     ttl,
 		next:    next,
 		entries: make(map[string]*memoEntry),

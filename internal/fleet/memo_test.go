@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"ooddash/internal/slurm"
+	"ooddash/internal/clock"
 )
 
 type countingRunner struct {
@@ -24,7 +24,7 @@ func (c *countingRunner) Run(name string, args ...string) (string, error) {
 }
 
 func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
-	clock := slurm.NewSimClock(time.Unix(1_700_000_000, 0))
+	clock := clock.NewSim(time.Unix(1_700_000_000, 0))
 	base := &countingRunner{}
 	m := newMemoRunner(clock, 10*time.Second, base)
 
@@ -67,7 +67,7 @@ func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
 }
 
 func TestMemoNeverCachesErrors(t *testing.T) {
-	clock := slurm.NewSimClock(time.Unix(1_700_000_000, 0))
+	clock := clock.NewSim(time.Unix(1_700_000_000, 0))
 	base := &countingRunner{}
 	m := newMemoRunner(clock, 10*time.Second, base)
 

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // Category classifies an article; the widget color-codes by category
@@ -64,32 +66,23 @@ func (a *Article) Active(now time.Time) bool {
 	return !now.After(a.EndsAt)
 }
 
-// Clock supplies the current time (matches slurm.Clock).
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
 // Feed is a thread-safe article store with an HTTP JSON API.
 type Feed struct {
 	mu       sync.RWMutex
 	articles []Article
 	nextID   int
-	clock    Clock
+	clock    clock.Clock
 	// requests counts API hits so experiments can verify the announcements
 	// cache shields this service, like the Slurm daemon counters do.
 	requests int64
 }
 
 // New returns an empty feed. A nil clock uses wall time.
-func New(clock Clock) *Feed {
-	if clock == nil {
-		clock = realClock{}
+func New(clk clock.Clock) *Feed {
+	if clk == nil {
+		clk = clock.Real{}
 	}
-	return &Feed{nextID: 1, clock: clock}
+	return &Feed{nextID: 1, clock: clk}
 }
 
 // Publish adds an article and returns its assigned ID.

@@ -2,34 +2,18 @@ package newsfeed
 
 import (
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
+func newTestClock() *clock.Sim {
+	return clock.NewSim(time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC))
 }
 
 func TestPublishAndRecent(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	f := New(clock)
 	id1 := f.Publish(Article{Title: "first", Category: CategoryNews})
 	clock.Advance(time.Hour)
@@ -91,7 +75,7 @@ func TestActiveStyling(t *testing.T) {
 }
 
 func TestHTTPAPIRoundTrip(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	f := New(clock)
 	f.Publish(Article{Title: "Planned maintenance", Category: CategoryMaintenance,
 		StartsAt: clock.Now().Add(24 * time.Hour), EndsAt: clock.Now().Add(32 * time.Hour)})
@@ -121,7 +105,7 @@ func TestHTTPAPIRoundTrip(t *testing.T) {
 }
 
 func TestHTTPAPILimit(t *testing.T) {
-	f := New(newFakeClock())
+	f := New(newTestClock())
 	for i := 0; i < 5; i++ {
 		f.Publish(Article{Title: "article", Category: CategoryNews})
 	}
@@ -139,7 +123,7 @@ func TestHTTPAPILimit(t *testing.T) {
 }
 
 func TestHTTPAPIBadLimit(t *testing.T) {
-	f := New(newFakeClock())
+	f := New(newTestClock())
 	srv := httptest.NewServer(f)
 	defer srv.Close()
 

@@ -9,9 +9,10 @@
 // server refreshes each source once per TTL and broadcasts the versioned
 // result, making upstream RPC cost O(sources) instead of O(clients).
 //
-// Everything reads time from an injected Clock and is driven by explicit
-// Tick calls, so the whole layer runs deterministically on the simulated
-// clock in tests; production wraps Tick in a wall-clock loop.
+// Everything reads time from an injected clock.Clock and is driven by
+// explicit Tick calls, so the whole layer runs deterministically on the
+// simulated clock in tests; the core server's background loop calls Tick on
+// a wall-clock ticker in production.
 package push
 
 import (
@@ -19,17 +20,9 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ooddash/internal/clock"
 )
-
-// Clock supplies the current time; it matches slurm.Clock so the push layer
-// shares the simulation clock with the rest of the stack.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // Snapshot is one immutable versioned refresh result. Versions are hub-wide
 // and strictly increasing, so a client's last-seen version orders every
@@ -80,7 +73,7 @@ type HubStats struct {
 // newest snapshot per key (drop-oldest) rather than back-pressuring the
 // refresh loop. All methods are safe for concurrent use.
 type Hub struct {
-	clock Clock
+	clock clock.Clock
 
 	mu      sync.Mutex
 	version int64
@@ -98,12 +91,12 @@ type Hub struct {
 }
 
 // NewHub returns an empty hub; a nil clock means wall clock.
-func NewHub(clock Clock) *Hub {
-	if clock == nil {
-		clock = realClock{}
+func NewHub(clk clock.Clock) *Hub {
+	if clk == nil {
+		clk = clock.Real{}
 	}
 	return &Hub{
-		clock:  clock,
+		clock:  clk,
 		latest: make(map[string]Snapshot),
 		subs:   make(map[*Subscription]struct{}),
 	}

@@ -9,11 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"ooddash/internal/slurm"
+	"ooddash/internal/clock"
 )
 
-func testClock() *slurm.SimClock {
-	return slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+func testClock() *clock.Sim {
+	return clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 }
 
 func TestHubVersionsAndHashSuppression(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // FetchFunc refreshes one source: it returns the widget's JSON payload,
@@ -34,7 +36,7 @@ type Source struct {
 // SchedulerOptions configure a Scheduler.
 type SchedulerOptions struct {
 	// Clock drives due-time decisions; nil means wall clock.
-	Clock Clock
+	Clock clock.Clock
 	// Hub receives every refresh result; required.
 	Hub *Hub
 	// Jitter staggers each source's first refresh by a deterministic
@@ -44,11 +46,6 @@ type SchedulerOptions struct {
 	// PauseWhenIdle skips refreshing a source that currently has zero hub
 	// subscribers; its schedule resumes when a client subscribes again.
 	PauseWhenIdle bool
-	// SkipWhenDegraded doubles a source's next refresh interval after a
-	// degraded result, shedding scheduled load from an ailing upstream (the
-	// resilience breaker handles rapid-fire failures; this handles the
-	// steady state of a long outage).
-	SkipWhenDegraded bool
 	// OnRefresh observes every attempted refresh with its duration measured
 	// on Clock — the same (possibly simulated) clock that drives due times,
 	// so chaos drills on a warped clock record the latencies the fetch path
@@ -68,15 +65,17 @@ type SchedulerStats struct {
 
 type schedSource struct {
 	Source
-	nextDue      time.Time
-	lastDegraded bool
-	refreshes    int64 // fetches attempted for this source
+	nextDue   time.Time
+	refreshes int64 // fetches attempted for this source
 }
 
 // Scheduler proactively re-fetches registered sources on their TTL cadence
-// and publishes the results to the hub. It is driven by explicit Tick calls:
+// and publishes the results to the hub. After a degraded result a source's
+// next refresh is stretched to 2×TTL, shedding scheduled load from an ailing
+// upstream (the resilience breaker handles rapid-fire failures; this handles
+// the steady state of a long outage). It is driven by explicit Tick calls:
 // tests and the loadgen smoke mode call Tick after advancing the simulated
-// clock; production calls Run, which wraps Tick in a wall-clock loop.
+// clock; the core server's background loop calls it on a wall-clock ticker.
 type Scheduler struct {
 	opts SchedulerOptions
 
@@ -84,14 +83,12 @@ type Scheduler struct {
 	sources map[string]*schedSource
 	stats   SchedulerStats
 	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
 }
 
 // NewScheduler returns an empty scheduler.
 func NewScheduler(opts SchedulerOptions) *Scheduler {
 	if opts.Clock == nil {
-		opts.Clock = realClock{}
+		opts.Clock = clock.Real{}
 	}
 	if opts.Hub == nil {
 		panic("push: NewScheduler: nil Hub")
@@ -99,7 +96,6 @@ func NewScheduler(opts SchedulerOptions) *Scheduler {
 	return &Scheduler{
 		opts:    opts,
 		sources: make(map[string]*schedSource),
-		stop:    make(chan struct{}),
 	}
 }
 
@@ -261,8 +257,7 @@ func (s *Scheduler) refreshOne(ctx context.Context, src Source) (Snapshot, error
 	}
 	if st, ok := s.sources[src.Key]; ok {
 		st.refreshes++
-		st.lastDegraded = err == nil && degraded
-		if st.lastDegraded && s.opts.SkipWhenDegraded {
+		if err == nil && degraded {
 			// Degraded means the upstream is failing and the cache served
 			// last-known-good data: stretch this source's next refresh to
 			// 2×TTL (skip one cycle) until a fresh result returns.
@@ -277,29 +272,6 @@ func (s *Scheduler) refreshOne(ctx context.Context, src Source) (Snapshot, error
 	return snap, err
 }
 
-// Run starts a wall-clock loop calling Tick every interval until Close.
-// The shared clock may be simulated and advancing at any warp factor; the
-// loop only controls how often due times are checked.
-func (s *Scheduler) Run(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.Tick()
-			}
-		}
-	}()
-}
-
 // Stats returns the scheduler's counters.
 func (s *Scheduler) Stats() SchedulerStats {
 	s.mu.Lock()
@@ -309,17 +281,9 @@ func (s *Scheduler) Stats() SchedulerStats {
 	return st
 }
 
-// Close stops the Run loop and rejects further registrations. It waits for
-// the loop goroutine to exit, so no refresh is in flight after Close
-// returns. Idempotent.
+// Close rejects further registrations, refreshes and ticks. Idempotent.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	close(s.stop)
 	s.mu.Unlock()
-	s.wg.Wait()
 }

@@ -173,7 +173,7 @@ func TestSchedulerSkipWhenDegraded(t *testing.T) {
 	var calls atomic.Int64
 	degraded := atomic.Bool{}
 	degraded.Store(true)
-	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub, SkipWhenDegraded: true})
+	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub})
 	defer sched.Close()
 	sched.Register(Source{
 		Widget: "w", Key: "w", TTL: 30 * time.Second,
@@ -231,12 +231,11 @@ func TestSchedulerFetchErrorPublishesNothing(t *testing.T) {
 	}
 }
 
-func TestSchedulerCloseStopsRunLoop(t *testing.T) {
+func TestSchedulerCloseRejectsRegister(t *testing.T) {
 	clock := testClock()
 	hub := NewHub(clock)
 	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub})
-	sched.Run(time.Millisecond)
-	sched.Close() // must stop the loop and wait for it
+	sched.Close()
 	if _, err := sched.Register(Source{Widget: "w", Key: "w", TTL: time.Second,
 		Fetch: func(context.Context) ([]byte, bool, error) { return nil, false, nil }}); err == nil {
 		t.Fatal("Register after Close succeeded")

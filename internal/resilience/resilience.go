@@ -10,9 +10,9 @@
 // typed signal (OpenError, UpstreamError) so widgets can degrade to
 // last-known-good data instead of erroring.
 //
-// All timing except the per-attempt Timeout reads from an injected Clock and
-// sleep hook, so breaker transitions and backoff are fully driveable by a
-// simulated clock in tests.
+// All timing except the per-attempt Timeout reads from an injected
+// clock.Clock (backoff sleeps on it too), so breaker transitions and backoff
+// are fully driveable by a simulated clock in tests.
 package resilience
 
 import (
@@ -23,18 +23,9 @@ import (
 	"sync"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/trace"
 )
-
-// Clock supplies the current time; it matches slurm.Clock so the whole stack
-// can share one simulated clock.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // State is a circuit breaker state.
 type State int
@@ -234,8 +225,7 @@ type Stats struct {
 type Breaker struct {
 	source   string
 	policy   Policy
-	clock    Clock
-	sleep    func(time.Duration)
+	clock    clock.Clock
 	onChange func(StateChange)
 	onResult func(context.Context, OpResult)
 
@@ -249,20 +239,16 @@ type Breaker struct {
 }
 
 // NewBreaker builds a standalone breaker; most callers use a Set instead.
-// clock nil means wall clock; sleep nil means time.Sleep; seed fixes the
+// clk nil means wall clock; retry backoff sleeps on clk; seed fixes the
 // jitter RNG.
-func NewBreaker(source string, p Policy, clock Clock, sleep func(time.Duration), seed int64, onChange func(StateChange)) *Breaker {
-	if clock == nil {
-		clock = realClock{}
-	}
-	if sleep == nil {
-		sleep = time.Sleep
+func NewBreaker(source string, p Policy, clk clock.Clock, seed int64, onChange func(StateChange)) *Breaker {
+	if clk == nil {
+		clk = clock.Real{}
 	}
 	return &Breaker{
 		source:   source,
 		policy:   p.withDefaults(),
-		clock:    clock,
-		sleep:    sleep,
+		clock:    clk,
 		onChange: onChange,
 		rng:      rand.New(rand.NewSource(seed)),
 	}
@@ -404,10 +390,10 @@ func (b *Breaker) Do(ctx context.Context, op func(context.Context) (any, error))
 		if traced {
 			_, bsp := trace.StartSpan(ctx, "resilience.backoff")
 			bsp.SetAttrInt("after_attempt", attempt)
-			b.sleep(b.backoff(attempt))
+			b.clock.Sleep(b.backoff(attempt))
 			bsp.End()
 		} else {
-			b.sleep(b.backoff(attempt))
+			b.clock.Sleep(b.backoff(attempt))
 		}
 	}
 	if ctx.Err() != nil && ctx.Err() == context.Canceled {
@@ -551,11 +537,9 @@ func (b *Breaker) backoff(attempt int) time.Duration {
 
 // Options configure a Set.
 type Options struct {
-	// Clock drives breaker windows; nil means wall clock.
-	Clock Clock
-	// Sleep pauses between retries; nil means time.Sleep. Pass a simulated
-	// clock's Sleep to keep tests off the wall clock.
-	Sleep func(time.Duration)
+	// Clock drives breaker windows and retry backoff; nil means wall clock.
+	// A simulated clock keeps tests off the wall clock.
+	Clock clock.Clock
 	// Seed fixes every breaker's jitter RNG (offset per breaker).
 	Seed int64
 	// OnStateChange observes every breaker transition. It is called outside
@@ -567,8 +551,8 @@ type Options struct {
 	OnResult func(context.Context, OpResult)
 }
 
-// Set is a registry of per-source breakers sharing one clock, sleep hook,
-// and state-change observer.
+// Set is a registry of per-source breakers sharing one clock and
+// state-change observer.
 type Set struct {
 	opts Options
 
@@ -591,7 +575,7 @@ func (s *Set) Register(source string, p Policy) *Breaker {
 		sort.Strings(s.order)
 	}
 	seed := s.opts.Seed + int64(len(s.breakers))
-	b := NewBreaker(source, p, s.opts.Clock, s.opts.Sleep, seed, s.opts.OnStateChange)
+	b := NewBreaker(source, p, s.opts.Clock, seed, s.opts.OnStateChange)
 	b.SetResultHook(s.opts.OnResult)
 	s.breakers[source] = b
 	return b

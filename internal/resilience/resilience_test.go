@@ -6,32 +6,26 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-// fakeClock is a manually advanced clock whose Sleep advances it, so backoff
-// and breaker windows consume no wall time in these tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
+// newTestClock returns a simulated clock: backoff sleeps advance it, so
+// retries and breaker windows consume no wall time in these tests.
+func newTestClock() *clock.Sim {
+	return clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 }
 
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC)}
+// sleepLog is a simulated clock that also records every backoff sleep.
+type sleepLog struct {
+	*clock.Sim
+	slept []time.Duration
 }
 
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
+func (c *sleepLog) Sleep(d time.Duration) {
+	c.slept = append(c.slept, d)
+	c.Sim.Sleep(d)
 }
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-func (c *fakeClock) Sleep(d time.Duration) { c.Advance(d) }
 
 var errBoom = errors.New("upstream boom")
 
@@ -46,12 +40,12 @@ func failNTimes(n int, calls *int) func(context.Context) (any, error) {
 	}
 }
 
-func testBreaker(clock *fakeClock, p Policy, onChange func(StateChange)) *Breaker {
-	return NewBreaker("test", p, clock, clock.Sleep, 1, onChange)
+func testBreaker(clk clock.Clock, p Policy, onChange func(StateChange)) *Breaker {
+	return NewBreaker("test", p, clk, 1, onChange)
 }
 
 func TestRetryAbsorbsTransientFailure(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	b := testBreaker(clock, Policy{MaxAttempts: 3, Timeout: -1}, nil)
 	var calls int
 	v, err := b.Do(context.Background(), failNTimes(2, &calls))
@@ -71,7 +65,7 @@ func TestRetryAbsorbsTransientFailure(t *testing.T) {
 }
 
 func TestExhaustedRetriesReturnUpstreamError(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	b := testBreaker(clock, Policy{MaxAttempts: 2, Timeout: -1}, nil)
 	_, err := b.Do(context.Background(), func(context.Context) (any, error) {
 		return nil, errBoom
@@ -89,7 +83,7 @@ func TestExhaustedRetriesReturnUpstreamError(t *testing.T) {
 }
 
 func TestBreakerOpensAfterThresholdAndShortCircuits(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	var changes []StateChange
 	p := Policy{MaxAttempts: 1, FailureThreshold: 3, OpenFor: 30 * time.Second, Timeout: -1}
 	b := testBreaker(clock, p, func(c StateChange) { changes = append(changes, c) })
@@ -132,7 +126,7 @@ func TestBreakerOpensAfterThresholdAndShortCircuits(t *testing.T) {
 }
 
 func TestHalfOpenProbeSuccessCloses(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	var changes []StateChange
 	p := Policy{MaxAttempts: 1, FailureThreshold: 1, OpenFor: 10 * time.Second, Timeout: -1}
 	b := testBreaker(clock, p, func(c StateChange) { changes = append(changes, c) })
@@ -159,7 +153,7 @@ func TestHalfOpenProbeSuccessCloses(t *testing.T) {
 }
 
 func TestHalfOpenProbeFailureReopens(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	p := Policy{MaxAttempts: 1, FailureThreshold: 1, OpenFor: 10 * time.Second, Timeout: -1}
 	b := testBreaker(clock, p, nil)
 	fail := func(context.Context) (any, error) { return nil, errBoom }
@@ -185,7 +179,7 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 }
 
 func TestClassifierSkipsRetryAndBreaker(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	semantic := errors.New("sacct: unknown job 42")
 	p := Policy{
 		MaxAttempts:      3,
@@ -215,15 +209,15 @@ func TestClassifierSkipsRetryAndBreaker(t *testing.T) {
 }
 
 func TestBackoffConsumesSimulatedTime(t *testing.T) {
-	clock := newFakeClock()
-	var slept []time.Duration
-	sleep := func(d time.Duration) {
-		slept = append(slept, d)
-		clock.Advance(d)
-	}
+	clock := &sleepLog{Sim: newTestClock()}
+	start := clock.Now()
 	p := Policy{MaxAttempts: 3, Backoff: 100 * time.Millisecond, MaxBackoff: time.Second, Jitter: 0, Timeout: -1}
-	b := NewBreaker("test", p, clock, sleep, 1, nil)
+	b := NewBreaker("test", p, clock, 1, nil)
 	_, _ = b.Do(context.Background(), func(context.Context) (any, error) { return nil, errBoom })
+	slept := clock.slept
+	if got := clock.Now().Sub(start); got != 300*time.Millisecond {
+		t.Fatalf("backoff advanced the clock by %v, want 300ms", got)
+	}
 	if len(slept) != 2 {
 		t.Fatalf("slept %d times, want 2 (between 3 attempts)", len(slept))
 	}
@@ -234,12 +228,11 @@ func TestBackoffConsumesSimulatedTime(t *testing.T) {
 
 func TestJitterSpreadsBackoffDeterministically(t *testing.T) {
 	run := func() []time.Duration {
-		clock := newFakeClock()
-		var slept []time.Duration
+		clock := &sleepLog{Sim: newTestClock()}
 		p := Policy{MaxAttempts: 4, Backoff: 100 * time.Millisecond, MaxBackoff: time.Second, Jitter: 0.5, Timeout: -1}
-		b := NewBreaker("test", p, clock, func(d time.Duration) { slept = append(slept, d) }, 7, nil)
+		b := NewBreaker("test", p, clock, 7, nil)
 		_, _ = b.Do(context.Background(), func(context.Context) (any, error) { return nil, errBoom })
-		return slept
+		return clock.slept
 	}
 	first, second := run(), run()
 	if len(first) != 3 {
@@ -257,7 +250,7 @@ func TestJitterSpreadsBackoffDeterministically(t *testing.T) {
 }
 
 func TestAttemptTimeout(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	p := Policy{MaxAttempts: 1, Timeout: 20 * time.Millisecond}
 	b := testBreaker(clock, p, nil)
 	release := make(chan struct{})
@@ -272,7 +265,7 @@ func TestAttemptTimeout(t *testing.T) {
 }
 
 func TestCanceledContextDoesNotCountAsFailure(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	p := Policy{MaxAttempts: 2, FailureThreshold: 1, Timeout: -1}
 	b := testBreaker(clock, p, nil)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -292,12 +285,11 @@ func TestCanceledContextDoesNotCountAsFailure(t *testing.T) {
 }
 
 func TestSetRoutesAndSnapshots(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	var changes []StateChange
 	var mu sync.Mutex
 	set := NewSet(Options{
 		Clock: clock,
-		Sleep: clock.Sleep,
 		Seed:  1,
 		OnStateChange: func(c StateChange) {
 			mu.Lock()
@@ -344,7 +336,7 @@ func TestSetRoutesAndSnapshots(t *testing.T) {
 }
 
 func TestConcurrentDoIsRaceFree(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	p := Policy{MaxAttempts: 2, FailureThreshold: 3, OpenFor: time.Second, Timeout: -1, Backoff: time.Millisecond, Jitter: 0.5}
 	b := testBreaker(clock, p, func(StateChange) {})
 	var wg sync.WaitGroup
@@ -383,12 +375,11 @@ func TestStateStrings(t *testing.T) {
 // TestResultHook asserts the OnResult observer sees one attributed outcome
 // per Do call: ok, retried, error, short_circuit, and semantic_error.
 func TestResultHook(t *testing.T) {
-	clock := newFakeClock()
+	clock := newTestClock()
 	var mu sync.Mutex
 	var results []OpResult
 	set := NewSet(Options{
 		Clock: clock,
-		Sleep: clock.Sleep,
 		OnResult: func(_ context.Context, r OpResult) {
 			mu.Lock()
 			results = append(results, r)

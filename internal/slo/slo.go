@@ -1,9 +1,9 @@
-// Package slo is a dependency-free, clock-driven SLO engine: per-objective
-// SLI recorders feed ring-buffered sliding windows, multi-window multi-burn-
-// rate alert rules (Google SRE workbook style), a 28-day error-budget
-// ledger, and a deterministic alert state machine.
+// Package slo is a clock-driven SLO engine (stdlib plus internal/clock):
+// per-objective SLI recorders feed ring-buffered sliding windows,
+// multi-window multi-burn-rate alert rules (Google SRE workbook style), a
+// 28-day error-budget ledger, and a deterministic alert state machine.
 //
-// Everything runs on an injected Clock, so the same event sequence on the
+// Everything runs on an injected clock.Clock, so the same event sequence on the
 // simulated clock produces byte-identical alert transitions across runs —
 // chaos drills can assert "this scenario fires the availability page and
 // resolves it" as a deterministic gate rather than a flaky heuristic.
@@ -17,13 +17,9 @@ import (
 	"fmt"
 	"sync"
 	"time"
-)
 
-// Clock is the time source; production uses the wall clock, tests and chaos
-// drills use the shared simulated clock.
-type Clock interface {
-	Now() time.Time
-}
+	"ooddash/internal/clock"
+)
 
 // Kind selects how an objective classifies a request into good/bad/ignored.
 type Kind string
@@ -389,22 +385,23 @@ func (o *objState) classify(seconds float64, status int, degraded bool) (counted
 // server's objective set.
 type Engine struct {
 	mu    sync.Mutex
-	clock Clock
+	clock clock.Clock
 	objs  []*objState
 	trans transLog
 }
 
 // New builds an engine over the given objectives (nil means
 // DefaultObjectives). It panics on an invalid objective set — that is a
-// programming or config-validation error upstream.
-func New(clock Clock, objectives []Objective) *Engine {
+// programming or config-validation error upstream. Production passes the
+// wall clock; tests and chaos drills pass the shared simulated clock.
+func New(clk clock.Clock, objectives []Objective) *Engine {
 	if len(objectives) == 0 {
 		objectives = DefaultObjectives()
 	}
 	if err := Validate(objectives); err != nil {
 		panic(err)
 	}
-	e := &Engine{clock: clock}
+	e := &Engine{clock: clk}
 	for _, def := range objectives {
 		e.objs = append(e.objs, newObjState(def))
 	}
@@ -698,7 +695,7 @@ func (o *aggObj) windowCounts(now time.Time, span time.Duration) (good, bad uint
 // while one replica burns — both views stay queryable.
 type Aggregator struct {
 	mu      sync.Mutex
-	clock   Clock
+	clock   clock.Clock
 	members func() []*Engine
 	objs    []*aggObj
 	trans   transLog
@@ -706,14 +703,14 @@ type Aggregator struct {
 
 // NewAggregator builds a fleet aggregator over the given objectives and a
 // callback returning the current member engines (healthy replicas).
-func NewAggregator(clock Clock, objectives []Objective, members func() []*Engine) *Aggregator {
+func NewAggregator(clk clock.Clock, objectives []Objective, members func() []*Engine) *Aggregator {
 	if len(objectives) == 0 {
 		objectives = DefaultObjectives()
 	}
 	if err := Validate(objectives); err != nil {
 		panic(err)
 	}
-	a := &Aggregator{clock: clock, members: members}
+	a := &Aggregator{clock: clk, members: members}
 	for _, def := range objectives {
 		a.objs = append(a.objs, &aggObj{def: def, members: members, alerts: newAlerts(def)})
 	}

@@ -4,32 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-// fakeClock is a hand-advanced clock for deterministic engine tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1_700_000_000, 0).UTC()}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
+func newTestClock() *clock.Sim { return clock.NewSim(time.Unix(1_700_000_000, 0).UTC()) }
 
 // testObjectives is a small, fast-burning objective set for unit tests:
 // 90% availability with a 2x burn rule over 2m/10m windows.
@@ -54,7 +35,7 @@ func alertState0(t *testing.T, e *Engine) AlertStatus {
 }
 
 func TestSLOStateMachineLifecycle(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	e := New(clk, testObjectives(time.Minute, time.Minute))
 
 	record := func(n int, status int) {
@@ -116,7 +97,7 @@ func TestSLOStateMachineLifecycle(t *testing.T) {
 }
 
 func TestSLOPendingCancelsWithoutFiring(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	e := New(clk, testObjectives(2*time.Minute, time.Minute))
 
 	for i := 0; i < 10; i++ {
@@ -147,7 +128,7 @@ func TestSLOPendingCancelsWithoutFiring(t *testing.T) {
 }
 
 func TestSLORecordClassification(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	objs := []Objective{
 		testObjectives(0, 0)[0],
 		{Name: "latency", Kind: KindLatency, Target: 0.9,
@@ -177,7 +158,7 @@ func TestSLORecordClassification(t *testing.T) {
 }
 
 func TestSLOBudgetLedger(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	e := New(clk, testObjectives(0, 0))
 
 	// 95 good + 5 bad against a 10% budget of 100 events: half spent, and
@@ -208,7 +189,7 @@ func TestSLOBudgetLedger(t *testing.T) {
 }
 
 func TestSLOWindowAging(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	e := New(clk, testObjectives(0, 0))
 	for i := 0; i < 10; i++ {
 		e.Record(0.001, 500, false, "")
@@ -226,7 +207,7 @@ func TestSLOWindowAging(t *testing.T) {
 }
 
 func TestSLOTransitionLogBounded(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	e := New(clk, testObjectives(0, 0)) // For=0, KeepFor=0: flaps freely
 	for i := 0; i < 40; i++ {
 		e.Record(0.001, 500, false, "")
@@ -245,7 +226,7 @@ func TestSLOTransitionLogBounded(t *testing.T) {
 
 func TestSLOEngineDeterminism(t *testing.T) {
 	run := func() []byte {
-		clk := newFakeClock()
+		clk := newTestClock()
 		e := New(clk, DefaultObjectives())
 		for step := 0; step < 20; step++ {
 			for i := 0; i < 7; i++ {
@@ -271,7 +252,7 @@ func TestSLOEngineDeterminism(t *testing.T) {
 }
 
 func TestSLORecordAllocFree(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	e := New(clk, DefaultObjectives())
 	if n := testing.AllocsPerRun(200, func() {
 		e.Record(0.002, 200, false, "trace-xyz")
@@ -286,7 +267,7 @@ func TestSLORecordAllocFree(t *testing.T) {
 }
 
 func TestSLOAggregatorFleetView(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	objs := testObjectives(0, time.Minute)
 	burning := New(clk, objs)
 	healthy := New(clk, objs)
@@ -334,7 +315,7 @@ func TestSLOAggregatorFleetView(t *testing.T) {
 }
 
 func TestSLOLastBadExemplar(t *testing.T) {
-	clk := newFakeClock()
+	clk := newTestClock()
 	e := New(clk, DefaultObjectives())
 	if _, _, _, ok := e.LastBadExemplar("availability"); ok {
 		t.Fatal("exemplar before any bad event")

@@ -3,10 +3,12 @@ package slurm
 import (
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 func TestDefaultConfigBoots(t *testing.T) {
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := DefaultConfig()
 	cfg.Associations = []Association{
 		{Account: "demo"}, {Account: "demo", User: "ada"},
@@ -146,11 +148,21 @@ func TestUtilizationZeroDenominators(t *testing.T) {
 	}
 }
 
+// TestRealClock checks that a cluster built without a clock runs on the
+// wall clock.
 func TestRealClock(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		Name:       "wall",
+		Nodes:      []NodeSpec{{NamePrefix: "n", Count: 1, CPUs: 4, MemMB: 4096, Partitions: []string{"cpu"}}},
+		Partitions: []PartitionSpec{{Name: "cpu", MaxTime: time.Hour, Default: true}},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := time.Now()
-	got := RealClock{}.Now()
+	got := cl.Clock.Now()
 	if got.Before(before.Add(-time.Second)) || got.After(before.Add(time.Minute)) {
-		t.Fatalf("RealClock.Now = %v", got)
+		t.Fatalf("nil-clock cluster Now = %v", got)
 	}
 }
 

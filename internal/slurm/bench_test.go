@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // benchCluster builds a cluster with the given node count and fills it to
 // ~70% with running jobs plus a pending backlog.
-func benchCluster(b *testing.B, nodes, runningJobs, pendingJobs int) (*Cluster, *SimClock) {
+func benchCluster(b *testing.B, nodes, runningJobs, pendingJobs int) (*Cluster, *clock.Sim) {
 	b.Helper()
-	clock := NewSimClock(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "bench",
 		Nodes: []NodeSpec{

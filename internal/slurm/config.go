@@ -3,6 +3,8 @@ package slurm
 import (
 	"fmt"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // NodeSpec describes a homogeneous block of nodes in a ClusterConfig.
@@ -86,26 +88,26 @@ func (cfg *ClusterConfig) Validate() error {
 // Cluster bundles the daemon pair that together simulate one Slurm cluster.
 type Cluster struct {
 	Name  string
-	Clock Clock
+	Clock clock.Clock
 	Ctl   *Controller
 	DBD   *DBD
 }
 
 // NewCluster builds a cluster from the config, registering nodes,
-// partitions, QOS levels, and associations. The clock may be a SimClock for
-// deterministic runs or RealClock for live servers.
-func NewCluster(cfg ClusterConfig, clock Clock) (*Cluster, error) {
+// partitions, QOS levels, and associations. The clock may be a clock.Sim for
+// deterministic runs; nil means the wall clock, for live servers.
+func NewCluster(cfg ClusterConfig, clk clock.Clock) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if clock == nil {
-		clock = RealClock{}
+	if clk == nil {
+		clk = clock.Real{}
 	}
 	dbd := NewDBD()
-	ctl := newController(cfg.Name, clock, dbd, cfg.CompletedJobRetention)
+	ctl := newController(cfg.Name, clk, dbd, cfg.CompletedJobRetention)
 
 	partNodes := make(map[string][]string)
-	boot := clock.Now().Add(-24 * time.Hour)
+	boot := clk.Now().Add(-24 * time.Hour)
 	for _, ns := range cfg.Nodes {
 		width := len(fmt.Sprintf("%d", ns.Count))
 		if width < 3 {
@@ -157,7 +159,7 @@ func NewCluster(cfg ClusterConfig, clock Clock) (*Cluster, error) {
 	for _, a := range cfg.Associations {
 		dbd.AddAssociation(a)
 	}
-	return &Cluster{Name: cfg.Name, Clock: clock, Ctl: ctl, DBD: dbd}, nil
+	return &Cluster{Name: cfg.Name, Clock: clk, Ctl: ctl, DBD: dbd}, nil
 }
 
 // DefaultConfig returns a mid-size cluster resembling the paper's deployment

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // Controller simulates slurmctld: it owns the live cluster state (nodes,
@@ -13,7 +15,7 @@ import (
 // controller load the paper's caching design is meant to reduce.
 type Controller struct {
 	mu          sync.Mutex
-	clock       Clock
+	clock       clock.Clock
 	clusterName string
 	dbd         *DBD
 	stats       *DaemonStats
@@ -48,12 +50,12 @@ type Controller struct {
 
 // newController builds a controller from already-validated cluster state.
 // Use NewCluster to construct the full daemon pair from a ClusterConfig.
-func newController(name string, clock Clock, dbd *DBD, retention time.Duration) *Controller {
+func newController(name string, clk clock.Clock, dbd *DBD, retention time.Duration) *Controller {
 	if retention <= 0 {
 		retention = 5 * time.Minute
 	}
 	return &Controller{
-		clock:       clock,
+		clock:       clk,
 		clusterName: name,
 		dbd:         dbd,
 		stats:       NewDaemonStats("slurmctld"),

@@ -4,14 +4,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // testCluster builds a small deterministic cluster: 4 CPU nodes (8 cores,
 // 16 GiB each), 1 GPU node, two accounts with CPU limits, debug QOS with a
 // per-user running-job cap.
-func testCluster(t testing.TB) (*Cluster, *SimClock) {
+func testCluster(t testing.TB) (*Cluster, *clock.Sim) {
 	t.Helper()
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "testcluster",
 		Nodes: []NodeSpec{

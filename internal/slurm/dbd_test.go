@@ -3,9 +3,11 @@ package slurm
 import (
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-func seedHistory(t *testing.T) (*Cluster, *SimClock) {
+func seedHistory(t *testing.T) (*Cluster, *clock.Sim) {
 	t.Helper()
 	cl, clock := testCluster(t)
 	// alice: 3 completed 10-minute jobs, one per 30 minutes.
@@ -154,21 +156,5 @@ func TestDBDChargesBothUserAndAccount(t *testing.T) {
 		if a == nil || a.CPUTimeUsed < 3.99 || a.CPUTimeUsed > 4.01 {
 			t.Fatalf("association usage = %+v, want ~4 core-hours", a)
 		}
-	}
-}
-
-func TestClockMonotonic(t *testing.T) {
-	c := NewSimClock(time.Unix(1000, 0))
-	c.Advance(-time.Hour)
-	if !c.Now().Equal(time.Unix(1000, 0)) {
-		t.Fatal("negative advance moved the clock")
-	}
-	c.Set(time.Unix(500, 0))
-	if !c.Now().Equal(time.Unix(1000, 0)) {
-		t.Fatal("Set moved the clock backwards")
-	}
-	c.Set(time.Unix(2000, 0))
-	if !c.Now().Equal(time.Unix(2000, 0)) {
-		t.Fatal("Set failed to move the clock forwards")
 	}
 }

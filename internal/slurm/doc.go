@@ -11,6 +11,6 @@
 // measure the controller load that the paper's dual-layer caching design is
 // meant to reduce.
 //
-// Time is injected through the Clock interface; tests and benchmarks drive a
-// SimClock for deterministic schedules, while servers may use RealClock.
+// Time is injected through internal/clock; tests and benchmarks drive a
+// clock.Sim for deterministic schedules, while servers may use clock.Real.
 package slurm

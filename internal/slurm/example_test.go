@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
 // A minimal cluster: one partition, one account, one job through its
 // whole lifecycle.
 func Example() {
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cluster, err := slurm.NewCluster(slurm.ClusterConfig{
 		Name: "demo",
 		Nodes: []slurm.NodeSpec{

@@ -4,13 +4,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // preemptCluster builds a cluster with a preemptable standby tier sharing
 // nodes with the normal partition.
-func preemptCluster(t *testing.T) (*Cluster, *SimClock) {
+func preemptCluster(t *testing.T) (*Cluster, *clock.Sim) {
 	t.Helper()
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "preempt-test",
 		Nodes: []NodeSpec{
@@ -382,7 +384,7 @@ func TestSuspendStateErrors(t *testing.T) {
 }
 
 func TestFeatureConstraintPlacement(t *testing.T) {
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "features",
 		Nodes: []NodeSpec{

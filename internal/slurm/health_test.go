@@ -4,11 +4,13 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 func healthTestCluster(t *testing.T) *Cluster {
 	t.Helper()
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cl, err := NewCluster(ClusterConfig{
 		Name:  "hc",
 		Nodes: []NodeSpec{{NamePrefix: "n", Count: 2, CPUs: 4, MemMB: 8192, Partitions: []string{"cpu"}}},

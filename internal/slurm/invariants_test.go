@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // checkInvariants asserts the structural invariants that must hold after
@@ -91,7 +93,7 @@ func checkInvariants(t *testing.T, cl *Cluster) {
 func TestSchedulerInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		clock := NewSimClock(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
+		clock := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
 		cfg := ClusterConfig{
 			Name: "prop",
 			Nodes: []NodeSpec{

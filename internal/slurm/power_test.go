@@ -3,12 +3,14 @@ package slurm
 import (
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // powerTestCluster builds a small uniform cluster for power-cycle tests.
-func powerTestCluster(t *testing.T, nodes int) (*Cluster, *SimClock) {
+func powerTestCluster(t *testing.T, nodes int) (*Cluster, *clock.Sim) {
 	t.Helper()
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "power-test",
 		Nodes: []NodeSpec{

@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
 // benchRunner builds a runner over a moderately busy cluster.
 func benchRunner(b *testing.B) (*SimRunner, *slurm.Cluster) {
 	b.Helper()
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
 	cfg := slurm.ClusterConfig{
 		Name: "bench",
 		Nodes: []slurm.NodeSpec{

@@ -6,14 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
 // newTestRunner builds a small cluster with a live mix of jobs and returns
 // the runner plus handles for direct assertions.
-func newTestRunner(t testing.TB) (*SimRunner, *slurm.Cluster, *slurm.SimClock) {
+func newTestRunner(t testing.TB) (*SimRunner, *slurm.Cluster, *clock.Sim) {
 	t.Helper()
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := slurm.ClusterConfig{
 		Name: "testcluster",
 		Nodes: []slurm.NodeSpec{

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
@@ -82,7 +83,7 @@ func TestFaultRunnerBurst(t *testing.T) {
 }
 
 func TestFaultRunnerLatencyChargesSleepHook(t *testing.T) {
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	fr := NewFaultRunner(&echoRunner{}, 1, clock.Sleep)
 	fr.SetRules(FaultRule{Latency: 150 * time.Millisecond, LatencyJitter: 50 * time.Millisecond})
 

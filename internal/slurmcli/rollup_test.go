@@ -6,12 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
 // finishRollupJobs runs a couple of jobs to completion so the rollup store
 // has terminal history, and returns an hour-aligned window covering it.
-func finishRollupJobs(t testing.TB, cl *slurm.Cluster, clock *slurm.SimClock) (start, end int64) {
+func finishRollupJobs(t testing.TB, cl *slurm.Cluster, clock *clock.Sim) (start, end int64) {
 	t.Helper()
 	mustSubmit(t, cl, slurm.SubmitRequest{
 		Name: "roll-a", User: "alice", Account: "lab-a", Partition: "cpu",

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/clock"
 	"ooddash/internal/obs"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -21,7 +22,7 @@ import (
 // plus the CLI runner over the same cluster for equivalence checks.
 type restEnv struct {
 	cluster *slurm.Cluster
-	clock   *slurm.SimClock
+	clock   *clock.Sim
 	runner  *slurmcli.SimRunner
 	server  *Server
 	tokens  *TokenStore
@@ -36,7 +37,7 @@ const (
 
 func newRestEnv(t testing.TB, opts Options) *restEnv {
 	t.Helper()
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clock := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := slurm.ClusterConfig{
 		Name: "testcluster",
 		Nodes: []slurm.NodeSpec{

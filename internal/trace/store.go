@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // Tail-retention classes, in eviction-priority order: when the store is full
@@ -67,7 +69,7 @@ type slowTracker struct {
 
 // storeConfig parametrizes a Store (built by the Tracer).
 type storeConfig struct {
-	clock  Clock
+	clock  clock.Clock
 	max    int
 	slow   time.Duration
 	slowN  int

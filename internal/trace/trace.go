@@ -20,7 +20,8 @@
 // have been extracted into histograms, so steady-state memory is bounded
 // regardless of traffic.
 //
-// The package is dependency-free (stdlib only) and safe for concurrent use.
+// The package depends only on the stdlib and internal/clock, and is safe for
+// concurrent use.
 package trace
 
 import (
@@ -29,18 +30,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ooddash/internal/clock"
 )
-
-// Clock supplies the current time; it matches slurm.Clock so the whole stack
-// (cache TTLs, breaker windows, span durations) reads one simulated clock in
-// tests.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // Attr is one key/value annotation on a span.
 type Attr struct {
@@ -117,7 +109,7 @@ type Trace struct {
 	id     string
 	widget string
 	origin string
-	clock  Clock
+	clock  clock.Clock
 
 	mu      sync.Mutex
 	root    *Span
@@ -208,7 +200,7 @@ func (s Summary) Duration() time.Duration { return s.duration }
 type Config struct {
 	// Clock drives span timestamps and the retention window; nil means wall
 	// clock. Share the stack's simulated clock in tests.
-	Clock Clock
+	Clock clock.Clock
 	// Sample is the head-sampling probability: the fraction of trace IDs
 	// recorded at all. 0 means the default (1.0, record everything and let
 	// tail retention bound memory); negative disables tracing entirely.
@@ -247,7 +239,7 @@ const thresholdAlways = math.MaxUint64
 // Tracer mints root spans under head sampling and finishes traces into the
 // tail-sampled store.
 type Tracer struct {
-	clock    Clock
+	clock    clock.Clock
 	slow     time.Duration
 	baseline uint64 // tail baseline-keep threshold over hashAlt
 	onSpan   func(layer string, seconds float64)
@@ -260,9 +252,9 @@ type Tracer struct {
 
 // New builds a Tracer and its Store from cfg.
 func New(cfg Config) *Tracer {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = realClock{}
+	clk := cfg.Clock
+	if clk == nil {
+		clk = clock.Real{}
 	}
 	if cfg.Slow == 0 {
 		cfg.Slow = 500 * time.Millisecond
@@ -286,13 +278,13 @@ func New(cfg Config) *Tracer {
 		cfg.Baseline = 0
 	}
 	t := &Tracer{
-		clock:    clock,
+		clock:    clk,
 		slow:     cfg.Slow,
 		baseline: probToThreshold(cfg.Baseline),
 		onSpan:   cfg.OnSpan,
 		onSlow:   cfg.OnSlow,
 		store: newStore(storeConfig{
-			clock:  clock,
+			clock:  clk,
 			max:    cfg.StoreMax,
 			slow:   cfg.Slow,
 			slowN:  cfg.SlowKeepN,
@@ -343,9 +335,6 @@ func (t *Tracer) sampled(id string) bool {
 
 // Store returns the tracer's tail-sampled trace store.
 func (t *Tracer) Store() *Store { return t.store }
-
-// Clock returns the tracer's clock.
-func (t *Tracer) Clock() Clock { return t.clock }
 
 // SlowThreshold returns the configured slow-trace threshold (0 = disabled).
 func (t *Tracer) SlowThreshold() time.Duration { return t.slow }

@@ -5,33 +5,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-// simClock is a minimal simulated clock matching slurm.SimClock's surface.
-type simClock struct {
-	mu  sync.Mutex
-	now time.Time
+func newTestClock() *clock.Sim {
+	return clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 }
 
-func newSimClock() *simClock {
-	return &simClock{now: time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC)}
-}
-
-func (c *simClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *simClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-func newTestTracer(t *testing.T, cfg Config) (*Tracer, *simClock) {
+func newTestTracer(t *testing.T, cfg Config) (*Tracer, *clock.Sim) {
 	t.Helper()
-	clock := newSimClock()
+	clock := newTestClock()
 	cfg.Clock = clock
 	return New(cfg), clock
 }

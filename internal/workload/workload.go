@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/clock"
 	"ooddash/internal/core"
 	"ooddash/internal/newsfeed"
 	"ooddash/internal/slurm"
@@ -84,7 +85,7 @@ func SmallSpec() Spec {
 // helper service the dashboard needs, sharing one simulated clock.
 type Env struct {
 	Spec    Spec
-	Clock   *slurm.SimClock
+	Clock   *clock.Sim
 	Cluster *slurm.Cluster
 	Runner  slurmcli.Runner
 	Users   *auth.Directory
@@ -118,7 +119,7 @@ type RESTTokens struct {
 func Build(spec Spec) (*Env, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	start := time.Date(2026, 6, 24, 0, 0, 0, 0, time.UTC)
-	clock := slurm.NewSimClock(start)
+	clk := clock.NewSim(start)
 
 	groups := make([]string, spec.Groups)
 	for i := range groups {
@@ -171,19 +172,19 @@ func Build(spec Spec) (*Env, error) {
 		},
 		Associations: assocs,
 	}
-	cluster, err := slurm.NewCluster(cfg, clock)
+	cluster, err := slurm.NewCluster(cfg, clk)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 
 	env := &Env{
 		Spec:       spec,
-		Clock:      clock,
+		Clock:      clk,
 		Cluster:    cluster,
 		Runner:     slurmcli.NewSimRunner(cluster),
 		Users:      auth.NewDirectory(),
 		Storage:    storagedb.New(),
-		Feed:       newsfeed.New(clock),
+		Feed:       newsfeed.New(clk),
 		Logs:       core.NewMemLogStore(),
 		UserNames:  users,
 		GroupNames: groups,
