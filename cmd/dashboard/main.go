@@ -38,7 +38,7 @@
 // deterministic bursts, or a full outage). -fault-after delays arming so the
 // fault lands mid-run against warm caches — watch widgets flip to degraded
 // (stale) mode on /api/admin/health and /metrics, or measure it with
-// cmd/loadgen.
+// cmd/loadgen's live mode.
 //
 // -ops-addr starts a second, operators-only listener carrying net/http/pprof
 // (bind it to localhost — it is deliberately kept off the user-facing mux so
@@ -283,7 +283,7 @@ func main() {
 		handler, shutdown = fl, fl.Close
 		log.Printf("fleet tier on: %d replicas, %s balancing, refresh ownership partitioned per source", *replicas, policy)
 	} else {
-		server, err := env.NewServerConfig(newsURL, cfg)
+		server, err := env.NewServerRunner(newsURL, cfg, env.Runner)
 		if err != nil {
 			log.Fatalf("server: %v", err)
 		}

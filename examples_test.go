@@ -4,15 +4,18 @@ package ooddash
 // subprocess, so the runnable documentation can't rot. Skipped with -short.
 
 import (
+	"net/http/httptest"
 	"os/exec"
 	"strings"
 	"testing"
 	"time"
+
+	"ooddash/internal/workload"
 )
 
-// runGo executes `go run <pkg> <args...>` with a deadline and returns its
-// combined output.
-func runGo(t *testing.T, timeout time.Duration, pkg string, args ...string) string {
+// goRun executes `go run <pkg> <args...>` with a deadline and returns its
+// combined output and exit error.
+func goRun(t *testing.T, timeout time.Duration, pkg string, args ...string) (string, error) {
 	t.Helper()
 	argv := append([]string{"run", pkg}, args...)
 	cmd := exec.Command("go", argv...)
@@ -32,10 +35,17 @@ func runGo(t *testing.T, timeout time.Duration, pkg string, args ...string) stri
 		<-done
 		t.Fatalf("go run %s timed out after %v\n%s", pkg, timeout, out)
 	}
+	return string(out), err
+}
+
+// runGo is goRun for commands that must exit 0.
+func runGo(t *testing.T, timeout time.Duration, pkg string, args ...string) string {
+	t.Helper()
+	out, err := goRun(t, timeout, pkg, args...)
 	if err != nil {
 		t.Fatalf("go run %s: %v\n%s", pkg, err, out)
 	}
-	return string(out)
+	return out
 }
 
 func TestExamplesRun(t *testing.T) {
@@ -86,5 +96,43 @@ func TestBenchharnessSingleExperiment(t *testing.T) {
 	out := runGo(t, 3*time.Minute, "./cmd/benchharness", "-small", "-experiment", "privacy")
 	if !strings.Contains(out, "violations") || strings.Contains(out, "VIOLATION:") {
 		t.Fatalf("privacy experiment output:\n%s", out)
+	}
+}
+
+func TestLoadgenLiveRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess smoke tests")
+	}
+	env, err := workload.Build(workload.SmallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	news := httptest.NewServer(env.Feed)
+	defer news.Close()
+	server, err := env.NewServer(news.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	web := httptest.NewServer(server)
+	defer web.Close()
+	out := runGo(t, 2*time.Minute, "./cmd/loadgen", "-url", web.URL,
+		"-users", "3", "-duration", "2s", "-interval", "200ms", "-max-error-rate", "0")
+	for _, want := range []string{"failed widgets:         0", "widget ", "recent_jobs", "system_status"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("loadgen output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestLoadgenRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess smoke tests")
+	}
+	for _, flag := range []string{"-usercount", "-users", "-duration"} {
+		out, err := goRun(t, 2*time.Minute, "./cmd/loadgen", "-url", "http://127.0.0.1:1", flag, "0")
+		if err == nil || strings.Contains(out, "panic:") || !strings.Contains(out, flag+" must be") {
+			t.Fatalf("loadgen %s 0: err=%v, want a non-zero exit naming the flag without a panic:\n%s", flag, err, out)
+		}
 	}
 }

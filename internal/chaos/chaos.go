@@ -10,7 +10,7 @@
 //
 // The same catalog backs two harnesses: the in-package drill tests execute
 // every scenario on the simulated clock alone (wall-clock free, -race
-// clean), and cmd/loadgen's chaos mode replays them under an open-loop
+// clean), and the open-loop gate test replays them over real HTTP under a
 // Poisson request load at 10-100x interactive volume, gating on
 // per-scenario SLOs.
 package chaos
@@ -103,8 +103,8 @@ type Options struct {
 	NewsBaseURL string
 	// Sleep is the fault injector's latency sleep. Nil means the simulated
 	// clock's Sleep (injected latency advances simulated time — drills stay
-	// wall-clock free); loadgen's wall mode passes time.Sleep so injected
-	// latency really stalls requests.
+	// wall-clock free); the open-loop gate and the login_rush drill pass
+	// time.Sleep so injected latency really stalls requests.
 	Sleep func(time.Duration)
 }
 
@@ -160,7 +160,7 @@ func NewRun(opts Options) (*Run, error) {
 	}
 	faults := slurmcli.NewFaultRunner(env.Runner, spec.Seed, sleep)
 	env.Runner = faults // the server built below sees the injected surface
-	server, err := env.NewServerConfig(opts.NewsBaseURL, core.Config{
+	server, err := env.NewServerRunner(opts.NewsBaseURL, core.Config{
 		Resilience: core.ResilienceConfig{MaxConcurrentFills: opts.FillCap},
 		// Deterministic cadence: sources refresh with no stagger and keep
 		// refreshing without subscribers, so drills can count cycles.
@@ -170,7 +170,7 @@ func NewRun(opts Options) (*Run, error) {
 		// Minute-scale objectives so the scripted storms can walk alerts
 		// through fire and resolve on the simulated clock.
 		SLO: core.SLOConfig{Objectives: Objectives()},
-	})
+	}, env.Runner)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
@@ -234,9 +234,9 @@ func (r *Run) Execute(sc Scenario) error {
 // CheckAlerts verifies the run's SLO alerting against a scenario's
 // expectation: every MustFire rule fired, every MustResolve rule fired and
 // resolved, and nothing outside the expectation fired at all (false
-// positives fail the drill). The loadgen wall harness deliberately skips
-// this — under open-loop load at real wall latencies the alert timeline is
-// not deterministic; only the scripted simulated-clock drills gate on it.
+// positives fail the drill). The open-loop gate deliberately skips this —
+// under open-loop load at real wall latencies the alert timeline is not
+// deterministic; only the scripted simulated-clock drills gate on it.
 func (r *Run) CheckAlerts(exp AlertExpectation) error {
 	eng := r.Server.SLO()
 	split := func(key string) (string, string, error) {
@@ -302,8 +302,8 @@ func (l *loopRecorder) Write(p []byte) (int, error) { return l.body.Write(p) }
 func (l *loopRecorder) Flush()                      {}
 
 // Get issues one in-process request as user and classifies the response
-// into the run's health counters. Drills use it for scenario traffic;
-// loadgen's chaos mode sends real HTTP instead and keeps its own tallies.
+// into the run's health counters. Drills use it for scenario traffic; the
+// open-loop gate sends real HTTP instead and keeps its own tallies.
 func (r *Run) Get(user, path string) (status int, degraded bool) {
 	req, err := http.NewRequest(http.MethodGet, path, nil)
 	if err != nil {

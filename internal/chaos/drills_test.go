@@ -149,6 +149,21 @@ func TestDrillLoginRush(t *testing.T) {
 	}
 }
 
+// TestDrillCatalogAtSeed7 replays every scenario at seed 7, the seed the
+// open-loop gate uses; drill fails unless each scenario's Check, Verify and
+// alert expectations hold. login_rush runs as its own drill does.
+func TestDrillCatalogAtSeed7(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			opts := Options{Seed: 7}
+			if name == "login_rush" {
+				opts.FillCap, opts.Sleep = 8, time.Sleep
+			}
+			drill(t, name, opts)
+		})
+	}
+}
+
 // TestSLOChaosAlertGates pins the per-scenario alerting contract directly
 // (Execute already enforces each scenario's AlertExpectation; this test
 // asserts the counts themselves so a gate regression cannot hide behind an

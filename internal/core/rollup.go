@@ -18,8 +18,8 @@ import (
 // scanning raw accounting rows, so their cost is O(buckets in the window)
 // regardless of how many jobs the cluster has ever run. This file holds the
 // shared policy: resolution selection, bucket alignment, the cached fetch,
-// and the raw-recompute ablation the golden test and the loadgen bench
-// compare against.
+// and the raw-recompute ablation the golden test and the rollup scaling
+// gate compare against.
 
 // maxAutoBuckets caps how many points auto resolution selection will put in
 // a chart; past it the next coarser resolution takes over. maxExplicitBuckets
@@ -248,7 +248,7 @@ func sacctScopeOptions(scope, name string, start, end time.Time) slurmcli.SacctO
 
 // rawRollupRows recomputes a rollup window from raw accounting rows — the
 // O(jobs) scan the pipeline replaces, kept as the golden reference: the
-// equivalence test and the loadgen ablation flip SetRollupDisabled and
+// equivalence test and the rollup scaling gate flip SetRollupDisabled and
 // assert byte-identical responses. The fold feeds AddSample the same
 // wire-truncated inputs the daemon's ingest derives from the job record, so
 // the sums match bit for bit.
@@ -313,7 +313,7 @@ func (s *Server) rawRollupRows(ctx context.Context, scope, name string, startSec
 
 // SetRollupDisabled toggles the raw-recompute ablation: when true, every
 // rollup-backed widget recomputes its window by scanning raw accounting
-// rows instead of reading the pre-aggregated buckets. The loadgen bench
-// flips this to measure what the pipeline saves; responses must stay
-// byte-identical across the toggle.
+// rows instead of reading the pre-aggregated buckets. The rollup scaling
+// gate flips this to check that responses stay byte-identical across the
+// toggle.
 func (s *Server) SetRollupDisabled(off bool) { s.rollupOff.Store(off) }

@@ -56,7 +56,7 @@ type Options struct {
 	Runner slurmcli.Runner
 	// NoCoherence disables ownership partitioning and snapshot propagation:
 	// replicas become fully independent servers behind the LB. This is the
-	// ablation arm of the fleet bench (expected upstream cost: ~N×).
+	// ablation arm of the scale-out test (expected upstream cost: ~N×).
 	NoCoherence bool
 	// Vnodes is the consistent-hash virtual-node count (default 64).
 	Vnodes int
@@ -759,7 +759,7 @@ func (fl *Fleet) UpstreamRPCs() map[string]map[string]int64 {
 
 // UpstreamCalls returns the commands that actually reached the simulated
 // daemons, by daemon — issued minus memo-collapsed. This is the load Slurm
-// sees and the number the fleet bench's flatness gate compares. Without a
+// sees and the number the scale-out test's flatness gate compares. Without a
 // memo (NoCoherence, or MemoTTL < 0) it equals the sum of UpstreamRPCs.
 func (fl *Fleet) UpstreamCalls() map[string]int64 {
 	if fl.memo != nil {
@@ -776,7 +776,7 @@ func (fl *Fleet) UpstreamCalls() map[string]int64 {
 }
 
 // SourceRefreshes returns, per replica, the per-key refresh counts of its
-// scheduler — the bench's per-round duplicate-poll evidence.
+// scheduler — the scale-out test's per-round duplicate-poll evidence.
 func (fl *Fleet) SourceRefreshes() map[string]map[string]int64 {
 	out := make(map[string]map[string]int64)
 	for _, rep := range fl.replicaList() {

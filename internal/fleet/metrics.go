@@ -224,5 +224,5 @@ func alertStateValue(state string) float64 {
 // replicas' own /metrics.
 func (fl *Fleet) Metrics() *obs.Registry { return fl.met.reg }
 
-// OwnerChanges returns the re-election count (benches gate on it).
+// OwnerChanges returns the re-election count (perfbench reports it).
 func (fl *Fleet) OwnerChanges() int64 { return fl.met.ownerChanges.Value() }

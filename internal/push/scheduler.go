@@ -74,8 +74,8 @@ type schedSource struct {
 // next refresh is stretched to 2×TTL, shedding scheduled load from an ailing
 // upstream (the resilience breaker handles rapid-fire failures; this handles
 // the steady state of a long outage). It is driven by explicit Tick calls:
-// tests and the loadgen smoke mode call Tick after advancing the simulated
-// clock; the core server's background loop calls it on a wall-clock ticker.
+// tests and the benchmark call Tick after advancing the simulated clock;
+// the core server's background loop calls it on a wall-clock ticker.
 type Scheduler struct {
 	opts SchedulerOptions
 

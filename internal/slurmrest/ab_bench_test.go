@@ -1,8 +1,8 @@
 // Package-level A/B microbenchmarks behind `make bench-go`: the CLI
 // parse-text path vs the REST decode-JSON path over the same accounting
-// query, plus the revalidating steady state. cmd/loadgen -backend-ab is the
-// gated harness; these give `go test -bench` visibility into the same
-// comparison.
+// query, plus the revalidating steady state. TestBackendRESTPooledP95 is
+// the gated comparison over the whole query mix; these give
+// `go test -bench` visibility into the accounting query alone.
 package slurmrest_test
 
 import (
@@ -15,13 +15,18 @@ import (
 	"ooddash/internal/workload"
 )
 
-func benchStack(b *testing.B) (*workload.Env, *slurmrest.Client, slurmcli.SacctOptions) {
+// benchStack builds workload.SmallSpec with its REST daemon provisioned and
+// returns a revalidating dashboard-token client and a 24-hour all-users
+// accounting window. The daemon's rendered cache is off (Options.CacheTTL
+// 0), so every REST request runs the full server-side fill, matching the
+// CLI's per-call re-format.
+func benchStack(tb testing.TB) (*workload.Env, *slurmrest.Client, slurmcli.SacctOptions) {
 	env, err := workload.Build(workload.SmallSpec())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := env.ProvisionREST(slurmrest.Options{}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	now := env.Clock.Now()
 	return env, slurmrest.NewClient(env.REST, env.RESTTokens.Dashboard),

@@ -24,7 +24,7 @@ import (
 //
 // Transport is an http.Handler invoked in-process — the same seam
 // httptest uses — so the simulated REST daemon needs no socket, and the
-// loadgen A/B harness measures fill cost without network noise.
+// backend A/B gate measures fill cost without network noise.
 //
 // The client revalidates: it remembers each URL's ETag together with the
 // decoded envelope, sends If-None-Match on the next request, and on 304

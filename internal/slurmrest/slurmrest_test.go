@@ -121,15 +121,73 @@ func (e *restEnv) seedJobs(t testing.TB) {
 	e.cluster.Ctl.Tick()
 }
 
-// get performs one request against the server with the given token.
-func (e *restEnv) get(token, path string) *httptest.ResponseRecorder {
+// get performs one request against h with the given token.
+func get(h http.Handler, token, path string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest("GET", path, nil)
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
 	}
 	rec := httptest.NewRecorder()
-	e.server.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// get performs one request against the server with the given token.
+func (e *restEnv) get(token, path string) *httptest.ResponseRecorder {
+	return get(e.server, token, path)
+}
+
+// Principals names the tokens the scope and redaction checks probe a REST
+// server with. UserToken belongs to User; StaffToken sees everything.
+type Principals struct {
+	User, UserToken, StaffToken, ServiceToken string
+}
+
+var alice = Principals{User: "alice", UserToken: tokAlice, StaffToken: tokStaff, ServiceToken: tokSvc}
+
+// getJSON performs one request against h with token and decodes a 200 body
+// into out.
+func getJSON(t *testing.T, h http.Handler, token, path string, out any) int {
+	t.Helper()
+	rec := get(h, token, path)
+	if out != nil && rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("decoding %s: %v", path, err)
+		}
+	}
+	return rec.Code
+}
+
+// CheckScopeMatrix pins the endpoint-level permission table on h. The
+// external test package runs it over workload stacks too.
+func CheckScopeMatrix(t *testing.T, h http.Handler, p Principals) {
+	t.Helper()
+	cases := []struct {
+		token string
+		path  string
+		want  int
+	}{
+		{p.StaffToken, "/slurm/v1/jobs", http.StatusOK},
+		{p.StaffToken, "/slurm/v1/accounting", http.StatusOK},
+		{p.StaffToken, "/slurm/v1/diag", http.StatusOK},
+		{p.UserToken, "/slurm/v1/jobs", http.StatusOK},
+		{p.UserToken, "/slurm/v1/accounting", http.StatusOK},
+		{p.UserToken, "/slurm/v1/nodes", http.StatusOK},
+		{p.UserToken, "/slurm/v1/partitions", http.StatusOK},
+		{p.UserToken, "/slurm/v1/diag", http.StatusForbidden},
+		{p.ServiceToken, "/slurm/v1/nodes", http.StatusOK},
+		{p.ServiceToken, "/slurm/v1/partitions", http.StatusOK},
+		{p.ServiceToken, "/slurm/v1/diag", http.StatusOK},
+		{p.ServiceToken, "/slurm/v1/jobs", http.StatusForbidden},
+		{p.ServiceToken, "/slurm/v1/accounting", http.StatusForbidden},
+		{"", "/slurm/v1/jobs", http.StatusUnauthorized},
+		{"bogus-token", "/slurm/v1/jobs", http.StatusUnauthorized},
+	}
+	for _, c := range cases {
+		if got := getJSON(t, h, c.token, c.path, nil); got != c.want {
+			t.Errorf("token %q %s: status %d, want %d", c.token, c.path, got, c.want)
+		}
+	}
 }
 
 // TestScopeMatrix pins the endpoint-level permission table and checks the
@@ -138,34 +196,7 @@ func (e *restEnv) get(token, path string) *httptest.ResponseRecorder {
 func TestScopeMatrix(t *testing.T) {
 	e := newRestEnv(t, Options{})
 	e.seedJobs(t)
-
-	cases := []struct {
-		token string
-		path  string
-		want  int
-	}{
-		{tokStaff, "/slurm/v1/jobs", http.StatusOK},
-		{tokStaff, "/slurm/v1/accounting", http.StatusOK},
-		{tokStaff, "/slurm/v1/diag", http.StatusOK},
-		{tokAlice, "/slurm/v1/jobs", http.StatusOK},
-		{tokAlice, "/slurm/v1/accounting", http.StatusOK},
-		{tokAlice, "/slurm/v1/nodes", http.StatusOK},
-		{tokAlice, "/slurm/v1/partitions", http.StatusOK},
-		{tokAlice, "/slurm/v1/diag", http.StatusForbidden},
-		{tokSvc, "/slurm/v1/nodes", http.StatusOK},
-		{tokSvc, "/slurm/v1/partitions", http.StatusOK},
-		{tokSvc, "/slurm/v1/diag", http.StatusOK},
-		{tokSvc, "/slurm/v1/jobs", http.StatusForbidden},
-		{tokSvc, "/slurm/v1/accounting", http.StatusForbidden},
-		{"", "/slurm/v1/jobs", http.StatusUnauthorized},
-		{"bogus-token", "/slurm/v1/jobs", http.StatusUnauthorized},
-	}
-	for _, c := range cases {
-		rec := e.get(c.token, c.path)
-		if rec.Code != c.want {
-			t.Errorf("token %q %s: status %d, want %d", c.token, c.path, rec.Code, c.want)
-		}
-	}
+	CheckScopeMatrix(t, e.server, alice)
 
 	st := e.server.Stats()
 	if got := st.ScopeDenied[[2]string{"accounting", "service"}]; got != 1 {
@@ -197,50 +228,83 @@ func TestScopeMatrix(t *testing.T) {
 	}
 }
 
+// CheckUserRedaction pins field-level scopes on h: p.User's token sees its
+// own jobs in full and every other user's with identifying fields hidden,
+// on the live queue and in accounting, while the staff token sees nothing
+// redacted. Both views must hold own and other users' jobs. The external
+// test package runs it over workload stacks too.
+func CheckUserRedaction(t *testing.T, h http.Handler, p Principals) {
+	t.Helper()
+	var queue, staffQueue JobsResponse
+	var acct, staffAcct AccountingResponse
+	for _, q := range []struct {
+		token, path string
+		out         any
+	}{
+		{p.UserToken, "/slurm/v1/jobs?all_states=1", &queue},
+		{p.UserToken, "/slurm/v1/accounting", &acct},
+		{p.StaffToken, "/slurm/v1/jobs?all_states=1", &staffQueue},
+		{p.StaffToken, "/slurm/v1/accounting", &staffAcct},
+	} {
+		if code := getJSON(t, h, q.token, q.path, q.out); code != http.StatusOK {
+			t.Fatalf("%s: status %d", q.path, code)
+		}
+	}
+
+	var own, others int
+	for _, j := range queue.Jobs {
+		if j.User == p.User {
+			own++
+			if j.Redacted || j.Name == "" {
+				t.Errorf("%s's own job %s redacted: %+v", p.User, j.JobID, j)
+			}
+		} else {
+			others++
+			if !j.Redacted || j.Name != "" {
+				t.Errorf("job %s of user %s not redacted for %s: %+v", j.JobID, j.User, p.User, j)
+			}
+		}
+	}
+	if own == 0 || others == 0 {
+		t.Fatalf("queue holds %d own and %d other users' jobs; the check needs both", own, others)
+	}
+	own, others = 0, 0
+	for _, j := range acct.Jobs {
+		if j.User == p.User {
+			own++
+			if j.Redacted || j.Name == "" {
+				t.Errorf("%s's own accounting row redacted: %+v", p.User, j)
+			}
+		} else {
+			others++
+			if !j.Redacted || j.Name != "" || j.Comment != "" || j.WorkDir != "" {
+				t.Errorf("%s's accounting row not redacted for %s: %+v", j.User, p.User, j)
+			}
+		}
+	}
+	if own == 0 || others == 0 {
+		t.Fatalf("accounting holds %d own and %d other users' jobs; the check needs both", own, others)
+	}
+
+	for _, j := range staffQueue.Jobs {
+		if j.Redacted {
+			t.Errorf("staff queue redacted job %s", j.JobID)
+		}
+	}
+	for _, j := range staffAcct.Jobs {
+		if j.Redacted {
+			t.Errorf("staff view redacted row: %+v", j)
+		}
+	}
+}
+
 // TestUserRedaction pins field-level scopes: a user token sees its own jobs
 // in full and other users' records with identifying fields hidden, while a
 // staff token sees everything — and the redactions are counted.
 func TestUserRedaction(t *testing.T) {
 	e := newRestEnv(t, Options{})
 	e.seedJobs(t)
-
-	var queue JobsResponse
-	if err := json.Unmarshal(e.get(tokAlice, "/slurm/v1/jobs?all_states=1").Body.Bytes(), &queue); err != nil {
-		t.Fatal(err)
-	}
-	if len(queue.Jobs) == 0 {
-		t.Fatal("no jobs in queue")
-	}
-	for _, j := range queue.Jobs {
-		switch j.User {
-		case "alice":
-			if j.Redacted || j.Name == "" {
-				t.Errorf("alice's own job %s redacted: %+v", j.JobID, j)
-			}
-		default:
-			if !j.Redacted || j.Name != "" {
-				t.Errorf("job %s of user %s not redacted for alice: %+v", j.JobID, j.User, j)
-			}
-		}
-	}
-
-	var acct AccountingResponse
-	if err := json.Unmarshal(e.get(tokAlice, "/slurm/v1/accounting").Body.Bytes(), &acct); err != nil {
-		t.Fatal(err)
-	}
-	sawBob := false
-	for _, j := range acct.Jobs {
-		if j.User != "bob" {
-			continue
-		}
-		sawBob = true
-		if !j.Redacted || j.Name != "" || j.Comment != "" || j.WorkDir != "" {
-			t.Errorf("bob's accounting row not redacted for alice: %+v", j)
-		}
-	}
-	if !sawBob {
-		t.Fatal("accounting response missing bob's jobs")
-	}
+	CheckUserRedaction(t, e.server, alice)
 
 	// Job detail: find bob's interactive job via staff, then fetch as alice.
 	var staffAcct AccountingResponse
@@ -251,9 +315,6 @@ func TestUserRedaction(t *testing.T) {
 	for _, j := range staffAcct.Jobs {
 		if j.User == "bob" && j.Comment != "" {
 			bobJob = j.JobID
-		}
-		if j.Redacted {
-			t.Errorf("staff view redacted row: %+v", j)
 		}
 	}
 	if bobJob == "" {
@@ -329,6 +390,59 @@ func TestETagAndCacheClassIsolation(t *testing.T) {
 	}
 }
 
+// BackendOp is one query of the backend-swap contract; both sides return
+// comparable rows.
+type BackendOp struct {
+	Name string
+	CLI  func() (any, error)
+	REST func(*Client) (any, error)
+}
+
+// BackendOps is the query mix the backend-swap contract and the external
+// test package's REST/CLI latency gate run: the live queue in all states,
+// accounting over window, partitions and nodes.
+func BackendOps(runner slurmcli.Runner, window slurmcli.SacctOptions) []BackendOp {
+	ctx := context.Background()
+	all := slurmcli.SqueueOptions{AllStates: true}
+	return []BackendOp{
+		{"jobs",
+			func() (any, error) { return slurmcli.Squeue(runner, all) },
+			func(c *Client) (any, error) { return c.Squeue(ctx, all) }},
+		{"accounting",
+			func() (any, error) { return slurmcli.Sacct(runner, window) },
+			func(c *Client) (any, error) { return c.Sacct(ctx, window) }},
+		{"partitions",
+			func() (any, error) { return slurmcli.Sinfo(runner) },
+			func(c *Client) (any, error) { return c.Sinfo(ctx) }},
+		{"nodes",
+			func() (any, error) { return slurmcli.ShowAllNodes(runner) },
+			func(c *Client) (any, error) { return c.ShowAllNodes(ctx) }},
+	}
+}
+
+// CheckRowsMatch requires rc to return rows DeepEqual to the CLI parsers'
+// over runner for every BackendOps query, both on the fresh decode and on
+// the second call, where a 304 reuses the decoded envelope. The external
+// test package runs it over workload stacks too.
+func CheckRowsMatch(t *testing.T, runner slurmcli.Runner, rc *Client, window slurmcli.SacctOptions) {
+	t.Helper()
+	for _, op := range BackendOps(runner, window) {
+		want, err := op.CLI()
+		if err != nil {
+			t.Fatalf("%s/cli: %v", op.Name, err)
+		}
+		for _, pass := range []string{"fresh", "revalidated"} {
+			got, err := op.REST(rc)
+			if err != nil {
+				t.Fatalf("%s/rest (%s): %v", op.Name, pass, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s rows differ (%s):\ncli:  %+v\nrest: %+v", op.Name, pass, want, got)
+			}
+		}
+	}
+}
+
 // TestRowEquivalence is the backend-swap contract: for a staff viewer the
 // REST client must produce byte-identical typed rows to the CLI wrappers
 // over the same cluster state.
@@ -338,59 +452,16 @@ func TestRowEquivalence(t *testing.T) {
 	rc := NewClient(e.server, tokStaff)
 	ctx := context.Background()
 
-	qOpts := slurmcli.SqueueOptions{AllStates: true}
-	cliQueue, err := slurmcli.Squeue(e.runner, qOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restQueue, err := rc.Squeue(ctx, qOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cliQueue, restQueue) {
-		t.Errorf("squeue rows differ:\ncli:  %+v\nrest: %+v", cliQueue, restQueue)
-	}
-
 	sOpts := slurmcli.SacctOptions{AllUsers: true}
+	CheckRowsMatch(t, e.runner, rc, sOpts)
+
 	cliAcct, err := slurmcli.Sacct(e.runner, sOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restAcct, err := rc.Sacct(ctx, sOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cliAcct, restAcct) {
-		t.Errorf("sacct rows differ:\ncli:  %+v\nrest: %+v", cliAcct, restAcct)
-	}
 	if len(cliAcct) == 0 {
 		t.Fatal("no accounting rows to compare")
 	}
-
-	cliParts, err := slurmcli.Sinfo(e.runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restParts, err := rc.Sinfo(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cliParts, restParts) {
-		t.Errorf("sinfo rows differ:\ncli:  %+v\nrest: %+v", cliParts, restParts)
-	}
-
-	cliNodes, err := slurmcli.ShowAllNodes(e.runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restNodes, err := rc.ShowAllNodes(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cliNodes, restNodes) {
-		t.Errorf("node details differ:\ncli:  %+v\nrest: %+v", cliNodes, restNodes)
-	}
-
 	for _, row := range cliAcct {
 		cliJob, err := slurmcli.ShowJob(e.runner, row.RawID)
 		if err != nil {

@@ -97,7 +97,7 @@ type Env struct {
 	GroupNames []string
 
 	// REST is the in-process slurmrestd-style daemon, set by ProvisionREST
-	// (or lazily by NewServerConfig when the config selects the REST
+	// (or lazily by NewServerRunner when the config selects the REST
 	// backend). RESTTokens holds the bearer tokens it issued.
 	REST       *slurmrest.Server
 	RESTTokens RESTTokens
@@ -429,34 +429,17 @@ func (e *Env) SubmitRandom(rng *rand.Rand, n int) int {
 // paper's default cache TTLs. newsBaseURL points at an HTTP server wrapping
 // env.Feed (tests use httptest).
 func (e *Env) NewServer(newsBaseURL string) (*core.Server, error) {
-	return e.NewServerPush(newsBaseURL, core.PushConfig{})
+	return e.NewServerRunner(newsBaseURL, core.Config{}, e.Runner)
 }
 
-// NewServerPush is NewServer with an explicit push-subsystem configuration
-// (cmd/dashboard threads its -push-* flags through here).
-func (e *Env) NewServerPush(newsBaseURL string, pushCfg core.PushConfig) (*core.Server, error) {
-	return e.NewServerTraced(newsBaseURL, pushCfg, core.TraceConfig{})
-}
-
-// NewServerTraced is NewServerPush with an explicit span-tracing
-// configuration (cmd/dashboard threads its -trace-* flags through here).
-func (e *Env) NewServerTraced(newsBaseURL string, pushCfg core.PushConfig, traceCfg core.TraceConfig) (*core.Server, error) {
-	return e.NewServerConfig(newsBaseURL, core.Config{Push: pushCfg, Trace: traceCfg})
-}
-
-// NewServerConfig builds a dashboard server over the environment with full
-// control of the core configuration (the chaos harness tunes resilience
-// knobs like the fill-admission cap). An empty ClusterName takes the
-// environment's; the environment's services and shared clock always win.
-func (e *Env) NewServerConfig(newsBaseURL string, cfg core.Config) (*core.Server, error) {
-	return e.NewServerRunner(newsBaseURL, cfg, e.Runner)
-}
-
-// NewServerRunner is NewServerConfig with an explicit Slurm runner. The
-// fleet tier uses it to give each replica its own (counted) runner over the
-// shared simulated cluster while every other dependency — clock, users,
-// storage, news, logs — stays shared, exactly like N dashboard processes in
-// front of one Slurm.
+// NewServerRunner builds a dashboard server over the environment with full
+// control of the core configuration and the Slurm runner. An empty
+// ClusterName takes the environment's; the environment's services and
+// shared clock always win. The fleet tier gives each replica its own
+// (counted) runner over the shared simulated cluster while every other
+// dependency — clock, users, storage, news, logs — stays shared, exactly
+// like N dashboard processes in front of one Slurm; single servers pass
+// env.Runner.
 func (e *Env) NewServerRunner(newsBaseURL string, cfg core.Config, runner slurmcli.Runner) (*core.Server, error) {
 	if cfg.ClusterName == "" {
 		cfg.ClusterName = e.Cluster.Name
@@ -486,11 +469,12 @@ func (e *Env) NewServerRunner(newsBaseURL string, cfg core.Config, runner slurmc
 // SynthesizeHistory bulk-loads count synthetic terminal jobs into the
 // accounting daemon's job store and rollup pipeline, spread over the two
 // years before the current sim time. It stands in for a long-lived
-// cluster's accounting depth: the loadgen rollup bench uses it to scale
-// history 100x/1000x past the replayed trace without paying scheduler
-// replay time. Deterministic for a given spec and call sequence; returns
-// the number of records loaded. IDs start far above the scheduler's range
-// so repeated calls with growing counts only add the new tail.
+// cluster's accounting depth: the rollup scaling gate and the history
+// benchmark use it to scale history 100x/1000x past the replayed trace
+// without paying scheduler replay time. Deterministic for a given spec and
+// call sequence; returns the number of records loaded. IDs start far above
+// the scheduler's range so repeated calls with growing counts only add the
+// new tail.
 func (e *Env) SynthesizeHistory(offset, count int) int {
 	rng := rand.New(rand.NewSource(e.Spec.Seed ^ int64(offset)<<20 ^ 0x4011))
 	now := e.Clock.Now()
@@ -548,7 +532,7 @@ func (e *Env) SynthesizeHistory(offset, count int) int {
 // ProvisionREST starts the in-process slurmrestd-style daemon over the
 // cluster and issues its tokens: a staff-scope token for the dashboard's
 // client, a read-only service token, and one user-scope token per
-// generated user (loadgen's scope probes authenticate with these).
+// generated user (the token-scope probes authenticate with these).
 func (e *Env) ProvisionREST(opts slurmrest.Options) error {
 	ts := slurmrest.NewTokenStore(e.Users)
 	tokens := RESTTokens{

@@ -1,21 +1,26 @@
 package ooddash
 
-// End-to-end test for the live-update push subsystem's central economic
-// claim: upstream Slurm RPC load is a function of the refresh schedule, not
-// of how many clients are connected. Fifty SSE clients ride through several
-// TTL cycles on the simulated clock and the slurmctld+slurmdbd command count
-// must stay within 2x what a SINGLE polling browser costs over the same
-// cycles — the fan-out is free, the refresh is shared.
+// End-to-end tests over a real HTTP listener on the simulated clock. The
+// first is the live-update push subsystem's central economic claim:
+// upstream Slurm RPC load is a function of the refresh schedule, not of how
+// many clients are connected. Fifty SSE clients ride through six TTL cycles
+// and the slurmctld+slurmdbd command count must stay within 2x what a
+// SINGLE polling browser costs over the same cycles — the fan-out is free,
+// the refresh is shared. The second is the homepage smoke run: many
+// polling browsers, zero failed widgets.
 
 import (
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ooddash/internal/browser"
 	"ooddash/internal/core"
+	"ooddash/internal/push"
 	"ooddash/internal/slurmcli"
 	"ooddash/internal/workload"
 )
@@ -54,29 +59,42 @@ func newPushStack(t *testing.T) (*workload.Env, *core.Server, *rpcCountingRunner
 	return env, server, counter, webSrv.URL
 }
 
-// drainStreams waits until no stream applies a new event for a few polls;
-// SSE delivery is asynchronous even though the clock is simulated.
-func drainStreams(streams []*browser.EventStream) {
-	var prev int64 = -1
-	stable := 0
-	for i := 0; i < 1000 && stable < 4; i++ {
-		var sum int64
+// drainStreams waits until every stream has applied the newest version the
+// hub holds for user's homepage widgets, failing after a deadline. SSE
+// delivery is asynchronous even though the clock is simulated; applied is
+// poked by the streams' event callbacks after each applied event.
+func drainStreams(t *testing.T, server *core.Server, user string, streams []*browser.EventStream, applied <-chan struct{}) {
+	t.Helper()
+	var want int64
+	for _, w := range browser.HomepageWidgets() {
+		for _, snap := range server.PushHub().Snapshots() {
+			if snap.Widget == w.Name && (snap.Key == w.Name || snap.Key == w.Name+":"+user) {
+				want = max(want, snap.Version)
+			}
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		behind := 0
 		for _, st := range streams {
-			sum += st.Stats().Events
+			if st.Stats().LastID < want {
+				behind++
+			}
 		}
-		if sum == prev {
-			stable++
-		} else {
-			stable = 0
-			prev = sum
+		if behind == 0 {
+			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case <-applied:
+		case <-deadline:
+			t.Fatalf("%d of %d streams never applied hub version %d", behind, len(streams), want)
+		}
 	}
 }
 
 func TestPushFanOutKeepsUpstreamRPCsFlat(t *testing.T) {
 	const (
-		rounds    = 4
+		rounds    = 6
 		interval  = 75 * time.Second // > every homepage TTL except announcements/storage
 		clients   = 50
 		churnSeed = 99
@@ -107,19 +125,27 @@ func TestPushFanOutKeepsUpstreamRPCsFlat(t *testing.T) {
 	// per TTL and the hub fans the snapshot out to everyone.
 	env2, server2, counter2, url2 := newPushStack(t)
 	rng2 := rand.New(rand.NewSource(churnSeed))
+	user := env2.UserNames[0]
 	browsers := make([]*browser.Browser, clients)
 	streams := make([]*browser.EventStream, clients)
+	applied := make(chan struct{}, 1)
+	onEvent := func(push.Event) {
+		select {
+		case applied <- struct{}{}:
+		default:
+		}
+	}
 	before2 := counter2.n.Load()
 	for i := range browsers {
-		browsers[i] = browser.New(env2.UserNames[0], url2, nil, env2.Clock)
-		st, err := browsers[i].OpenEventStream(browser.HomepageWidgets(), nil)
+		browsers[i] = browser.New(user, url2, nil, env2.Clock)
+		st, err := browsers[i].OpenEventStream(browser.HomepageWidgets(), onEvent)
 		if err != nil {
 			t.Fatalf("stream %d: %v", i, err)
 		}
 		defer st.Close()
 		streams[i] = st
 	}
-	drainStreams(streams)
+	drainStreams(t, server2, user, streams, applied)
 	for round := 0; round < rounds; round++ {
 		env2.SubmitRandom(rng2, churnJobs)
 		env2.Clock.Advance(interval)
@@ -127,7 +153,19 @@ func TestPushFanOutKeepsUpstreamRPCsFlat(t *testing.T) {
 		if n := server2.TickPush(); n == 0 {
 			t.Fatalf("round %d: scheduler refreshed nothing over a %v cycle", round, interval)
 		}
-		drainStreams(streams)
+		drainStreams(t, server2, user, streams, applied)
+		// A pushed cache makes page views free: no widget should need a
+		// network fetch right after a refresh cycle's events landed. The
+		// check runs after round 4, where every widget's newest event is
+		// within its client TTL. The hub pushes nothing for unchanged
+		// content, so after a quiet cycle recent_jobs (30 s client TTL)
+		// is stale and a page load re-fetches it.
+		if round == 3 {
+			if load := browsers[0].LoadHomepage(); load.NetworkFetches != 0 || load.InstantPaints != 5 {
+				t.Fatalf("SSE-fed page load after round %d: network=%d instant=%d, want 0/5",
+					round+1, load.NetworkFetches, load.InstantPaints)
+			}
+		}
 	}
 	sseRPCs := counter2.n.Load() - before2
 
@@ -147,11 +185,6 @@ func TestPushFanOutKeepsUpstreamRPCsFlat(t *testing.T) {
 	}
 	if delivered < int64(clients)*6 {
 		t.Fatalf("only %d events delivered across %d clients; churn rounds published nothing", delivered, clients)
-	}
-	// A pushed cache makes page views free: no widget should need a network
-	// fetch right after a refresh cycle's events landed.
-	if load := browsers[0].LoadHomepage(); load.NetworkFetches != 0 || load.InstantPaints != 5 {
-		t.Fatalf("SSE-fed page load: network=%d instant=%d, want 0/5", load.NetworkFetches, load.InstantPaints)
 	}
 
 	// The acceptance bound: 50 clients' upstream cost stays within 2x of ONE
@@ -175,4 +208,38 @@ func TestPushFanOutKeepsUpstreamRPCsFlat(t *testing.T) {
 			t.Fatalf("client %d shutdown error: %v", i, st.Err())
 		}
 	}
+}
+
+// TestHomepageSmokeNoFailedWidgets drives 25 browsers, cycling through the
+// SmallSpec users, through 8 homepage rounds 5 s of simulated time apart
+// against a real HTTP listener: no widget fetch may fail. Browser and
+// server caches age together on the shared clock, so the rounds mix fresh
+// client paints, revalidations and server fills.
+func TestHomepageSmokeNoFailedWidgets(t *testing.T) {
+	env, _, _, url := newPushStack(t)
+	httpc := &http.Client{Timeout: 10 * time.Second}
+	browsers := make([]*browser.Browser, 25)
+	for i := range browsers {
+		browsers[i] = browser.New(env.UserNames[i%len(env.UserNames)], url, httpc, env.Clock)
+	}
+	var failed, fetches atomic.Int64
+	for round := 0; round < 8; round++ {
+		var wg sync.WaitGroup
+		for _, b := range browsers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				load := b.LoadHomepage()
+				failed.Add(int64(load.Failed))
+				fetches.Add(int64(load.NetworkFetches))
+			}()
+		}
+		wg.Wait()
+		env.Clock.Advance(5 * time.Second)
+		env.Cluster.Ctl.Tick()
+	}
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d widget fetches failed over 8 rounds of 25 browsers", n)
+	}
+	t.Logf("200 page loads, %d network fetches, 0 failed widgets", fetches.Load())
 }
