@@ -8,8 +8,8 @@ fmt:             ## fail if gofmt would change any file
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-drills:          ## fast chaos-drill smoke: every catalog scenario + unit drills under -race
-	go test -race -run Drill -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/
+drills:          ## fast chaos-drill smoke under -race: every catalog scenario, unit drills, and the fleet peer, propagation and reaper tests
+	go test -race -run 'Drill|Peer|Propagation|Reap' -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/
 
 test:            ## full test suite, including the scale, hot-path, fleet, REST, rollup and chaos gates
 	go build ./... && go test ./...

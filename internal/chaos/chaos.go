@@ -17,7 +17,6 @@ package chaos
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -28,7 +27,6 @@ import (
 
 	"ooddash/internal/auth"
 	"ooddash/internal/core"
-	"ooddash/internal/push"
 	"ooddash/internal/slo"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -341,33 +339,6 @@ func (r *Run) Health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.health
-}
-
-// RegisterPush adds a background refresh source that re-fetches path as
-// user on the given cadence — the same loopback shape the SSE subscribe
-// path wires up in core, so drills can observe skip-while-degraded
-// scheduling without holding an event stream open.
-func (r *Run) RegisterPush(widget, key, path, user string, ttl time.Duration) error {
-	_, err := r.Server.PushScheduler().Register(push.Source{
-		Widget: widget, Key: key, TTL: ttl,
-		Fetch: func(ctx context.Context) ([]byte, bool, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
-			if err != nil {
-				return nil, false, err
-			}
-			req.Header.Set(auth.UserHeader, user)
-			req.Header.Set("X-OODDash-Push", "refresh")
-			rec := &loopRecorder{header: make(http.Header), status: http.StatusOK}
-			r.Server.ServeHTTP(rec, req)
-			degraded := rec.header.Get("X-OODDash-Degraded") != ""
-			if rec.status != http.StatusOK {
-				return nil, false, fmt.Errorf("chaos: push refresh %s: status %d", path, rec.status)
-			}
-			payload := bytes.TrimRight(rec.body.Bytes(), "\n")
-			return append([]byte(nil), payload...), degraded, nil
-		},
-	})
-	return err
 }
 
 // SubmitJob submits one job (defaulting QOS) and records its ID for

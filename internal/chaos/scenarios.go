@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/core"
 	"ooddash/internal/resilience"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -250,8 +251,12 @@ func nodeFailureStorm() Scenario {
 			// Warm the caches so the storm has last-known-good data to serve.
 			r.Get(user, "/api/system_status")
 			r.Get(user, "/api/cluster_status")
-			return r.RegisterPush("system_status", "system_status:"+user,
-				"/api/system_status", user, r.Server.Config().TTLs.SystemStatus)
+			// A background refresh source, so the drill observes
+			// skip-while-degraded scheduling without holding a stream open.
+			return r.Server.RegisterPushSource(core.FleetSource{
+				Widget: "system_status", Key: "system_status:" + user,
+				Path: "/api/system_status", User: user, TTL: r.Server.Config().TTLs.SystemStatus,
+			})
 		},
 		OnStep: func(r *Run, i int) error {
 			ctl := r.Env.Cluster.Ctl

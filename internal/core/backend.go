@@ -12,9 +12,10 @@ import (
 // slurmBackend is the read-side Slurm surface the widget routes consume,
 // in the typed-row vocabulary of internal/slurmcli. Two implementations
 // exist: the CLI shell-out emulation (parse text) and the slurmrestd-style
-// REST client (decode JSON). Write commands (scancel, hold/release) and the
-// queries without a REST endpoint (assoc, reservations, sprio, the
-// per-account sreport) always go through the CLI runner.
+// REST client, *slurmrest.Client itself (decode JSON). Write commands
+// (scancel, hold/release) and the queries without a REST endpoint (assoc,
+// reservations, sprio, the per-account sreport) always go through the CLI
+// runner.
 type slurmBackend interface {
 	Squeue(ctx context.Context, opts slurmcli.SqueueOptions) ([]slurmcli.QueueEntry, error)
 	Sacct(ctx context.Context, opts slurmcli.SacctOptions) ([]slurmcli.SacctRow, error)
@@ -62,43 +63,6 @@ func (b cliBackend) Sdiag(ctx context.Context) (ctld, dbd slurmcli.DaemonDiag, e
 	return slurmcli.Sdiag(slurmcli.Bind(ctx, b.s.runner))
 }
 
-// restBackend serves the same surface from a slurmrest client. The client
-// already speaks slurmcli's row types and maps 503s to the unavailability
-// class, so the resilience layer treats both backends identically.
-type restBackend struct{ c *slurmrest.Client }
-
-func (b restBackend) Squeue(ctx context.Context, opts slurmcli.SqueueOptions) ([]slurmcli.QueueEntry, error) {
-	return b.c.Squeue(ctx, opts)
-}
-
-func (b restBackend) Sacct(ctx context.Context, opts slurmcli.SacctOptions) ([]slurmcli.SacctRow, error) {
-	return b.c.Sacct(ctx, opts)
-}
-
-func (b restBackend) Rollup(ctx context.Context, opts slurmcli.RollupOptions) (slurmcli.RollupResult, error) {
-	return b.c.Rollup(ctx, opts)
-}
-
-func (b restBackend) Sinfo(ctx context.Context) ([]slurmcli.PartitionStatus, error) {
-	return b.c.Sinfo(ctx)
-}
-
-func (b restBackend) ShowAllNodes(ctx context.Context) ([]*slurmcli.NodeDetail, error) {
-	return b.c.ShowAllNodes(ctx)
-}
-
-func (b restBackend) ShowNode(ctx context.Context, name string) (*slurmcli.NodeDetail, error) {
-	return b.c.ShowNode(ctx, name)
-}
-
-func (b restBackend) ShowJob(ctx context.Context, id slurm.JobID) (*slurmcli.JobDetail, error) {
-	return b.c.ShowJob(ctx, id)
-}
-
-func (b restBackend) Sdiag(ctx context.Context) (ctld, dbd slurmcli.DaemonDiag, err error) {
-	return b.c.Sdiag(ctx)
-}
-
 // buildBackends resolves the per-source backend selection from the config.
 // Each daemon's queries can independently ride the CLI or REST path, so a
 // deployment can migrate one source at a time (the paper's incremental
@@ -113,7 +77,10 @@ func (s *Server) buildBackends(rest *slurmrest.Client) error {
 			if rest == nil {
 				return nil, fmt.Errorf("core: %s backend is %q but Deps.REST is nil", source, mode)
 			}
-			return restBackend{rest}, nil
+			// The client already speaks slurmcli's row types and maps 503s
+			// to the unavailability class, so the resilience layer treats
+			// both backends identically.
+			return rest, nil
 		default:
 			return nil, fmt.Errorf("core: unknown %s backend %q (want %q or %q)",
 				source, mode, BackendCLI, BackendREST)

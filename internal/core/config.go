@@ -103,7 +103,8 @@ type PushConfig struct {
 
 // TraceConfig tunes the span-tracing subsystem (internal/trace). Semantics
 // of the zero and negative values are delegated to trace.New: a zero field
-// takes the documented default, a negative one disables that feature.
+// takes the documented default, a negative one disables that feature. The
+// tail keeps trace.New's default slowest 5 traces per widget per minute.
 type TraceConfig struct {
 	// Sample is the head-sampling probability (0 = record everything,
 	// negative = tracing off).
@@ -112,13 +113,9 @@ type TraceConfig struct {
 	Slow time.Duration
 	// StoreMax bounds retained traces (0 = 256).
 	StoreMax int
-	// SlowKeepN is the slowest-N-per-widget-per-window retention (0 = 5).
-	SlowKeepN int
 	// Baseline is the probabilistic keep rate for fast, healthy traces
 	// (0 = 0.05).
 	Baseline float64
-	// Window is the slowest-N tracking window (0 = 1 minute).
-	Window time.Duration
 }
 
 // SLOConfig tunes the live SLO engine (internal/slo): per-objective SLI
@@ -162,11 +159,6 @@ type Config struct {
 	// SLO tunes the live SLO engine (objectives, error budgets, burn-rate
 	// alerting).
 	SLO SLOConfig
-	// PurgeInterval is how often the long-running server sweeps entries past
-	// their stale grace window out of the server and rendered-response
-	// caches, bounding memory growth. Zero means the default (1 minute);
-	// negative disables periodic purging.
-	PurgeInterval time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -243,12 +235,6 @@ func (c Config) withDefaults() Config {
 		c.Push.Jitter = 0.25
 	case c.Push.Jitter < 0:
 		c.Push.Jitter = 0
-	}
-	switch {
-	case c.PurgeInterval == 0:
-		c.PurgeInterval = time.Minute
-	case c.PurgeInterval < 0:
-		c.PurgeInterval = 0
 	}
 	return c
 }

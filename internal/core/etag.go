@@ -13,20 +13,10 @@ import (
 // ETag — their age_seconds annotation changes every second, and a client
 // should not cache a stale fallback as if it were current.
 //
-// The tag construction and If-None-Match matching live in internal/etag
-// so the Slurm REST surface (internal/slurmrest) shares the exact same
-// semantics.
-
-// etagHeaderKey is the ETag header name in the pre-canonicalized MIME form
-// net/textproto produces. Setting it by direct map assignment skips the
-// per-call canonicalization pass ("ETag" is not canonical, so Header.Set
-// allocates a rewritten key every time); the wire bytes are identical.
-const etagHeaderKey = "Etag"
-
-// setETag attaches tag as the response ETag.
-func setETag(h http.Header, tag string) {
-	h[etagHeaderKey] = []string{tag}
-}
+// Every fresh widget response — a render hit, the encode-per-request
+// fallback, a fleet peer's propagated copy — is an etag.Body written by its
+// one conditional writer, so all of them share the Slurm REST surface's
+// (internal/slurmrest) exact semantics.
 
 // Per-user responses carry strong ETags, so without cache-scoping headers
 // a shared intermediary cache (a fronting proxy keyed only on the URL)

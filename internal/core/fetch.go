@@ -186,10 +186,10 @@ func writeFetchError(w http.ResponseWriter, err error) {
 // marks them and the drop is counted, so silently unannotated payloads are
 // at least visible on /metrics.
 //
-// Fresh 200 responses carry an ETag (content hash of the body); a request
-// revalidating with a matching If-None-Match gets 304 Not Modified and no
+// Fresh responses are served through the one conditional writer
+// (etag.Body.Serve): ETag, then 304 on a matching If-None-Match, else the
 // body. Degraded responses are never conditional — see etag.go.
-func (s *Server) writeWidgetJSON(w http.ResponseWriter, r *http.Request, status int, meta fetchMeta, v any) {
+func (s *Server) writeWidgetJSON(w http.ResponseWriter, r *http.Request, meta fetchMeta, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
 	if !meta.Degraded {
@@ -201,19 +201,7 @@ func (s *Server) writeWidgetJSON(w http.ResponseWriter, r *http.Request, status 
 			writeError(w, fmt.Errorf("core: encoding response: %v", err))
 			return
 		}
-		body := buf.Bytes()
-		if status == http.StatusOK && r != nil {
-			tag := etag.For(body)
-			setETag(w.Header(), tag)
-			if etag.Match(r.Header.Get("If-None-Match"), tag) {
-				s.obsm.notModified.With(widgetFromContext(r.Context())).Inc()
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		w.Write(body)
+		s.serveBody(w, r, widgetFromContext(r.Context()), etag.New(buf.Bytes()))
 		return
 	}
 	w.Header().Set(degradedHeader, "stale")
@@ -229,7 +217,7 @@ func (s *Server) writeWidgetJSON(w http.ResponseWriter, r *http.Request, status 
 		s.obsm.annotationsDropped.Inc()
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(http.StatusOK)
 	w.Write(annotated)
 	w.Write([]byte{'\n'})
 }

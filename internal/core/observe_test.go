@@ -146,7 +146,7 @@ func TestDegradedArrayPayload(t *testing.T) {
 
 	before := s.obsm.annotationsDropped.Value()
 	rr := httptest.NewRecorder()
-	s.writeWidgetJSON(rr, httptest.NewRequest("GET", "/api/test", nil), http.StatusOK, meta, []int{1, 2, 3})
+	s.writeWidgetJSON(rr, httptest.NewRequest("GET", "/api/test", nil), meta, []int{1, 2, 3})
 	if got := rr.Header().Get(degradedHeader); got != "stale" {
 		t.Errorf("array payload: %s header = %q, want \"stale\"", degradedHeader, got)
 	}
@@ -159,7 +159,7 @@ func TestDegradedArrayPayload(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	s.writeWidgetJSON(rr, httptest.NewRequest("GET", "/api/test", nil), http.StatusOK, meta, map[string]string{"a": "b"})
+	s.writeWidgetJSON(rr, httptest.NewRequest("GET", "/api/test", nil), meta, map[string]string{"a": "b"})
 	var obj struct {
 		Degraded bool  `json:"degraded"`
 		Age      int64 `json:"age_seconds"`

@@ -20,31 +20,38 @@ import (
 // experience) that render cost dominates.
 //
 // serveRendered materializes each widget payload once per cache fill: the
-// final JSON bytes (trailing newline included) and the precomputed strong
-// ETag are stored in a second cache keyed by (widget, user variant, request
-// URI) and guarded by the source data's revision number (fetchMeta.rev, from
-// cache.Result.Rev). A hit costs an If-None-Match compare → 304, or a single
-// w.Write of the stored bytes. A revision mismatch — the source cache
-// refilled — rebuilds and re-stores. Degraded responses and uncacheable
-// fetches (rev 0) fall back to the encode-per-request path: their bodies
-// change per request (age_seconds) or per compute, so there is nothing to
-// materialize.
+// final JSON bytes (trailing newline included) and their strong ETag, as
+// one etag.Body, are stored in a second cache keyed by (widget, user
+// variant, request URI) and guarded by the source data's revision number
+// (fetchMeta.rev, from cache.Result.Rev). A hit costs an If-None-Match
+// compare → 304, or a single w.Write of the stored bytes. A revision
+// mismatch — the source cache refilled — rebuilds and re-stores. Degraded
+// responses and uncacheable fetches (rev 0) fall back to the
+// encode-per-request path: their bodies change per request (age_seconds) or
+// per compute, so there is nothing to materialize.
 //
 // Per-user routes pass the user name as the variant, so one user's bytes are
 // never served to another; authorization always runs before serveRendered.
 
-// renderedResponse is one materialized widget payload.
-type renderedResponse struct {
-	rev     uint64   // fetchMeta.rev the body was built from
-	body    []byte   // final bytes as written to the wire, trailing '\n' included
-	etag    string   // strong ETag of body
-	etagVal []string // etag as a ready header value for direct map assignment
+// renderEntry is one render-cache entry: the served body beside the
+// fetchMeta.rev it was built from.
+type renderEntry struct {
+	rev  uint64
+	body etag.Body
 }
 
 // jsonContentType is the Content-Type header value every JSON response
 // shares, assigned directly into the header map: Header.Set allocates a
 // fresh one-element slice per call. net/http only reads the slice.
 var jsonContentType = []string{"application/json"}
+
+// serveBody writes a rendered widget body through the one conditional
+// writer, counting 304s under the widget's name.
+func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, widget string, b etag.Body) {
+	if b.Serve(w, r, jsonContentType) {
+		s.obsm.notModified.With(widget).Inc()
+	}
+}
 
 // marshalPayload is the single choke point for payload encoding; every
 // json.Marshal of a widget body goes through it, and the counter it bumps
@@ -108,14 +115,15 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 			writeError(w, err)
 			return
 		}
-		s.writeWidgetJSON(w, r, http.StatusOK, meta, v)
+		s.writeWidgetJSON(w, r, meta, v)
 		return
 	}
-	key := renderKey(widgetFromContext(r.Context()), variant, r.URL.RequestURI())
+	widget := widgetFromContext(r.Context())
+	key := renderKey(widget, variant, r.URL.RequestURI())
 	if cached, ok := s.rendered.Get(key); ok {
-		if re, ok := cached.(*renderedResponse); ok && re.rev == meta.rev {
+		if re, ok := cached.(*renderEntry); ok && re.rev == meta.rev {
 			s.renderHits.Add(1)
-			s.writeRendered(w, r, re)
+			s.serveBody(w, r, widget, re.body)
 			return
 		}
 	}
@@ -130,29 +138,11 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 		writeError(w, fmt.Errorf("core: encoding response: %v", err))
 		return
 	}
-	body := append(raw, '\n')
-	re := &renderedResponse{rev: meta.rev, body: body, etag: etag.For(body)}
-	re.etagVal = []string{re.etag}
+	re := &renderEntry{rev: meta.rev, body: etag.New(append(raw, '\n'))}
 	// The body stays valid as long as the source entry it was built from, so
 	// it shares the source's TTL; a source refill bumps rev and overwrites.
 	s.rendered.Set(key, re, meta.ttl)
-	s.writeRendered(w, r, re)
-}
-
-// writeRendered is the materialized hit path: set the stored ETag, answer a
-// matching If-None-Match with 304, otherwise write the stored bytes in one
-// call. No view-model build, no Marshal, no hash.
-func (s *Server) writeRendered(w http.ResponseWriter, r *http.Request, re *renderedResponse) {
-	h := w.Header()
-	h[etagHeaderKey] = re.etagVal
-	if etag.Match(r.Header.Get("If-None-Match"), re.etag) {
-		s.obsm.notModified.With(widgetFromContext(r.Context())).Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	h["Content-Type"] = jsonContentType
-	w.WriteHeader(http.StatusOK)
-	w.Write(re.body)
+	s.serveBody(w, r, widget, re.body)
 }
 
 // renderCounters groups the rendered-layer atomics embedded in Server.

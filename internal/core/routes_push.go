@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/etag"
 	"ooddash/internal/obs"
 	"ooddash/internal/push"
 )
@@ -72,7 +73,7 @@ func (l *loopbackRecorder) Flush()                      {}
 // user-independent, the credential is only needed to pass the route's auth
 // check.
 func (s *Server) pushFetch(widget, path, user string) push.FetchFunc {
-	return func(ctx context.Context) ([]byte, bool, error) {
+	return func(ctx context.Context) (etag.Body, bool, error) {
 		// Root the refresh in its own trace, origin "push": the loopback
 		// request carries the minted ID in the trace header so the instrument
 		// middleware joins this trace as a child "http" span instead of
@@ -82,7 +83,7 @@ func (s *Server) pushFetch(widget, path, user string) push.FetchFunc {
 		req, err := http.NewRequestWithContext(tctx, http.MethodGet, path, nil)
 		if err != nil {
 			sp.End()
-			return nil, false, err
+			return etag.Body{}, false, err
 		}
 		req.Header.Set(auth.UserHeader, user)
 		req.Header.Set("Accept", "application/json")
@@ -99,13 +100,14 @@ func (s *Server) pushFetch(widget, path, user string) push.FetchFunc {
 			s.tracer.Finish(sp, rec.status != http.StatusOK, degraded)
 		}
 		if rec.status != http.StatusOK {
-			return nil, false, fmt.Errorf("core: push refresh %s: status %d: %.120s",
+			return etag.Body{}, false, fmt.Errorf("core: push refresh %s: status %d: %.120s",
 				path, rec.status, rec.body.Bytes())
 		}
-		// The hub retains the payload; the recorder is about to be reused, so
-		// hand over an exact-size copy rather than a view into its buffer.
-		payload := bytes.TrimRight(rec.body.Bytes(), "\n")
-		return append([]byte(nil), payload...), degraded, nil
+		// The hub retains the body; the recorder is about to be reused, so
+		// hand over an exact-size copy rather than a view into its buffer. A
+		// fresh response already carries its tag, so only a degraded one is
+		// hashed here.
+		return etag.Served(rec.header, bytes.Clone(rec.body.Bytes())), degraded, nil
 	}
 }
 
@@ -200,33 +202,28 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	fd := s.fleetDelegate()
 	keys := make([]string, 0, len(subs))
 	for _, wd := range subs {
-		key := wd.sourceKey(user.Name)
-		keys = append(keys, key)
+		src := fleetSource(wd, user.Name)
+		keys = append(keys, src.Key)
+		_, held := s.pushHub.Latest(src.Key)
 		if fd != nil {
 			// In a fleet, the key's owner (which may be another replica)
-			// maintains the source; its snapshots are propagated into this
+			// maintains the source; its snapshots are republished into this
 			// replica's hub, so the stream below works unchanged. Touch
 			// records interest; Ensure additionally produces the initial
 			// snapshot when the local hub has none yet.
-			src := fleetSource(wd, user.Name)
-			if _, ok := s.pushHub.Latest(key); !ok {
+			if !held {
 				_, _ = fd.Ensure(r.Context(), src)
 			} else {
 				fd.Touch(src)
 			}
 			continue
 		}
-		if _, err := s.pushSched.Register(push.Source{
-			Widget: wd.Name,
-			Key:    key,
-			TTL:    wd.TTL,
-			Fetch:  s.pushFetch(wd.Name, wd.path(), user.Name),
-		}); err != nil {
+		if err := s.RegisterPushSource(src); err != nil {
 			writeError(w, err)
 			return
 		}
-		if _, ok := s.pushHub.Latest(key); !ok {
-			_, _ = s.pushSched.Refresh(r.Context(), key)
+		if !held {
+			_, _ = s.pushSched.Refresh(r.Context(), src.Key)
 		}
 	}
 
@@ -243,7 +240,7 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	// Resume/initial replay: every subscribed widget's current snapshot
 	// the client has not seen yet, in version order.
 	for _, snap := range s.pushHub.Since(lastEventID(r), keys) {
-		if err := enc.WriteEvent(snap.Widget, snap.Version, snap.Payload); err != nil {
+		if err := enc.WriteEvent(snap.Widget, snap.Version, snap.Body.Bytes); err != nil {
 			return
 		}
 	}
@@ -283,7 +280,7 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 				if !ok {
 					break
 				}
-				if err := enc.WriteEvent(snap.Widget, snap.Version, snap.Payload); err != nil {
+				if err := enc.WriteEvent(snap.Widget, snap.Version, snap.Body.Bytes); err != nil {
 					return
 				}
 			}

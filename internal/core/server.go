@@ -200,13 +200,11 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	// registered as collectors; its hooks read s.obsm/s.accessLog lazily (both
 	// are set before any request can be served).
 	s.tracer = trace.New(trace.Config{
-		Clock:     deps.Clock,
-		Sample:    s.cfg.Trace.Sample,
-		Slow:      s.cfg.Trace.Slow,
-		StoreMax:  s.cfg.Trace.StoreMax,
-		SlowKeepN: s.cfg.Trace.SlowKeepN,
-		Baseline:  s.cfg.Trace.Baseline,
-		Window:    s.cfg.Trace.Window,
+		Clock:    deps.Clock,
+		Sample:   s.cfg.Trace.Sample,
+		Slow:     s.cfg.Trace.Slow,
+		StoreMax: s.cfg.Trace.StoreMax,
+		Baseline: s.cfg.Trace.Baseline,
 		OnSpan: func(layer string, seconds float64) {
 			s.obsm.traceSpans.With(layer).Observe(seconds)
 		},

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/etag"
 	"ooddash/internal/push"
 )
 
@@ -200,13 +201,13 @@ func TestStartPushCloseWaitsForLoop(t *testing.T) {
 	release := make(chan struct{})
 	if _, err := s.PushScheduler().Register(push.Source{
 		Widget: "probe", Key: "probe", TTL: time.Second,
-		Fetch: func(context.Context) ([]byte, bool, error) {
+		Fetch: func(context.Context) (etag.Body, bool, error) {
 			select {
 			case entered <- struct{}{}:
 			default:
 			}
 			<-release
-			return []byte(`{}`), false, nil
+			return etag.New([]byte(`{}`)), false, nil
 		},
 	}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package etag
 import (
 	"fmt"
 	"hash/fnv"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -39,11 +41,58 @@ func TestETagMatch(t *testing.T) {
 		{"weak marker inside quotes is literal", `"W/00000000deadbeef"`, false},
 	}
 	for _, c := range cases {
-		if got := Match(c.header, tag); got != c.want {
-			t.Errorf("%s: Match(%q) = %v, want %v", c.name, c.header, got, c.want)
+		if got := match(c.header, tag); got != c.want {
+			t.Errorf("%s: match(%q) = %v, want %v", c.name, c.header, got, c.want)
 		}
 	}
 }
+
+// TestServe pins the one conditional writer: a 200 carries the tag, the
+// given Content-Type and the bytes; a matching If-None-Match gets a bare
+// 304 with the ETag; Served reuses the tag a Serve wrote and hashes an
+// untagged body; and serving a built Body allocates nothing.
+func TestServe(t *testing.T) {
+	b := New([]byte(`{"a":1}` + "\n"))
+	ct := []string{"application/json"}
+	plain := httptest.NewRequest("GET", "/", nil)
+	cond := httptest.NewRequest("GET", "/", nil)
+	cond.Header.Set("If-None-Match", b.Tag)
+	serve := func(r *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		if got := b.Serve(rec, r, ct); got != (r == cond) {
+			t.Fatalf("Serve reported 304 = %v", got)
+		}
+		return rec
+	}
+
+	rec := serve(plain)
+	if rec.Code != 200 || rec.Body.String() != string(b.Bytes) || rec.Header().Get("Etag") != For(b.Bytes) ||
+		rec.Header().Get("Content-Type") != ct[0] {
+		t.Fatalf("200: status %d body %q headers %v", rec.Code, rec.Body.String(), rec.Header())
+	}
+	if got := Served(rec.Header(), rec.Body.Bytes()); got.Tag != b.Tag {
+		t.Fatalf("Served tag %s, want the written %s", got.Tag, b.Tag)
+	}
+	if got := Served(http.Header{}, b.Bytes); got.Tag != For(b.Bytes) {
+		t.Fatalf("untagged Served tag %s, want %s", got.Tag, For(b.Bytes))
+	}
+	if rec := serve(cond); rec.Code != 304 || rec.Body.Len() != 0 || rec.Header().Get("Etag") != b.Tag ||
+		rec.Header().Get("Content-Type") != "" {
+		t.Fatalf("304: status %d body %q headers %v", rec.Code, rec.Body.String(), rec.Header())
+	}
+
+	w := &discardWriter{header: make(http.Header)}
+	if n := testing.AllocsPerRun(100, func() { b.Serve(w, plain, ct); b.Serve(w, cond, ct) }); n != 0 {
+		t.Fatalf("Serve allocates %.1f times per 200+304 pair, want 0", n)
+	}
+}
+
+// discardWriter is a reusable ResponseWriter for the allocation check.
+type discardWriter struct{ header http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // etagForSprintf is the previous For implementation, kept as the
 // micro-benchmark baseline: a hash.Hash64 allocation plus two Sprintf

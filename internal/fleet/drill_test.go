@@ -92,7 +92,7 @@ func TestDrillReplicaKill(t *testing.T) {
 	}
 
 	// Warm-up: traffic registers sources on their owners and propagation
-	// fills every replica's peer store.
+	// fills every replica's hub.
 	round("warm-1")
 	round("warm-2")
 

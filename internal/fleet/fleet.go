@@ -7,10 +7,10 @@
 // The single-server push subsystem already makes upstream cost O(sources)
 // instead of O(clients); the fleet keeps it O(sources) instead of
 // O(sources × replicas). Each source key is polled by exactly one owner
-// replica per TTL; every other replica serves the owner's rendered bytes —
-// byte- and ETag-identical to what the owner would serve — via the
-// core.FleetDelegate seam, and any replica can hold any SSE stream because
-// owner publishes are republished into every peer hub.
+// replica per TTL, and every owner publish is republished into every peer's
+// hub. A peer serves the owner's etag.Body from its own hub — byte- and
+// ETag-identical to what the owner would serve — via the
+// core.FleetDelegate seam, and any replica can hold any SSE stream.
 //
 // Membership is heartbeat-based on the shared clock: a killed replica stops
 // heartbeating, the detector declares it dead after HeartbeatTimeout, the
@@ -54,28 +54,30 @@ type Options struct {
 	// Runner is the base upstream runner every replica's meter wraps.
 	// Required.
 	Runner slurmcli.Runner
-	// NoCoherence disables ownership partitioning and snapshot propagation:
-	// replicas become fully independent servers behind the LB. This is the
+	// NoCoherence disables ownership partitioning, snapshot propagation and
+	// the command memo: replicas become fully independent servers behind
+	// the LB, sharing nothing, upstream reads included. This is the
 	// ablation arm of the scale-out test (expected upstream cost: ~N×).
 	NoCoherence bool
-	// Vnodes is the consistent-hash virtual-node count (default 64).
-	Vnodes int
 	// HeartbeatTimeout declares a replica dead when its last heartbeat is
 	// older than this (default 15s). Heartbeats are stamped on Tick, so the
 	// timeout should be below the tick interval for next-tick detection.
 	HeartbeatTimeout time.Duration
-	// ReapIdle unregisters a source no client has requested (and no hub
-	// subscription watches) for this long, freeing its refresh slot.
-	// 0 means 10 minutes; negative disables reaping.
-	ReapIdle time.Duration
-	// MemoTTL bounds the fleet-shared upstream command memo (see
-	// memoRunner): identical commands issued by different replicas within
-	// this window collapse to one upstream call. Must stay well below the
-	// shortest widget TTL. 0 means 10 seconds; negative disables the memo.
-	// NoCoherence also disables it — fully independent replicas share
-	// nothing, including upstream reads.
-	MemoTTL time.Duration
 }
+
+const (
+	// vnodes is the consistent-hash virtual-node count per replica.
+	vnodes = 64
+	// memoTTL bounds the fleet-shared upstream command memo (see
+	// memoRunner): identical commands issued by different replicas within
+	// this window collapse to one upstream call. It must stay well below
+	// the shortest widget TTL.
+	memoTTL = 10 * time.Second
+	// reapIdle is how long a source may go unrequested (and at least four
+	// TTLs), with no hub subscription watching it, before the reaper
+	// unregisters it and frees its refresh slot.
+	reapIdle = 10 * time.Minute
+)
 
 // sourceState is the fleet's bookkeeping for one tracked source.
 type sourceState struct {
@@ -96,37 +98,11 @@ type replica struct {
 
 	tap *push.Subscription // SubscribeAll tap feeding propagation
 
-	// store holds peer-propagated snapshots this replica serves as a
-	// non-owner.
-	storeMu sync.Mutex
-	store   map[string]core.FleetSnapshot
-
 	// lastHB is guarded by the fleet mutex.
 	lastHB time.Time
 }
 
 func (r *replica) healthy() bool { return !r.killed.Load() && !r.dead.Load() }
-
-func (r *replica) storeSnap(fs core.FleetSnapshot) {
-	r.storeMu.Lock()
-	if cur, ok := r.store[fs.Key]; !ok || !fs.At.Before(cur.At) {
-		r.store[fs.Key] = fs
-	}
-	r.storeMu.Unlock()
-}
-
-func (r *replica) loadSnap(key string) (core.FleetSnapshot, bool) {
-	r.storeMu.Lock()
-	fs, ok := r.store[key]
-	r.storeMu.Unlock()
-	return fs, ok
-}
-
-func (r *replica) dropSnap(key string) {
-	r.storeMu.Lock()
-	delete(r.store, key)
-	r.storeMu.Unlock()
-}
 
 // meterRunner counts upstream commands by daemon, beneath the replica's own
 // metered runner — it sees exactly the commands that reached the simulated
@@ -163,7 +139,7 @@ type Fleet struct {
 	opts  Options
 	clock clock.Clock
 	met   *metrics
-	memo  *memoRunner // nil when NoCoherence or MemoTTL < 0
+	memo  *memoRunner // nil when NoCoherence
 
 	mu       sync.Mutex
 	replicas []*replica // append-only; killed/dead members stay for metrics
@@ -209,17 +185,8 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Policy == "" {
 		opts.Policy = PolicyRoundRobin
 	}
-	if opts.Vnodes <= 0 {
-		opts.Vnodes = 64
-	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 15 * time.Second
-	}
-	if opts.ReapIdle == 0 {
-		opts.ReapIdle = 10 * time.Minute
-	}
-	if opts.MemoTTL == 0 {
-		opts.MemoTTL = 10 * time.Second
 	}
 	fl := &Fleet{
 		opts:     opts,
@@ -229,8 +196,8 @@ func New(opts Options) (*Fleet, error) {
 		ensuring: make(map[string]*ensureCall),
 		stop:     make(chan struct{}),
 	}
-	if !opts.NoCoherence && opts.MemoTTL > 0 {
-		fl.memo = newMemoRunner(opts.Clock, opts.MemoTTL, opts.Runner)
+	if !opts.NoCoherence {
+		fl.memo = newMemoRunner(opts.Clock, memoTTL, opts.Runner)
 	}
 	fl.met = newMetrics(fl)
 	for i := 0; i < opts.Replicas; i++ {
@@ -286,7 +253,6 @@ func (fl *Fleet) addReplica() (*replica, error) {
 		id:     id,
 		srv:    srv,
 		rpcs:   rpcs,
-		store:  make(map[string]core.FleetSnapshot),
 		lastHB: fl.clock.Now(),
 	}
 	if !fl.opts.NoCoherence {
@@ -330,7 +296,7 @@ func (fl *Fleet) rebuildRing() {
 		}
 	}
 	fl.mu.Unlock()
-	fl.ringPtr.Store(buildRing(ids, fl.opts.Vnodes))
+	fl.ringPtr.Store(buildRing(ids, vnodes))
 }
 
 // Owner returns the replica id currently owning key ("" if none).
@@ -346,24 +312,11 @@ func (b *binding) Owns(key string) bool {
 	return b.fl.currentRing().owner(key) == b.rep.id
 }
 
-func (b *binding) Snapshot(key string) (core.FleetSnapshot, bool) {
-	return b.rep.loadSnap(key)
+func (b *binding) Ensure(ctx context.Context, src core.FleetSource) (push.Snapshot, bool) {
+	return b.fl.ensure(ctx, src)
 }
 
-func (b *binding) Ensure(ctx context.Context, src core.FleetSource) (core.FleetSnapshot, bool) {
-	fs, ok := b.fl.ensure(ctx, src)
-	if ok {
-		// The requesting replica gets the snapshot immediately; the rest of
-		// the fleet receives it on the next propagation drain.
-		b.rep.storeSnap(fs)
-		if b.rep.healthy() && fs.Key != "" {
-			b.rep.srv.PushHub().Publish(fs.Widget, fs.Key, fs.Payload(), fs.Degraded)
-		}
-	}
-	return fs, ok
-}
-
-func (b *binding) Touch(src core.FleetSource) { b.fl.touch(src) }
+func (b *binding) Touch(src core.FleetSource) { b.fl.track(src) }
 
 // track records (or refreshes) the bookkeeping for src and returns the
 // current owner replica, registering the source on it when new. The
@@ -393,83 +346,66 @@ func (fl *Fleet) track(src core.FleetSource) *replica {
 	return owner
 }
 
-// touch is the owner-agnostic interest signal: bookkeeping plus owner-side
-// registration for new sources.
-func (fl *Fleet) touch(src core.FleetSource) { fl.track(src) }
-
 // ensureCall is one in-flight coalesced Ensure; waiters block on done.
 type ensureCall struct {
 	done chan struct{}
-	fs   core.FleetSnapshot
+	snap push.Snapshot
 	ok   bool
 }
 
 // ensure makes the current owner produce a fresh snapshot of src.
 // Concurrent calls for the same key share one owner refresh.
-func (fl *Fleet) ensure(ctx context.Context, src core.FleetSource) (core.FleetSnapshot, bool) {
+func (fl *Fleet) ensure(ctx context.Context, src core.FleetSource) (push.Snapshot, bool) {
 	fl.ensureMu.Lock()
 	if c, inflight := fl.ensuring[src.Key]; inflight {
 		fl.ensureMu.Unlock()
 		select {
 		case <-c.done:
-			return c.fs, c.ok
+			return c.snap, c.ok
 		case <-ctx.Done():
-			return core.FleetSnapshot{}, false
+			return push.Snapshot{}, false
 		}
 	}
 	c := &ensureCall{done: make(chan struct{})}
 	fl.ensuring[src.Key] = c
 	fl.ensureMu.Unlock()
 
-	c.fs, c.ok = fl.ensureOnce(ctx, src)
+	c.snap, c.ok = fl.ensureOnce(ctx, src)
 
 	fl.ensureMu.Lock()
 	delete(fl.ensuring, src.Key)
 	fl.ensureMu.Unlock()
 	close(c.done)
-	return c.fs, c.ok
+	return c.snap, c.ok
 }
 
-func (fl *Fleet) ensureOnce(ctx context.Context, src core.FleetSource) (core.FleetSnapshot, bool) {
+// ensureOnce refreshes src on its owner and republishes the owner's
+// snapshot — confirmed now, whether or not its content changed — into
+// every healthy peer's hub, so each peer serves it at once.
+func (fl *Fleet) ensureOnce(ctx context.Context, src core.FleetSource) (push.Snapshot, bool) {
 	owner := fl.track(src)
 	if owner == nil {
 		fl.met.ensureFailures.Inc()
-		return core.FleetSnapshot{}, false
+		return push.Snapshot{}, false
 	}
-	fs, err := owner.srv.RefreshPushSource(ctx, src.Key)
+	snap, err := owner.srv.PushScheduler().Refresh(ctx, src.Key)
 	if err != nil {
 		fl.met.ensureFailures.Inc()
-		return core.FleetSnapshot{}, false
+		return push.Snapshot{}, false
 	}
-	fl.propagateStores(fs)
-	return fs, true
+	fl.republish(owner, snap)
+	return snap, true
 }
 
-// propagateStores copies a snapshot into every healthy replica's peer
-// store (hub republish is the tap drain's job — doing it here too would
-// just hit the content-hash suppression).
-func (fl *Fleet) propagateStores(fs core.FleetSnapshot) {
+// republish hands an owner snapshot, body and tag as they are, to every
+// other healthy replica's hub. A hub already holding a newer snapshot
+// keeps it, so a drain racing an ensure never rolls a peer back.
+func (fl *Fleet) republish(origin *replica, snap push.Snapshot) {
 	for _, rep := range fl.replicaList() {
-		if rep.healthy() {
-			rep.storeSnap(fs)
+		if rep != origin && rep.healthy() {
+			rep.srv.PushHub().Republish(snap)
 		}
 	}
-}
-
-// propagate pushes an owner-origin snapshot to every healthy peer: into
-// its store (HTTP serving) and its hub (SSE fan-out; the hub's content
-// hash suppresses re-publishes of bytes the peer already has).
-func (fl *Fleet) propagate(origin *replica, fs core.FleetSnapshot) {
-	for _, rep := range fl.replicaList() {
-		if !rep.healthy() {
-			continue
-		}
-		rep.storeSnap(fs)
-		if rep != origin {
-			rep.srv.PushHub().Publish(fs.Widget, fs.Key, fs.Payload(), fs.Degraded)
-		}
-	}
-	fl.met.propagations.Inc()
 }
 
 // Tick advances the fleet one step on the shared clock: heartbeats and
@@ -485,7 +421,7 @@ func (fl *Fleet) Tick() {
 			continue
 		}
 		rep.srv.TickPush()
-		fl.drainTap(rep, now)
+		fl.drainTap(rep)
 	}
 	fl.sloAgg.Evaluate()
 	fl.reap(now)
@@ -545,7 +481,7 @@ func (fl *Fleet) resync() {
 	for _, m := range moves {
 		fl.met.ownerChanges.Inc()
 		if m.from != nil && m.from.healthy() {
-			m.from.srv.UnregisterPushSource(m.src.Key)
+			m.from.srv.PushScheduler().Unregister(m.src.Key)
 		}
 		if m.to == nil || !m.to.healthy() {
 			continue
@@ -553,21 +489,24 @@ func (fl *Fleet) resync() {
 		if err := m.to.srv.RegisterPushSource(m.src); err != nil {
 			continue
 		}
-		if fs, err := m.to.srv.RefreshPushSource(context.Background(), m.src.Key); err == nil {
-			fl.propagate(m.to, fs)
+		if snap, err := m.to.srv.PushScheduler().Refresh(context.Background(), m.src.Key); err == nil {
+			fl.republish(m.to, snap)
+			fl.met.propagations.Inc()
 		}
 	}
 }
 
 // drainTap pops every snapshot the replica's hub published since the last
-// drain and propagates the ones this replica currently owns (everything
+// drain and republishes the ones this replica currently owns (everything
 // else is a propagated-in copy or a stale-ownership publish and is already
-// where it needs to be).
-func (fl *Fleet) drainTap(rep *replica, now time.Time) {
+// where it needs to be). The tap holds the owner's newest version of each
+// key, so the drain confirms it as of now.
+func (fl *Fleet) drainTap(rep *replica) {
 	if rep.tap == nil {
 		return
 	}
 	rg := fl.currentRing()
+	now := fl.clock.Now()
 	for {
 		snap, ok := rep.tap.Pop()
 		if !ok {
@@ -577,18 +516,18 @@ func (fl *Fleet) drainTap(rep *replica, now time.Time) {
 			continue
 		}
 		fl.met.propLag.Observe(now.Sub(snap.Timestamp).Seconds())
-		fl.propagate(rep, core.NewFleetSnapshot(snap, now))
+		snap.Timestamp = now
+		fl.republish(rep, snap)
+		fl.met.propagations.Inc()
 	}
 }
 
-// reap unregisters sources nothing has requested for ReapIdle (and at
+// reap unregisters sources nothing has requested for reapIdle (and at
 // least four TTLs), as long as no replica's hub has a live subscription
-// watching the key. This replaces the single-server scheduler's
+// watching the key, and drops the key from every replica's hub so the next
+// request ensures it afresh. This replaces the single-server scheduler's
 // pause-when-idle, which cannot see subscribers on peer replicas.
 func (fl *Fleet) reap(now time.Time) {
-	if fl.opts.ReapIdle < 0 {
-		return
-	}
 	type idle struct {
 		key   string
 		owner *replica
@@ -596,7 +535,7 @@ func (fl *Fleet) reap(now time.Time) {
 	var idles []idle
 	fl.mu.Lock()
 	for key, st := range fl.sources {
-		cutoff := fl.opts.ReapIdle
+		cutoff := reapIdle
 		if four := 4 * st.src.TTL; four > cutoff {
 			cutoff = four
 		}
@@ -626,10 +565,10 @@ func (fl *Fleet) reap(now time.Time) {
 			continue
 		}
 		if it.owner != nil && it.owner.healthy() {
-			it.owner.srv.UnregisterPushSource(it.key)
+			it.owner.srv.PushScheduler().Unregister(it.key)
 		}
 		for _, rep := range fl.replicaList() {
-			rep.dropSnap(it.key)
+			rep.srv.PushHub().Drop(it.key)
 		}
 		fl.met.reaped.Inc()
 	}
@@ -760,7 +699,7 @@ func (fl *Fleet) UpstreamRPCs() map[string]map[string]int64 {
 // UpstreamCalls returns the commands that actually reached the simulated
 // daemons, by daemon — issued minus memo-collapsed. This is the load Slurm
 // sees and the number the scale-out test's flatness gate compares. Without a
-// memo (NoCoherence, or MemoTTL < 0) it equals the sum of UpstreamRPCs.
+// memo (NoCoherence) it equals the sum of UpstreamRPCs.
 func (fl *Fleet) UpstreamCalls() map[string]int64 {
 	if fl.memo != nil {
 		misses, _ := fl.memo.counts()

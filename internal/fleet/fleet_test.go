@@ -1,15 +1,19 @@
 package fleet
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ooddash/internal/auth"
 	"ooddash/internal/browser"
 	"ooddash/internal/core"
+	"ooddash/internal/etag"
 	"ooddash/internal/obs/obstest"
 	"ooddash/internal/push"
 	"ooddash/internal/slo"
@@ -162,86 +166,89 @@ func TestLBStickyAffinityAndFailover(t *testing.T) {
 	}
 }
 
+// pushWidgets are the widget table's seven push-enabled widgets: the ones a
+// fleet partitions by owner and serves from peers.
+var pushWidgets = []struct {
+	name, path string
+	perUser    bool
+}{
+	{"announcements", "/api/announcements", false},
+	{"system_status", "/api/system_status", false},
+	{"cluster_status", "/api/cluster_status", false},
+	{"recent_jobs", "/api/recent_jobs", true},
+	{"accounts", "/api/accounts", true},
+	{"storage", "/api/storage", true},
+	{"my_jobs", "/api/myjobs", true},
+}
+
+// TestPeerServesOwnerBytesWithMatchingETag: for every push widget the owner
+// poll, the peer poll and the peer hub's snapshot carry one body — identical
+// bytes and ETag, the tag being the hash of those bytes — a client that
+// validated against the owner revalidates against the peer, and a per-user
+// widget keeps its private cache class on the peer.
 func TestPeerServesOwnerBytesWithMatchingETag(t *testing.T) {
 	env, fl := newTestFleet(t, 2, PolicyRoundRobin, nil)
 	user := env.UserNames[0]
-	ownerID := fl.Owner("system_status")
-	var peerID string
-	for _, id := range fl.Replicas() {
-		if id != ownerID {
-			peerID = id
-		}
-	}
-	owner, peer := fl.Server(ownerID), fl.Server(peerID)
+	for _, w := range pushWidgets {
+		t.Run(w.name, func(t *testing.T) {
+			key := w.name
+			if w.perUser {
+				key += ":" + user
+			}
+			ownerID := fl.Owner(key)
+			peerID := fl.Replicas()[(slices.Index(fl.Replicas(), ownerID)+1)%2]
+			owner, peer := fl.Server(ownerID), fl.Server(peerID)
 
-	ownerRec := fleetGet(t, owner, user, "/api/system_status", "")
-	if ownerRec.Code != http.StatusOK || ownerRec.Header().Get("X-Ooddash-Fleet") != "" {
-		t.Fatalf("owner serve: status %d fleet header %q", ownerRec.Code, ownerRec.Header().Get("X-Ooddash-Fleet"))
-	}
-	peerRec := fleetGet(t, peer, user, "/api/system_status", "")
-	if peerRec.Code != http.StatusOK {
-		t.Fatalf("peer serve: status %d", peerRec.Code)
-	}
-	if peerRec.Header().Get("X-Ooddash-Fleet") != "peer" {
-		t.Fatal("peer response not marked as fleet-served")
-	}
-	if peerRec.Body.String() != ownerRec.Body.String() {
-		t.Fatalf("peer bytes differ from owner bytes:\n%q\nvs\n%q", peerRec.Body.String(), ownerRec.Body.String())
-	}
-	etag := ownerRec.Header().Get("Etag")
-	if etag == "" || peerRec.Header().Get("Etag") != etag {
-		t.Fatalf("etag mismatch: owner %q peer %q", etag, peerRec.Header().Get("Etag"))
-	}
+			ownerRec := fleetGet(t, owner, user, w.path, "")
+			if ownerRec.Code != http.StatusOK || ownerRec.Header().Get("X-Ooddash-Fleet") != "" {
+				t.Fatalf("owner serve: status %d fleet header %q", ownerRec.Code, ownerRec.Header().Get("X-Ooddash-Fleet"))
+			}
+			peerRec := fleetGet(t, peer, user, w.path, "")
+			if peerRec.Code != http.StatusOK {
+				t.Fatalf("peer serve: status %d", peerRec.Code)
+			}
+			if peerRec.Header().Get("X-Ooddash-Fleet") != "peer" {
+				t.Fatal("peer response not marked as fleet-served")
+			}
+			if cc, vary := peerRec.Header().Get("Cache-Control"), peerRec.Header().Get("Vary"); w.perUser &&
+				(cc != "private" || vary != auth.UserHeader) || !w.perUser && (cc != "" || vary != "") {
+				t.Fatalf("peer cache class: Cache-Control %q, Vary %q (per-user %v)", cc, vary, w.perUser)
+			}
+			if peerRec.Body.String() != ownerRec.Body.String() {
+				t.Fatalf("peer bytes differ from owner bytes:\n%q\nvs\n%q", peerRec.Body.String(), ownerRec.Body.String())
+			}
+			tag := ownerRec.Header().Get("Etag")
+			if tag == "" || peerRec.Header().Get("Etag") != tag {
+				t.Fatalf("etag mismatch: owner %q peer %q", tag, peerRec.Header().Get("Etag"))
+			}
+			snap, ok := peer.PushHub().Latest(key)
+			if !ok {
+				t.Fatalf("peer hub holds no snapshot of %s", key)
+			}
+			if string(snap.Body.Bytes) != ownerRec.Body.String() || snap.Body.Tag != tag {
+				t.Fatalf("peer hub body %q (%s) differs from the served %q (%s)", snap.Body.Bytes, snap.Body.Tag, ownerRec.Body.String(), tag)
+			}
+			if snap.Body.Tag != etag.For(snap.Body.Bytes) {
+				t.Fatalf("hub tag %s is not the hash of its bytes (%s)", snap.Body.Tag, etag.For(snap.Body.Bytes))
+			}
 
-	// A client that validated against the owner revalidates against the
-	// peer — cross-replica 304.
-	if rec := fleetGet(t, peer, user, "/api/system_status", etag); rec.Code != http.StatusNotModified {
-		t.Fatalf("peer revalidation status %d, want 304", rec.Code)
-	}
+			// A client that validated against the owner revalidates against
+			// the peer — cross-replica 304.
+			if rec := fleetGet(t, peer, user, w.path, tag); rec.Code != http.StatusNotModified {
+				t.Fatalf("peer revalidation status %d, want 304", rec.Code)
+			}
 
-	// The peer never scheduled the source: exactly one replica polls it.
-	if err := fl.CheckExclusiveOwnership(); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range peer.PushSourceKeys() {
-		if key == "system_status" {
-			t.Fatal("non-owner replica scheduled system_status")
-		}
-	}
-	found := false
-	for _, key := range owner.PushSourceKeys() {
-		if key == "system_status" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("owner replica did not schedule system_status")
-	}
-}
-
-func TestPerUserWidgetKeepsPrivateCacheClassOnPeer(t *testing.T) {
-	env, fl := newTestFleet(t, 2, PolicyRoundRobin, nil)
-	user := env.UserNames[1]
-	key := "recent_jobs:" + user
-	ownerID := fl.Owner(key)
-	var peer *core.Server
-	for _, id := range fl.Replicas() {
-		if id != ownerID {
-			peer = fl.Server(id)
-		}
-	}
-	rec := fleetGet(t, peer, user, "/api/recent_jobs", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if rec.Header().Get("X-Ooddash-Fleet") != "peer" {
-		t.Fatal("expected peer-served response")
-	}
-	if cc := rec.Header().Get("Cache-Control"); cc != "private" {
-		t.Fatalf("Cache-Control = %q, want private", cc)
-	}
-	if vary := rec.Header().Get("Vary"); vary != auth.UserHeader {
-		t.Fatalf("Vary = %q, want %s", vary, auth.UserHeader)
+			// Exactly one replica polls the source: its owner.
+			if err := fl.CheckExclusiveOwnership(); err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(peer.PushSourceKeys(), key) {
+				t.Fatalf("non-owner replica scheduled %s", key)
+			}
+			if !slices.Contains(owner.PushSourceKeys(), key) {
+				t.Fatalf("owner replica did not schedule %s", key)
+			}
+		})
 	}
 }
 
@@ -338,8 +345,8 @@ func TestJoinRebalancesOwnership(t *testing.T) {
 	if fl.met.ownerChanges.Value() == 0 {
 		t.Fatal("owner-change counter never incremented")
 	}
-	// The newcomer's sources were refreshed at handover: its store can
-	// serve them and a poll through the LB succeeds wherever it lands.
+	// The newcomer's sources were refreshed at handover: every hub holds
+	// them and a poll through the LB succeeds wherever it lands.
 	for i := 0; i < 4; i++ {
 		if rec := fleetGet(t, fl, env.UserNames[0], "/api/recent_jobs", ""); rec.Code != http.StatusOK {
 			t.Fatalf("post-join poll %d: status %d", i, rec.Code)
@@ -484,5 +491,136 @@ func TestSLOFleetDualView(t *testing.T) {
 	// The replica view is unchanged by fleet evaluation: still its own.
 	if _, _, ok := fl.Server("r0").SLO().AlertCounts("availability", "page"); !ok {
 		t.Fatal("replica-local alert counts must stay queryable")
+	}
+}
+
+// TestReapDropsIdleSourceEverywhere drives the idle reaper on the simulated
+// clock: a per-user source first requested through a peer is registered on
+// its owner; 10 minutes plus one tick without a request or an SSE
+// subscriber unregisters it on the owner and drops it from every hub; the
+// next peer poll ensures it again; and an SSE subscriber on a peer keeps it
+// through the same wait.
+func TestReapDropsIdleSourceEverywhere(t *testing.T) {
+	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	user := env.UserNames[2]
+	key := "recent_jobs:" + user
+	ownerID := fl.Owner(key)
+	owner := fl.Server(ownerID)
+	peer := fl.Server(fl.Replicas()[(slices.Index(fl.Replicas(), ownerID)+1)%3]) // any non-owner
+	poll := func() {
+		t.Helper()
+		if rec := fleetGet(t, peer, user, "/api/recent_jobs", ""); rec.Code != http.StatusOK ||
+			rec.Header().Get("X-Ooddash-Fleet") != "peer" {
+			t.Fatalf("peer poll: status %d fleet header %q", rec.Code, rec.Header().Get("X-Ooddash-Fleet"))
+		}
+	}
+	registered := func() bool { return slices.Contains(owner.PushSourceKeys(), key) }
+	holders := func() (n int) {
+		for _, id := range fl.Replicas() {
+			if _, ok := fl.Server(id).PushHub().Latest(key); ok {
+				n++
+			}
+		}
+		return n
+	}
+	wait := func() {
+		t.Helper()
+		before := fl.met.reaped.Value()
+		env.Clock.Advance(reapIdle)
+		fl.Tick()
+		if !registered() || fl.met.reaped.Value() != before {
+			t.Fatal("source reaped at exactly the idle cutoff")
+		}
+		env.Clock.Advance(5 * time.Second)
+		fl.Tick()
+	}
+
+	poll()
+	if !registered() || holders() != 3 {
+		t.Fatalf("after a peer poll: registered on owner %v, held by %d hubs, want true and 3", registered(), holders())
+	}
+	wait()
+	if registered() || holders() != 0 {
+		t.Fatalf("idle source survived: registered on owner %v, held by %d hubs", registered(), holders())
+	}
+	var expo strings.Builder
+	if err := fl.Metrics().WritePrometheus(&expo); err != nil ||
+		!strings.Contains(expo.String(), "ooddash_fleet_sources_reaped_total 1\n") {
+		t.Fatalf("reaped counter not 1 (%v):\n%s", err, expo.String())
+	}
+
+	// The next peer poll finds nothing held and ensures the source again.
+	poll()
+	if !registered() {
+		t.Fatal("peer poll after the reap did not re-register the source")
+	}
+
+	// An SSE subscriber on the peer keeps the source through the same wait.
+	srv := httptest.NewServer(peer)
+	defer srv.Close()
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/api/events?widgets=recent_jobs", nil)
+	req.Header.Set(auth.UserHeader, user)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	wait()
+	if !registered() || holders() != 3 || fl.met.reaped.Value() != 1 {
+		t.Fatalf("watched source reaped: registered %v, held by %d hubs, reaped %d",
+			registered(), holders(), fl.met.reaped.Value())
+	}
+}
+
+// TestPeerConcurrentEnsureWhileTickDrains races peer Ensures for one key,
+// from every peer at once, against Tick refreshing the owner and draining
+// its tap, over rounds that each change the key's content. Whatever the
+// interleaving, every healthy replica's hub must end on the owner's newest
+// body. Run it under -race with -count=10.
+func TestPeerConcurrentEnsureWhileTickDrains(t *testing.T) {
+	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	user := env.UserNames[0]
+	src := core.FleetSource{Widget: "recent_jobs", Key: "recent_jobs:" + user,
+		Path: "/api/recent_jobs", User: user, TTL: 30 * time.Second}
+	ownerID := fl.Owner(src.Key)
+	fleetGet(t, fl.Server(ownerID), user, src.Path, "") // registers on the owner
+	for round := 0; round < 4; round++ {
+		if _, err := env.Cluster.Ctl.Submit(slurm.SubmitRequest{
+			User: user, Account: "grp01", Partition: "cpu", QOS: "normal",
+			TimeLimit: time.Hour, ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		env.Clock.Advance(src.TTL + time.Second)
+		env.Cluster.Ctl.Tick()
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); fl.Tick() }()
+		for _, id := range fl.Replicas() {
+			b := &binding{fl: fl, rep: fl.byID[id]}
+			for g := 0; id != ownerID && g < 3; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, ok := b.Ensure(context.Background(), src); !ok {
+						t.Errorf("round %d: Ensure via %s failed", round, id)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+
+		want, _ := fl.Server(ownerID).PushHub().Latest(src.Key)
+		if want.Body.Tag != etag.For(want.Body.Bytes) {
+			t.Fatalf("round %d: owner tag %q is not the hash of its bytes %q", round, want.Body.Tag, want.Body.Bytes)
+		}
+		for _, id := range fl.Live() {
+			if got, _ := fl.Server(id).PushHub().Latest(src.Key); got.Body.Tag != want.Body.Tag ||
+				string(got.Body.Bytes) != string(want.Body.Bytes) {
+				t.Fatalf("round %d: replica %s holds %q (%s), owner's newest is %q (%s)",
+					round, id, got.Body.Bytes, got.Body.Tag, want.Body.Bytes, want.Body.Tag)
+			}
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"ooddash/internal/etag"
 )
 
 // The fleet tier taps every publish with SubscribeAll; the tap must be
@@ -18,7 +20,7 @@ func TestHubSubscribeAllIsPassive(t *testing.T) {
 	if n := h.SubscriberCount(); n != 0 {
 		t.Fatalf("SubscriberCount with only a tap = %d, want 0", n)
 	}
-	h.Publish("a", "a", []byte("1"), false)
+	h.Publish("a", "a", etag.New([]byte("1")), false)
 	if n := h.SubscribersFor("a"); n != 0 {
 		t.Fatalf("SubscribersFor with only a tap = %d, want 0", n)
 	}
@@ -27,7 +29,7 @@ func TestHubSubscribeAllIsPassive(t *testing.T) {
 	}
 
 	// The tap still receives every key without subscribing to any.
-	h.Publish("b", "b:u1", []byte("2"), false)
+	h.Publish("b", "b:u1", etag.New([]byte("2")), false)
 	got := map[string]bool{}
 	for {
 		snap, ok := tap.Pop()
@@ -66,8 +68,8 @@ func TestSchedulerUnregisterKeysRefreshCounts(t *testing.T) {
 	defer sched.Close()
 
 	fetch := func(payload string) FetchFunc {
-		return func(ctx context.Context) ([]byte, bool, error) {
-			return []byte(payload), false, nil
+		return func(ctx context.Context) (etag.Body, bool, error) {
+			return etag.New([]byte(payload)), false, nil
 		}
 	}
 	for _, key := range []string{"b", "a"} {

@@ -16,12 +16,12 @@
 package push
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
 
 	"ooddash/internal/clock"
+	"ooddash/internal/etag"
 )
 
 // Snapshot is one immutable versioned refresh result. Versions are hub-wide
@@ -35,35 +35,23 @@ type Snapshot struct {
 	Key string
 	// Version is the hub-wide sequence number assigned at publish.
 	Version int64
-	// Payload is the widget's JSON body, exactly as the polling route
-	// would serve it.
-	Payload []byte
+	// Body is the widget response exactly as the polling route serves it
+	// (trailing newline included), with its ETag. The hub deduplicates by
+	// its tag.
+	Body etag.Body
 	// Degraded marks a payload built from stale last-known-good data while
 	// the backing source is down.
 	Degraded bool
-	// Timestamp is the (simulated) time the refresh completed.
+	// Timestamp is the (simulated) time the content was last confirmed: a
+	// publish of unchanged content moves it without minting a version.
 	Timestamp time.Time
-	// Hash is the content hash used to suppress no-change republishes.
-	Hash uint64
-}
-
-// HashPayload is the content hash the hub deduplicates with: FNV-1a over the
-// payload plus the degraded flag, so a payload flipping between fresh and
-// degraded states still produces a new version.
-func HashPayload(payload []byte, degraded bool) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	if degraded {
-		h.Write([]byte{1})
-	}
-	return h.Sum64()
 }
 
 // HubStats is a snapshot of the hub's fan-out counters.
 type HubStats struct {
 	Subscribers int   // currently connected subscriptions
 	Published   int64 // snapshots that got a new version
-	Suppressed  int64 // refreshes dropped because the content hash was unchanged
+	Suppressed  int64 // publishes dropped because the tag was unchanged (or the snapshot older)
 	Delivered   int64 // snapshots handed to subscriber buffers
 	Dropped     int64 // snapshots coalesced away because a subscriber lagged
 }
@@ -102,37 +90,55 @@ func NewHub(clk clock.Clock) *Hub {
 	}
 }
 
-// Publish stores a refresh result under key and fans it out. When the
-// content hash matches the stored snapshot the refresh is suppressed: no new
-// version is minted and subscribers see nothing. The returned snapshot is
-// the stored one either way; fresh reports whether a new version was minted.
-func (h *Hub) Publish(widget, key string, payload []byte, degraded bool) (Snapshot, bool) {
-	hash := HashPayload(payload, degraded)
+// Publish stores a refresh result under key, confirmed now, and fans it
+// out. When the stored snapshot has the same tag and degraded flag the
+// refresh is suppressed: no new version is minted, subscribers see
+// nothing, and only the stored Timestamp moves. The returned snapshot is
+// the stored one either way; fresh reports whether a new version was
+// minted.
+func (h *Hub) Publish(widget, key string, body etag.Body, degraded bool) (Snapshot, bool) {
+	return h.publish(Snapshot{Widget: widget, Key: key, Body: body, Degraded: degraded}, time.Time{})
+}
+
+// Republish stores snap — a snapshot another hub published, as a fleet
+// peer receives its owner's — keeping snap's Timestamp. Newest wins: a
+// snapshot confirmed earlier than the one held is ignored, so a late
+// delivery never rolls the hub back. Otherwise it behaves as Publish.
+func (h *Hub) Republish(snap Snapshot) (Snapshot, bool) {
+	return h.publish(snap, snap.Timestamp)
+}
+
+// publish is Publish and Republish: at is the confirm time, zero meaning
+// the hub clock's now.
+func (h *Hub) publish(snap Snapshot, at time.Time) (Snapshot, bool) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		return Snapshot{}, false
 	}
-	if prev, ok := h.latest[key]; ok && prev.Hash == hash {
+	if at.IsZero() {
+		at = h.clock.Now()
+	}
+	prev, held := h.latest[snap.Key]
+	older := held && at.Before(prev.Timestamp)
+	same := held && prev.Body.Tag == snap.Body.Tag && prev.Degraded == snap.Degraded
+	if older || same {
+		if !older {
+			prev.Timestamp = at // unchanged content, confirmed again
+			h.latest[snap.Key] = prev
+		}
 		h.suppressed++
 		h.mu.Unlock()
 		return prev, false
 	}
 	h.version++
-	snap := Snapshot{
-		Widget:    widget,
-		Key:       key,
-		Version:   h.version,
-		Payload:   payload,
-		Degraded:  degraded,
-		Timestamp: h.clock.Now(),
-		Hash:      hash,
-	}
-	h.latest[key] = snap
+	snap.Version = h.version
+	snap.Timestamp = at
+	h.latest[snap.Key] = snap
 	h.published++
 	targets := make([]*Subscription, 0, len(h.subs))
 	for sub := range h.subs {
-		if sub.wants(key) {
+		if sub.wants(snap.Key) {
 			targets = append(targets, sub)
 		}
 	}
@@ -143,6 +149,15 @@ func (h *Hub) Publish(widget, key string, payload []byte, degraded bool) (Snapsh
 		sub.offer(snap)
 	}
 	return snap, true
+}
+
+// Drop forgets key's stored snapshot, so the next reader finds nothing
+// held (the fleet reaper's cleanup). Pending subscriber buffers keep what
+// they already received.
+func (h *Hub) Drop(key string) {
+	h.mu.Lock()
+	delete(h.latest, key)
+	h.mu.Unlock()
 }
 
 // Latest returns the stored snapshot for key, if any.

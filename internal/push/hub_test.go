@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ooddash/internal/clock"
+	"ooddash/internal/etag"
 )
 
 func testClock() *clock.Sim {
@@ -17,35 +18,57 @@ func testClock() *clock.Sim {
 }
 
 func TestHubVersionsAndHashSuppression(t *testing.T) {
-	h := NewHub(testClock())
-	s1, fresh := h.Publish("w", "w", []byte(`{"a":1}`), false)
+	clk := testClock()
+	h := NewHub(clk)
+	s1, fresh := h.Publish("w", "w", etag.New([]byte(`{"a":1}`)), false)
 	if !fresh || s1.Version != 1 {
 		t.Fatalf("first publish: fresh=%v version=%d", fresh, s1.Version)
 	}
 	// Identical payload: suppressed, no new version.
-	s2, fresh := h.Publish("w", "w", []byte(`{"a":1}`), false)
+	s2, fresh := h.Publish("w", "w", etag.New([]byte(`{"a":1}`)), false)
 	if fresh || s2.Version != 1 {
 		t.Fatalf("unchanged publish minted a version: fresh=%v version=%d", fresh, s2.Version)
 	}
 	// Same payload flipping to degraded must mint a new version.
-	s3, fresh := h.Publish("w", "w", []byte(`{"a":1}`), true)
+	s3, fresh := h.Publish("w", "w", etag.New([]byte(`{"a":1}`)), true)
 	if !fresh || s3.Version != 2 {
 		t.Fatalf("degraded flip suppressed: fresh=%v version=%d", fresh, s3.Version)
 	}
 	if st := h.Stats(); st.Published != 2 || st.Suppressed != 1 {
 		t.Fatalf("stats = %+v, want published=2 suppressed=1", st)
 	}
+
+	// What a fleet peer serving from its hub relies on: an unchanged
+	// publish moves the confirm time, a republish keeps its origin's time,
+	// an older one never replaces the held snapshot, and Drop forgets it.
+	clk.Advance(time.Minute)
+	if s, _ := h.Publish("w", "w", etag.New([]byte(`{"a":1}`)), true); s.Version != 2 || !s.Timestamp.Equal(clk.Now()) {
+		t.Fatalf("unchanged publish: version %d confirmed at %v, want v2 at %v", s.Version, s.Timestamp, clk.Now())
+	}
+	later := clk.Now().Add(time.Minute)
+	if s, fresh := h.Republish(Snapshot{Widget: "w", Key: "w", Body: etag.New([]byte("2")), Timestamp: later}); !fresh ||
+		!s.Timestamp.Equal(later) {
+		t.Fatalf("republish: fresh=%v at %v, want a new version at %v", fresh, s.Timestamp, later)
+	}
+	if s, fresh := h.Republish(Snapshot{Widget: "w", Key: "w", Body: etag.New([]byte("3")), Timestamp: clk.Now()}); fresh ||
+		string(s.Body.Bytes) != "2" {
+		t.Fatalf("older republish replaced the held snapshot: fresh=%v body %q", fresh, s.Body.Bytes)
+	}
+	h.Drop("w")
+	if _, ok := h.Latest("w"); ok {
+		t.Fatal("Drop left the key held")
+	}
 }
 
 func TestHubSubscribeFilterAndReplay(t *testing.T) {
 	h := NewHub(testClock())
-	h.Publish("a", "a", []byte("1"), false) // v1
-	h.Publish("b", "b", []byte("2"), false) // v2
+	h.Publish("a", "a", etag.New([]byte("1")), false) // v1
+	h.Publish("b", "b", etag.New([]byte("2")), false) // v2
 
 	sub := h.Subscribe([]string{"a"})
 	defer sub.Close()
-	h.Publish("a", "a", []byte("3"), false) // v3
-	h.Publish("b", "b", []byte("4"), false) // v4 — not subscribed
+	h.Publish("a", "a", etag.New([]byte("3")), false) // v3
+	h.Publish("b", "b", etag.New([]byte("4")), false) // v4 — not subscribed
 
 	snap, ok := sub.Pop()
 	if !ok || snap.Key != "a" || snap.Version != 3 {
@@ -82,9 +105,9 @@ func TestHubSlowSubscriberCoalesces(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < rounds; i++ {
-			h.Publish("w", "w", []byte(fmt.Sprintf(`{"i":%d}`, i)), false)
+			h.Publish("w", "w", etag.New([]byte(fmt.Sprintf(`{"i":%d}`, i))), false)
 			// The fast subscriber drains every round.
-			if snap, ok := fast.Pop(); !ok || !bytes.Contains(snap.Payload, []byte(fmt.Sprint(i))) {
+			if snap, ok := fast.Pop(); !ok || !bytes.Contains(snap.Body.Bytes, []byte(fmt.Sprint(i))) {
 				t.Errorf("round %d: fast subscriber missed its snapshot", i)
 				return
 			}
@@ -101,8 +124,8 @@ func TestHubSlowSubscriberCoalesces(t *testing.T) {
 	if !ok {
 		t.Fatal("slow subscriber has nothing pending")
 	}
-	if want := fmt.Sprintf(`{"i":%d}`, rounds-1); string(snap.Payload) != want {
-		t.Fatalf("slow subscriber got %s, want newest %s", snap.Payload, want)
+	if want := fmt.Sprintf(`{"i":%d}`, rounds-1); string(snap.Body.Bytes) != want {
+		t.Fatalf("slow subscriber got %s, want newest %s", snap.Body.Bytes, want)
 	}
 	if _, ok := slow.Pop(); ok {
 		t.Fatal("slow subscriber buffered more than the newest snapshot")
@@ -128,7 +151,7 @@ func TestHubConcurrentPublishSubscribe(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("w%d", g)
 			for i := 0; i < 50; i++ {
-				h.Publish(key, key, []byte(fmt.Sprintf("%d-%d", g, i)), false)
+				h.Publish(key, key, etag.New([]byte(fmt.Sprintf("%d-%d", g, i))), false)
 			}
 		}(g)
 	}
@@ -158,7 +181,7 @@ func TestHubClose(t *testing.T) {
 	default:
 		t.Fatal("subscription not closed by hub Close")
 	}
-	if _, fresh := h.Publish("w", "w", []byte("x"), false); fresh {
+	if _, fresh := h.Publish("w", "w", etag.New([]byte("x")), false); fresh {
 		t.Fatal("publish after Close minted a version")
 	}
 	// Subscribing after close yields an already-done subscription.

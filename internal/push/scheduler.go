@@ -9,15 +9,16 @@ import (
 	"time"
 
 	"ooddash/internal/clock"
+	"ooddash/internal/etag"
 )
 
-// FetchFunc refreshes one source: it returns the widget's JSON payload,
-// whether it was built from stale last-known-good data (degraded), and an
-// error when nothing at all could be produced (cold source during an
+// FetchFunc refreshes one source: it returns the widget's response body as
+// served, whether it was built from stale last-known-good data (degraded),
+// and an error when nothing at all could be produced (cold source during an
 // outage). Implementations are expected to route through the server's
 // cache + resilience path, so a refresh is exactly as expensive as one
 // client's cache-missing poll.
-type FetchFunc func(ctx context.Context) (payload []byte, degraded bool, err error)
+type FetchFunc func(ctx context.Context) (body etag.Body, degraded bool, err error)
 
 // Source registers one refreshable widget instance with the scheduler.
 type Source struct {
@@ -29,7 +30,7 @@ type Source struct {
 	// TTL is the refresh cadence — the same value as the widget's server
 	// cache TTL, so the scheduler re-fetches right as the entry expires.
 	TTL time.Duration
-	// Fetch produces the payload.
+	// Fetch produces the body.
 	Fetch FetchFunc
 }
 
@@ -244,11 +245,11 @@ func (s *Scheduler) Tick() int {
 // ~0 whenever it is simulated.
 func (s *Scheduler) refreshOne(ctx context.Context, src Source) (Snapshot, error) {
 	start := s.opts.Clock.Now()
-	payload, degraded, err := src.Fetch(ctx)
+	body, degraded, err := src.Fetch(ctx)
 	published := false
 	var snap Snapshot
 	if err == nil {
-		snap, published = s.opts.Hub.Publish(src.Widget, src.Key, payload, degraded)
+		snap, published = s.opts.Hub.Publish(src.Widget, src.Key, body, degraded)
 	}
 	s.mu.Lock()
 	s.stats.Refreshes++

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ooddash/internal/etag"
 )
 
 // countingSource returns a Source whose fetches are counted and whose
@@ -14,9 +16,9 @@ import (
 func countingSource(widget, key string, ttl time.Duration, calls *atomic.Int64) Source {
 	return Source{
 		Widget: widget, Key: key, TTL: ttl,
-		Fetch: func(context.Context) ([]byte, bool, error) {
+		Fetch: func(context.Context) (etag.Body, bool, error) {
 			n := calls.Add(1)
-			return []byte(fmt.Sprintf(`{"n":%d}`, n)), false, nil
+			return etag.New([]byte(fmt.Sprintf(`{"n":%d}`, n))), false, nil
 		},
 	}
 }
@@ -78,9 +80,9 @@ func TestSchedulerRefreshDurationOnSimClock(t *testing.T) {
 	defer sched.Close()
 	src := Source{
 		Widget: "w", Key: "w", TTL: 30 * time.Second,
-		Fetch: func(context.Context) ([]byte, bool, error) {
+		Fetch: func(context.Context) (etag.Body, bool, error) {
 			clock.Advance(simLatency) // the modeled upstream latency
-			return []byte(`{"n":1}`), false, nil
+			return etag.New([]byte(`{"n":1}`)), false, nil
 		},
 	}
 	if ok, err := sched.Register(src); !ok || err != nil {
@@ -177,9 +179,9 @@ func TestSchedulerSkipWhenDegraded(t *testing.T) {
 	defer sched.Close()
 	sched.Register(Source{
 		Widget: "w", Key: "w", TTL: 30 * time.Second,
-		Fetch: func(context.Context) ([]byte, bool, error) {
+		Fetch: func(context.Context) (etag.Body, bool, error) {
 			n := calls.Add(1)
-			return []byte(fmt.Sprintf(`{"n":%d}`, n)), degraded.Load(), nil
+			return etag.New([]byte(fmt.Sprintf(`{"n":%d}`, n))), degraded.Load(), nil
 		},
 	})
 	// First refresh comes back degraded...
@@ -217,8 +219,8 @@ func TestSchedulerFetchErrorPublishesNothing(t *testing.T) {
 	defer sched.Close()
 	sched.Register(Source{
 		Widget: "w", Key: "w", TTL: 30 * time.Second,
-		Fetch: func(context.Context) ([]byte, bool, error) {
-			return nil, false, errors.New("cold outage")
+		Fetch: func(context.Context) (etag.Body, bool, error) {
+			return etag.Body{}, false, errors.New("cold outage")
 		},
 	})
 	clock.Advance(30 * time.Second)
@@ -237,7 +239,7 @@ func TestSchedulerCloseRejectsRegister(t *testing.T) {
 	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub})
 	sched.Close()
 	if _, err := sched.Register(Source{Widget: "w", Key: "w", TTL: time.Second,
-		Fetch: func(context.Context) ([]byte, bool, error) { return nil, false, nil }}); err == nil {
+		Fetch: func(context.Context) (etag.Body, bool, error) { return etag.Body{}, false, nil }}); err == nil {
 		t.Fatal("Register after Close succeeded")
 	}
 	sched.Close() // idempotent

@@ -17,9 +17,8 @@ import (
 
 // benchStack builds workload.SmallSpec with its REST daemon provisioned and
 // returns a revalidating dashboard-token client and a 24-hour all-users
-// accounting window. The daemon's rendered cache is off (Options.CacheTTL
-// 0), so every REST request runs the full server-side fill, matching the
-// CLI's per-call re-format.
+// accounting window. The daemon renders every request, so each REST call
+// runs the full server-side fill, matching the CLI's per-call re-format.
 func benchStack(tb testing.TB) (*workload.Env, *slurmrest.Client, slurmcli.SacctOptions) {
 	env, err := workload.Build(workload.SmallSpec())
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // TestBackendRESTPooledP95: the REST fill path as the dashboard runs it
 // (If-None-Match revalidation on, so unchanged responses come back 304 and
 // reuse the decoded envelope) has a pooled p95 no higher than 1.5x the
-// CLI's over slurmrest.BackendOps, at 300 rounds per op per side. The daemon's own
-// rendered cache is off, so each REST request still runs the full
+// CLI's over slurmrest.BackendOps, at 300 rounds per op per side. The daemon
+// renders every request, so each REST request still runs the full
 // server-side fill. The sides alternate call by call, so host noise lands
 // on both.
 func TestBackendRESTPooledP95(t *testing.T) {

@@ -9,30 +9,22 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
-	"ooddash/internal/cache"
 	"ooddash/internal/etag"
 	"ooddash/internal/obs"
 	"ooddash/internal/slurm"
 )
 
-// Options configures a Server.
-type Options struct {
-	// CacheTTL bounds how long a rendered JSON response may be served
-	// without re-reading the daemons. Zero disables the response cache
-	// entirely (every request hits the daemons — the A/B benchmark uses
-	// this to measure the raw fill path).
-	CacheTTL time.Duration
-}
+// Options configures a Server. It has no fields: the daemon renders every
+// response fresh, because the dashboard's own per-caller render cache
+// already sits in front of it.
+type Options struct{}
 
 // Server is the slurmrestd stand-in: a versioned JSON API over the simulated
-// daemons with bearer-token scopes and an ETag'd rendered-response cache.
+// daemons with bearer-token scopes and ETag'd responses.
 type Server struct {
 	cluster *slurm.Cluster
 	tokens  *TokenStore
-	opts    Options
-	cache   *cache.Cache
 	mux     *http.ServeMux
 
 	mu          sync.Mutex
@@ -42,12 +34,10 @@ type Server struct {
 }
 
 // NewServer builds a REST server over cluster, authenticating against ts.
-func NewServer(cluster *slurm.Cluster, ts *TokenStore, opts Options) *Server {
+func NewServer(cluster *slurm.Cluster, ts *TokenStore, _ Options) *Server {
 	s := &Server{
 		cluster:     cluster,
 		tokens:      ts,
-		opts:        opts,
-		cache:       cache.New(cluster.Clock),
 		requests:    make(map[[2]string]int64),
 		scopeDenied: make(map[[2]string]int64),
 		redacted:    make(map[string]int64),
@@ -125,7 +115,7 @@ func scopeAllows(endpoint string, kind Kind) bool {
 }
 
 // handlerFunc builds the response body for an authorized request. The
-// endpoint wrapper handles auth, scope, caching, ETag and error mapping.
+// endpoint wrapper handles auth, scope, ETag and error mapping.
 type handlerFunc func(r *http.Request, p Principal) ([]byte, error)
 
 // errNotFound marks semantic lookups that found nothing; mapped to 404.
@@ -135,8 +125,12 @@ var errNotFound = errors.New("slurmrest: not found")
 // parameters reach past what that principal may see; mapped to 403.
 var errForbidden = errors.New("slurmrest: forbidden")
 
+// jsonContentType is every response's Content-Type, assigned directly into
+// the header map.
+var jsonContentType = []string{"application/json"}
+
 // endpoint wraps a handler with the shared request pipeline:
-// authenticate → scope check → rendered-cache lookup → build → ETag/304.
+// authenticate → scope check → build → ETag/304.
 func (s *Server) endpoint(name string, fn handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		p, ok := s.tokens.FromRequest(r)
@@ -154,7 +148,7 @@ func (s *Server) endpoint(name string, fn handlerFunc) http.HandlerFunc {
 			return
 		}
 
-		body, tag, err := s.render(name, &p, r, fn)
+		body, err := fn(r, p)
 		if err != nil {
 			status := http.StatusInternalServerError
 			switch {
@@ -172,52 +166,14 @@ func (s *Server) endpoint(name string, fn handlerFunc) http.HandlerFunc {
 			return
 		}
 
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Set("Etag", tag)
-		if etag.Match(r.Header.Get("If-None-Match"), tag) {
+		// Content-Type goes on first so 304s carry it too.
+		w.Header()["Content-Type"] = jsonContentType
+		if etag.New(body).Serve(w, r, jsonContentType) {
 			s.count(name, http.StatusNotModified)
-			w.WriteHeader(http.StatusNotModified)
-			return
+		} else {
+			s.count(name, http.StatusOK)
 		}
-		s.count(name, http.StatusOK)
-		w.Write(body)
 	}
-}
-
-// rendered is one cached response: the JSON bytes plus their ETag.
-type rendered struct {
-	body []byte
-	etag string
-}
-
-// render returns the response bytes for the request, via the rendered cache
-// when enabled. The cache key includes the principal's cache class, never
-// the token: staff tokens share entries, service tokens share entries, and
-// each user has their own — because redaction differs per viewer, a shared
-// entry across classes would leak exactly what the Vary bugfix on the
-// dashboard side prevents.
-func (s *Server) render(name string, p *Principal, r *http.Request, fn handlerFunc) ([]byte, string, error) {
-	build := func() (rendered, error) {
-		body, err := fn(r, *p)
-		if err != nil {
-			return rendered{}, err
-		}
-		return rendered{body: body, etag: etag.For(body)}, nil
-	}
-	if s.opts.CacheTTL <= 0 {
-		out, err := build()
-		return out.body, out.etag, err
-	}
-	key := name + "\x00" + p.cacheClass() + "\x00" + r.URL.RequestURI()
-	v, err := s.cache.Fetch(key, s.opts.CacheTTL, func() (any, error) {
-		return build()
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	out := v.(rendered)
-	return out.body, out.etag, nil
 }
 
 // errBadRequest marks malformed query parameters; mapped to 400.
@@ -527,9 +483,6 @@ func (s *Server) Stats() Stats {
 	}
 	return st
 }
-
-// CacheStats exposes the rendered-response cache counters.
-func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 
 // RegisterMetrics exposes the server's counters on reg, so a dashboard
 // embedding the REST backend surfaces scope denials and redactions next to

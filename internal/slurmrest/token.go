@@ -35,21 +35,6 @@ type Principal struct {
 	User *auth.User
 }
 
-// cacheClass buckets principals by what they are allowed to see, for the
-// rendered-response cache key: staff tokens all share one view, service
-// tokens another, and each user gets their own (redaction differs per
-// viewer).
-func (p *Principal) cacheClass() string {
-	switch p.Kind {
-	case KindStaff:
-		return "staff"
-	case KindService:
-		return "service"
-	default:
-		return "user\x01" + p.Name
-	}
-}
-
 // TokenStore maps bearer tokens to principals. User and staff tokens are
 // resolved through the auth directory at issue time (an Admin user yields a
 // staff principal — the REST analogue of the dashboard's staff pages).
