@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: check fmt test vet test-race race drills perfbench bench bench-go harness run verify
+.PHONY: check fmt test vet test-race race drills fuzz perfbench bench bench-go harness run verify
 
-check: fmt test vet test-race drills perfbench  ## the default CI gate: formatting + build + tests + vet + race detector + chaos drills + benchmark module
+check: fmt test vet test-race drills fuzz perfbench  ## the default CI gate: formatting + build + tests + vet + race detector + chaos drills + fuzzing + benchmark module
 
 fmt:             ## fail if gofmt would change any file
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -10,6 +10,9 @@ fmt:             ## fail if gofmt would change any file
 
 drills:          ## fast chaos-drill smoke under -race: every catalog scenario, unit drills, and the fleet peer, propagation and reaper tests
 	go test -race -run 'Drill|Peer|Propagation|Reap' -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/
+
+fuzz:            ## fuzz the history range parser for a bounded time (native go test fuzzing)
+	go test -run '^$$' -fuzz '^FuzzParseTimeRange$$' -fuzztime 10s ./internal/core/
 
 test:            ## full test suite, including the scale, hot-path, fleet, REST, rollup and chaos gates
 	go build ./... && go test ./...

@@ -541,7 +541,8 @@ func accountingBackfill() Scenario {
 					return err
 				}
 			}
-			// Rotate accounting readers so each step opens cold per-user keys.
+			// Rotate accounting readers so each step opens other account
+			// sets' history fills.
 			for j := 0; j < 3; j++ {
 				user := r.Env.UserNames[(i*3+j)%len(r.Env.UserNames)]
 				r.Get(user, "/api/myjobs")

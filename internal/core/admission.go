@@ -8,9 +8,10 @@ import (
 
 // Fill admission bounds how many upstream fills one data source runs
 // concurrently. The server cache's singleflight already collapses a stampede
-// onto one key, but per-user keys (recent_jobs:<user>, myjobs:<user>) defeat
-// that: a login rush of N cold-cache users is N distinct keys, and every one
-// of them starts its own upstream call. The gate caps that cold-fill
+// onto one key, but per-user keys (recent_jobs:<user>) and per-group keys
+// (myjobs:<account set>:<range class>) only partly do: a login rush of N
+// cold-cache users is up to N distinct keys, and every one of them starts
+// its own upstream call. The gate caps that cold-fill
 // concurrency: a fill beyond the cap fails fast with a retriable
 // FillSaturatedError instead of queueing on the upstream, which a request
 // with a retained stale value absorbs as a degraded response and a cold

@@ -51,8 +51,8 @@ type ResilienceConfig struct {
 	Policy resilience.Policy
 	// MaxConcurrentFills caps how many upstream fills one data source runs
 	// at once (the cold-fill admission gate). Singleflight already collapses
-	// a stampede on one key, but per-user keys make a login rush N distinct
-	// cold fills; beyond the cap a fill fails fast — degraded if a stale
+	// a stampede on one key, but per-user keys make a login rush up to N
+	// distinct cold fills; beyond the cap a fill fails fast — degraded if a stale
 	// value is retained, 503 + Retry-After otherwise — instead of queueing
 	// on the upstream. Zero means the default (32); negative disables the
 	// cap.

@@ -156,6 +156,43 @@ func TestSacctOutageBreaksHistoryRoutesOnly(t *testing.T) {
 	e.wantStatus("alice", "/api/cluster_status", 200)
 }
 
+// TestSacctOutageServesWarmHistoryStale: once My Jobs, its charts and
+// export, insights and the admin overview are warm, a slurmdbd outage that
+// outlasts their TTL serves the last fill marked stale, not a cold 503 —
+// including a range nobody opened before the outage, which derives from
+// the same fill.
+func TestSacctOutageServesWarmHistoryStale(t *testing.T) {
+	e, flaky := newFlakyEnv(t)
+	seedMixedHistory(e)
+	views := []struct{ user, path string }{
+		{"alice", "/api/myjobs?range=24h"},
+		{"alice", "/api/myjobs/charts?range=24h"},
+		{"alice", "/api/insights?range=24h"},
+		{"staff", "/api/admin/overview?range=24h"},
+	}
+	for _, v := range views {
+		e.wantStatus(v.user, v.path, 200)
+	}
+	flaky.failNext("sacct", 1000)
+	e.advance(3 * time.Minute)
+	for _, v := range append(views, struct{ user, path string }{"alice", "/api/myjobs?range=30d"}) {
+		status, header, body := e.getFull(v.user, v.path)
+		if status != 200 {
+			t.Fatalf("%s during the outage: status %d: %s", v.path, status, body)
+		}
+		if got := header.Get("X-OODDash-Degraded"); got != "stale" {
+			t.Fatalf("%s: X-OODDash-Degraded = %q, want stale", v.path, got)
+		}
+		if !bytes.Contains(body, []byte(`"age_seconds":180`)) {
+			t.Fatalf("%s: body lacks the fill's age: %s", v.path, body)
+		}
+	}
+	status, header, _ := e.getFull("alice", "/api/myjobs/export.csv?range=7d")
+	if status != 200 || header.Get("X-OODDash-Degraded") != "stale" {
+		t.Fatalf("export during the outage: status %d, degraded %q", status, header.Get("X-OODDash-Degraded"))
+	}
+}
+
 func TestScontrolOutageWithWarmCacheKeepsServing(t *testing.T) {
 	e, flaky := newFlakyEnv(t)
 	// Warm the cluster-status cache, then take scontrol down: the widget
@@ -190,6 +227,7 @@ func TestConcurrentRouteAccess(t *testing.T) {
 		"/api/recent_jobs", "/api/system_status", "/api/accounts",
 		"/api/storage", "/api/myjobs?range=24h", "/api/cluster_status",
 		"/api/jobperf?range=24h", "/api/events",
+		"/api/myjobs/charts?range=7d", "/api/myjobs/export.csv?range=30d",
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -104,10 +104,14 @@ func (s *Server) handleEventsPoll(w http.ResponseWriter, r *http.Request) {
 
 // --- Insights (analysis of users' jobs) ----------------------------------------
 
-// InsightsResponse carries the analyzer's findings for the user.
+// InsightsResponse carries the analyzer's findings for the user. Range is
+// the canonical range name (the default spelled out), and RangeEnd the
+// instant the analyzed window ends at: the fill's as-of instant for a
+// named range.
 type InsightsResponse struct {
 	User     string             `json:"user"`
 	Range    string             `json:"range"`
+	RangeEnd time.Time          `json:"range_end"`
 	Findings []insights.Finding `json:"findings"`
 	JobCount int                `json:"job_count"`
 }
@@ -118,14 +122,17 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
+	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key := fmt.Sprintf("insights:%s:%d:%d", user.Name, start.Unix(), end.Unix())
+	// Keyed by user and range, not by instant: the window is computed at
+	// fill time, so views within a TTL share the fill and an outage finds
+	// the last value.
+	key := "insights:" + user.Name + ":" + tr.key()
 	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
+		start, end := tr.window(s.historyAsOf())
 		rows, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
 			User: user.Name, Start: start, End: end,
 		})
@@ -134,7 +141,8 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 		}
 		return &InsightsResponse{
 			User:     user.Name,
-			Range:    r.URL.Query().Get("range"),
+			Range:    tr.name,
+			RangeEnd: end,
 			Findings: insights.Analyze(rows, insights.DefaultConfig()),
 			JobCount: len(rows),
 		}, nil
@@ -180,14 +188,16 @@ func (s *Server) handleAdminOverview(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: admin access required", errForbidden))
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
+	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key := fmt.Sprintf("admin_overview:%d:%d", start.Unix(), end.Unix())
+	// One cluster-wide fill per range per TTL, shared by every admin; the
+	// window ends at the fill's as-of instant (see handleInsights).
+	key := "admin_overview:" + tr.key()
 	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
+		start, end := tr.window(s.historyAsOf())
 		rows, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
 			AllUsers: true, Start: start, End: end,
 		})

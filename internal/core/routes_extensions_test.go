@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -157,6 +158,40 @@ func TestAdminOverview(t *testing.T) {
 	}
 	if resp.StateCounts["FAILED"] != 1 {
 		t.Fatalf("state counts = %+v", resp.StateCounts)
+	}
+}
+
+// TestInsightsAndOverviewKeyedByRange: insights and the admin overview
+// fill once per range per TTL however often they are viewed, report the
+// fill's instant as range_end, and serve the default range under its
+// canonical name, so ?range= and ?range=7d share one fill and one body.
+func TestInsightsAndOverviewKeyedByRange(t *testing.T) {
+	e := newEnv(t)
+	seedMixedHistory(e)
+	asOf := e.clock.Now()
+	rpcs := e.cluster.DBD.Stats().Count(slurm.RPCSacct)
+	_, def := e.get("alice", "/api/insights")
+	e.advance(30 * time.Second)
+	_, named := e.get("alice", "/api/insights?range=7d")
+	if string(def) != string(named) {
+		t.Fatalf("default and 7d insights differ:\n%s\n%s", def, named)
+	}
+	var ins InsightsResponse
+	if err := json.Unmarshal(named, &ins); err != nil {
+		t.Fatal(err)
+	}
+	if ins.Range != "7d" || !ins.RangeEnd.Equal(asOf) {
+		t.Fatalf("insights range = %q ending %v, want 7d ending %v", ins.Range, ins.RangeEnd, asOf)
+	}
+	var first, second AdminOverviewResponse
+	e.getJSON("staff", "/api/admin/overview?range=24h", &first)
+	e.advance(30 * time.Second)
+	e.getJSON("staff", "/api/admin/overview?range=24h", &second)
+	if !first.RangeEnd.Equal(asOf.Add(30*time.Second)) || !second.RangeEnd.Equal(first.RangeEnd) {
+		t.Fatalf("overview range_end = %v then %v, want the fill instant %v", first.RangeEnd, second.RangeEnd, asOf.Add(30*time.Second))
+	}
+	if got := e.cluster.DBD.Stats().Count(slurm.RPCSacct) - rpcs; got != 2 {
+		t.Fatalf("sacct RPCs = %d, want 2 (one insights fill, one overview fill)", got)
 	}
 }
 

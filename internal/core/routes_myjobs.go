@@ -5,11 +5,13 @@ import (
 	"encoding/csv"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/efficiency"
 	"ooddash/internal/efficiency/effmath"
 	"ooddash/internal/slurm"
@@ -24,53 +26,103 @@ func explainReason(r slurm.PendingReason) (string, bool) {
 	return efficiency.ExplainReason(r)
 }
 
+// namedRanges are the range= values shared by My Jobs, Job Performance
+// Metrics and the usage widgets (§5: last 24 hours through all time), each
+// with how far it reaches back from the instant it is evaluated at; 0 is
+// all time.
+var namedRanges = map[string]time.Duration{
+	"24h": 24 * time.Hour,
+	"7d":  7 * 24 * time.Hour,
+	"30d": 30 * 24 * time.Hour,
+	"90d": 90 * 24 * time.Hour,
+	"1y":  365 * 24 * time.Hour,
+	"all": 0,
+}
+
+// timeRange is a parsed range/from/to query. A named range carries no
+// instant: it is evaluated against one (window), so a cached fill can keep
+// the instant it was taken at. A custom range has fixed bounds.
+type timeRange struct {
+	name     string    // a namedRanges key, or "custom"
+	from, to time.Time // custom only, whole seconds
+}
+
+// window returns the range's [start, end] as of asOf; a zero start means
+// all time.
+func (tr timeRange) window(asOf time.Time) (start, end time.Time) {
+	if tr.name == "custom" {
+		return tr.from, tr.to
+	}
+	if span := namedRanges[tr.name]; span > 0 {
+		start = asOf.Add(-span)
+	}
+	return start, asOf
+}
+
+// key names the range in a cache key without any instant: the range name,
+// or a custom range's exact bounds.
+func (tr timeRange) key() string {
+	if tr.name != "custom" {
+		return tr.name
+	}
+	return "custom:" + strconv.FormatInt(tr.from.Unix(), 10) + ":" + strconv.FormatInt(tr.to.Unix(), 10)
+}
+
+// fillClass is the range a history fill fetches to serve tr: named ranges
+// up to 30 days (24h, 7d, 30d) derive their rows from the 30d fill; every
+// other range is its own class.
+func (tr timeRange) fillClass() timeRange {
+	if span := namedRanges[tr.name]; span > 0 && span <= namedRanges["30d"] {
+		return timeRange{name: "30d"}
+	}
+	return tr
+}
+
 // parseTimeRange interprets the range/from/to query parameters shared by
-// My Jobs and Job Performance Metrics (§5: last 24 hours through all time,
-// plus a custom range).
-func parseTimeRange(r *http.Request, now time.Time) (start, end time.Time, err error) {
-	return parseTimeRangeDefault(r, now, "7d")
+// My Jobs and Job Performance Metrics; the default range is 7d.
+func parseTimeRange(r *http.Request) (timeRange, error) {
+	return parseTimeRangeDefault(r, "7d")
 }
 
 // parseTimeRangeDefault is parseTimeRange with a caller-chosen default
-// range, for the long-horizon usage widgets that default to a year. An
-// empty custom window (from == to, or ending before it starts) is rejected:
-// every range here is half-open, so such a window can only ever be empty.
-func parseTimeRangeDefault(r *http.Request, now time.Time, def string) (start, end time.Time, err error) {
-	rng := r.URL.Query().Get("range")
-	if rng == "" {
-		rng = def
+// range, for the long-horizon usage widgets that default to a year. Custom
+// bounds are truncated to whole seconds, the precision of both backends'
+// time filters. An empty custom window (ending on or before it starts) is
+// rejected: every range here is half-open, so such a window can only ever
+// be empty.
+func parseTimeRangeDefault(r *http.Request, def string) (timeRange, error) {
+	q := r.URL.Query()
+	tr := timeRange{name: q.Get("range")}
+	if tr.name == "" {
+		tr.name = def
 	}
-	switch rng {
-	case "24h":
-		return now.Add(-24 * time.Hour), now, nil
-	case "7d":
-		return now.Add(-7 * 24 * time.Hour), now, nil
-	case "30d":
-		return now.Add(-30 * 24 * time.Hour), now, nil
-	case "90d":
-		return now.Add(-90 * 24 * time.Hour), now, nil
-	case "1y":
-		return now.Add(-365 * 24 * time.Hour), now, nil
-	case "all":
-		return time.Time{}, now, nil
-	case "custom":
-		from := r.URL.Query().Get("from")
-		to := r.URL.Query().Get("to")
-		start, err = time.Parse(time.RFC3339, from)
-		if err != nil {
-			return start, end, fmt.Errorf("%w: bad from %q", errBadRequest, from)
-		}
-		end, err = time.Parse(time.RFC3339, to)
-		if err != nil {
-			return start, end, fmt.Errorf("%w: bad to %q", errBadRequest, to)
-		}
-		if !end.After(start) {
-			return start, end, fmt.Errorf("%w: range ends on or before it starts", errBadRequest)
-		}
-		return start, end, nil
-	default:
-		return start, end, fmt.Errorf("%w: unknown range %q", errBadRequest, rng)
+	if _, ok := namedRanges[tr.name]; ok {
+		return tr, nil
 	}
+	if tr.name != "custom" {
+		return tr, fmt.Errorf("%w: unknown range %q", errBadRequest, tr.name)
+	}
+	from, to := q.Get("from"), q.Get("to")
+	start, err := time.Parse(time.RFC3339, from)
+	if err != nil {
+		return tr, fmt.Errorf("%w: bad from %q", errBadRequest, from)
+	}
+	end, err := time.Parse(time.RFC3339, to)
+	if err != nil {
+		return tr, fmt.Errorf("%w: bad to %q", errBadRequest, to)
+	}
+	tr.from, tr.to = start.Truncate(time.Second), end.Truncate(time.Second)
+	if !tr.to.After(tr.from) {
+		return tr, fmt.Errorf("%w: range ends on or before it starts", errBadRequest)
+	}
+	return tr, nil
+}
+
+// historyAsOf reads the instant a history fill is taken at, truncated to
+// the second that both backends' time filters carry, so a window derived
+// from the fill has the bounds of a direct query.
+func (s *Server) historyAsOf() time.Time {
+	return s.clock.Now().Truncate(time.Second)
 }
 
 // EfficiencyView is the toggleable efficiency column triple (§4.3). Nil
@@ -201,18 +253,30 @@ func jobRowFromSacct(row *slurmcli.SacctRow, now time.Time, th efficiency.Thresh
 	return jr
 }
 
-// fetchUserJobs returns the table rows visible to the user (their own jobs
-// plus their groups', §2.4 Privacy) in the window, cached per (user, window).
-// The cache holds fully converted rows — efficiency metrics and warning
-// strings are the expensive part of this route, so they are computed once
-// per TTL instead of once per request; filters and pagination then run over
-// the cached slice.
-func (s *Server) fetchUserJobs(r *http.Request, userName string, accounts []string, start, end time.Time) ([]JobRow, fetchMeta, error) {
-	// Built without Sprintf: this key is recomputed on every My Jobs request
-	// (hit or miss), and Sprintf boxes both ints per call.
-	key := "myjobs:" + userName + ":" +
-		strconv.FormatInt(start.Unix(), 10) + ":" + strconv.FormatInt(end.Unix(), 10)
+// jobHistory is one history fill: the converted rows of an account set's
+// jobs over a fill class window ending at asOf, newest submission first.
+// Handlers only read it; each range derives its rows with a jobFilter.
+type jobHistory struct {
+	asOf time.Time
+	rows []JobRow
+}
+
+// fetchJobHistory returns the history fill that serves tr for a user with
+// the given accounts: the jobs of those accounts (their own jobs plus their
+// groups', §2.4 Privacy) over tr's fill class. The key names what the
+// caller may see and the class, never the user or an instant, so every
+// member of the same groups shares one sacct per class per TTL, and a
+// stale value stays findable while slurmdbd is down. auth.Directory keeps
+// each user's accounts sorted, so the joined list names the set in
+// whatever order it was registered. The cache holds fully converted rows:
+// efficiency metrics and warning strings are the expensive part of this
+// route.
+func (s *Server) fetchJobHistory(r *http.Request, accounts []string, tr timeRange) (*jobHistory, fetchMeta, error) {
+	class := tr.fillClass()
+	key := "myjobs:" + strings.Join(accounts, ",") + ":" + class.key()
 	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
+		asOf := s.historyAsOf()
+		start, end := class.window(asOf)
 		rows, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
 			Accounts: accounts, AllUsers: true,
 			Start: start, End: end,
@@ -220,72 +284,108 @@ func (s *Server) fetchUserJobs(r *http.Request, userName string, accounts []stri
 		if err != nil {
 			return nil, err
 		}
-		now := s.clock.Now()
 		th := efficiency.DefaultThresholds()
 		converted := make([]JobRow, len(rows))
 		for i := range rows {
-			converted[i] = jobRowFromSacct(&rows[i], now, th)
+			converted[i] = jobRowFromSacct(&rows[i], asOf, th)
 		}
 		// Newest submissions first, the table's default sort.
 		sort.SliceStable(converted, func(i, j int) bool {
 			return converted[i].SubmitTime.After(converted[j].SubmitTime)
 		})
-		return converted, nil
+		return &jobHistory{asOf: asOf, rows: converted}, nil
 	})
 	if err != nil {
 		return nil, fetchMeta{}, err
 	}
-	return v.([]JobRow), meta, nil
+	return v.(*jobHistory), meta, nil
 }
 
-func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
+// jobFilter is the one row filter of the My Jobs table, its export and its
+// charts. since is the window part: sacct keeps a job whose [submit, end or
+// now] overlaps the window, and every row of a fill was submitted by its
+// asOf, so a range derives its rows from a longer fill by dropping only the
+// jobs that ended before the range's start. The other fields mirror the
+// table's controls; the charts use the window part alone.
+type jobFilter struct {
+	since                time.Time // zero: all time
+	state, user, account string
+	mine                 string // the viewer's name when mine=1
+}
+
+// newJobFilter builds the filter for tr over the fill h from the query's
+// filters.
+func newJobFilter(q url.Values, h *jobHistory, tr timeRange, viewer string) jobFilter {
+	f := jobFilter{
+		state:   strings.ToUpper(q.Get("state")),
+		user:    q.Get("user"),
+		account: q.Get("account"),
+	}
+	f.since, _ = tr.window(h.asOf)
+	if q.Get("mine") == "1" {
+		f.mine = viewer
+	}
+	return f
+}
+
+// inWindow reports whether the row belongs to the filter's range.
+func (f *jobFilter) inWindow(row *JobRow) bool {
+	return f.since.IsZero() || row.EndTime.IsZero() || !row.EndTime.Before(f.since)
+}
+
+// matches reports whether the row passes the query filters.
+func (f *jobFilter) matches(row *JobRow) bool {
+	return (f.mine == "" || row.User == f.mine) &&
+		(f.user == "" || row.User == f.user) &&
+		(f.account == "" || row.Account == f.account) &&
+		(f.state == "" || row.State == f.state)
+}
+
+// loadJobHistory is the shared head of the My Jobs routes: the viewer, the
+// parsed range and the fill serving it. It writes the error response and
+// returns ok=false on failure.
+func (s *Server) loadJobHistory(w http.ResponseWriter, r *http.Request) (user *auth.User, tr timeRange, h *jobHistory, meta fetchMeta, ok bool) {
 	user, err := s.currentUser(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
-	if err != nil {
+	if tr, err = parseTimeRange(r); err != nil {
 		writeError(w, err)
 		return
 	}
-	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts, start, end)
-	if err != nil {
+	if h, meta, err = s.fetchJobHistory(r, user.Accounts, tr); err != nil {
 		writeFetchError(w, err)
 		return
 	}
+	return user, tr, h, meta, true
+}
 
+func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
+	user, tr, h, meta, ok := s.loadJobHistory(w, r)
+	if !ok {
+		return
+	}
 	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
-		// Optional filters mirroring the page's controls.
 		q := r.URL.Query()
-		stateFilter := strings.ToUpper(q.Get("state"))
-		userFilter := q.Get("user")
-		accountFilter := q.Get("account")
-		onlyMine := q.Get("mine") == "1"
-
-		resp := MyJobsResponse{Total: len(rows)}
-		for i := range rows {
-			row := &rows[i]
-			if onlyMine && row.User != user.Name {
+		f := newJobFilter(q, h, tr, user.Name)
+		var resp MyJobsResponse
+		for i := range h.rows {
+			row := &h.rows[i]
+			if !f.inWindow(row) {
 				continue
 			}
-			if userFilter != "" && row.User != userFilter {
-				continue
+			resp.Total++
+			if f.matches(row) {
+				resp.Jobs = append(resp.Jobs, *row)
 			}
-			if accountFilter != "" && row.Account != accountFilter {
-				continue
-			}
-			if stateFilter != "" && row.State != stateFilter {
-				continue
-			}
-			resp.Jobs = append(resp.Jobs, *row)
 		}
 		resp.Matched = len(resp.Jobs)
 
 		// Pagination: DataTables-style limit/offset keeps large histories from
 		// shipping megabytes per request.
 		offset, limit := 0, 0
+		var err error
 		if v := q.Get("offset"); v != "" {
 			offset, err = strconv.Atoi(v)
 			if err != nil || offset < 0 {
@@ -314,25 +414,11 @@ func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
 // DataTables-style export next to the §3.4 account export, with the same
 // scope and filters as the JSON route.
 func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
+	user, tr, h, meta, ok := s.loadJobHistory(w, r)
+	if !ok {
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts, start, end)
-	if err != nil {
-		writeFetchError(w, err)
-		return
-	}
-	q := r.URL.Query()
-	stateFilter := strings.ToUpper(q.Get("state"))
-	onlyMine := q.Get("mine") == "1"
+	f := newJobFilter(r.URL.Query(), h, tr, user.Name)
 
 	setDegradedHeader(w, meta)
 	setPrivateCache(w.Header())
@@ -356,12 +442,9 @@ func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request) {
 		}
 		return strconv.FormatFloat(*v, 'f', 1, 64)
 	}
-	for i := range rows {
-		row := &rows[i]
-		if onlyMine && row.User != user.Name {
-			continue
-		}
-		if stateFilter != "" && row.State != stateFilter {
+	for i := range h.rows {
+		row := &h.rows[i]
+		if !f.inWindow(row) || !f.matches(row) {
 			continue
 		}
 		_ = cw.Write([]string{
@@ -405,28 +488,20 @@ type ChartsResponse struct {
 }
 
 func (s *Server) handleMyJobsCharts(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
+	user, tr, h, meta, ok := s.loadJobHistory(w, r)
+	if !ok {
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts, start, end)
-	if err != nil {
-		writeFetchError(w, err)
-		return
-	}
-
 	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+		since, _ := tr.window(h.asOf)
+		f := jobFilter{since: since}
 		states := make(map[string]*UserStateBar)
 		gpu := make(map[string]float64)
-		for i := range rows {
-			row := &rows[i]
+		for i := range h.rows {
+			row := &h.rows[i]
+			if !f.inWindow(row) {
+				continue
+			}
 			bar := states[row.User]
 			if bar == nil {
 				bar = &UserStateBar{User: row.User, States: make(map[string]int)}
@@ -489,12 +564,12 @@ func (s *Server) handleJobPerf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
+	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	start, end := tr.window(s.clock.Now())
 	// Job Performance Metrics covers the user's own terminal jobs, summed
 	// from the rollup pipeline over the bucket-aligned window. Queued and
 	// running work has no end time yet and so no bucket; the queue views

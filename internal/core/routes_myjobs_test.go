@@ -1,12 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
+	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/slurm"
+	"ooddash/internal/slurmcli"
 )
 
 // seedMixedHistory creates a spread of jobs: completed, failed, pending,
@@ -261,18 +267,190 @@ func TestJobPerfEmptyRange(t *testing.T) {
 	}
 }
 
-func TestMyJobsCachedPerUserWindow(t *testing.T) {
+// sacctRecords counts the accounting records sacct returns to the
+// dashboard, one per output line.
+type sacctRecords struct {
+	inner slurmcli.Runner
+	n     atomic.Int64
+}
+
+func (c *sacctRecords) Run(name string, args ...string) (string, error) {
+	out, err := c.inner.Run(name, args...)
+	if name == "sacct" && err == nil && out != "" {
+		c.n.Add(int64(strings.Count(strings.TrimRight(out, "\n"), "\n") + 1))
+	}
+	return out, err
+}
+
+// TestHistoryFillSharedByAccountSet: two users with the same account set,
+// listed in either order, load every My Jobs view up to 30 days inside one
+// TTL for one sacct, and that sacct returns no more records than the three
+// direct windows it replaces would have.
+func TestHistoryFillSharedByAccountSet(t *testing.T) {
+	records := &sacctRecords{}
+	e := newEnvWith(t, nil, func(r slurmcli.Runner) slurmcli.Runner {
+		records.inner = r
+		return records
+	})
+	e.users.AddUser(auth.User{Name: "dave", Accounts: []string{"lab-b", "lab-a"}})
+	seedMixedHistory(e)
+	asOf := e.clock.Now()
+	rpcs := e.cluster.DBD.Stats().Count(slurm.RPCSacct)
+	for _, user := range []string{"bob", "dave"} {
+		for _, path := range []string{
+			"/api/myjobs?range=24h", "/api/myjobs?range=7d", "/api/myjobs?range=30d",
+			"/api/myjobs?range=7d&state=FAILED", "/api/myjobs/charts", "/api/myjobs/charts?range=30d",
+			"/api/myjobs/export.csv?range=24h", "/api/myjobs/export.csv?range=30d&mine=1",
+		} {
+			e.wantStatus(user, path, http.StatusOK)
+		}
+		e.advance(30 * time.Second) // the key holds no instant
+	}
+	if got := e.cluster.DBD.Stats().Count(slurm.RPCSacct) - rpcs; got != 1 {
+		t.Fatalf("sacct RPCs = %d, want 1 for both users and every view", got)
+	}
+	_, bob := e.get("bob", "/api/myjobs?range=7d")
+	_, dave := e.get("dave", "/api/myjobs?range=7d")
+	if string(bob) != string(dave) {
+		t.Fatalf("same account set, different tables:\nbob:  %s\ndave: %s", bob, dave)
+	}
+
+	var direct int
+	for _, span := range []time.Duration{24 * time.Hour, 7 * 24 * time.Hour, 30 * 24 * time.Hour} {
+		rows, err := slurmcli.Sacct(records.inner, slurmcli.SacctOptions{
+			Accounts: []string{"lab-a", "lab-b"}, AllUsers: true,
+			Start: asOf.Add(-span), End: asOf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct += len(rows)
+	}
+	if got := records.n.Load(); got == 0 || got > int64(direct) {
+		t.Fatalf("records returned = %d, want 1..%d (the three direct windows)", got, direct)
+	}
+}
+
+// TestHistoryFillNeverCrossesAccountSets: after bob (lab-a, lab-b) fills,
+// alice (lab-a) gets no lab-b row in any view, and carol (lab-b) no lab-a
+// row: each account set has its own fill.
+func TestHistoryFillNeverCrossesAccountSets(t *testing.T) {
 	e := newEnv(t)
 	seedMixedHistory(e)
-	before := e.cluster.DBD.Stats().Count(slurm.RPCSacct)
-	var resp MyJobsResponse
-	e.getJSON("alice", "/api/myjobs?range=24h", &resp)
-	e.getJSON("alice", "/api/myjobs?range=24h", &resp)
-	e.getJSON("alice", "/api/myjobs?range=24h&state=FAILED", &resp)
-	after := e.cluster.DBD.Stats().Count(slurm.RPCSacct)
-	if after-before != 1 {
-		t.Fatalf("sacct RPCs = %d, want 1 (cached; filters reuse the entry)", after-before)
+	rpcs := e.cluster.DBD.Stats().Count(slurm.RPCSacct)
+	for _, r := range []string{"24h", "7d", "30d"} {
+		e.wantStatus("bob", "/api/myjobs?range="+r, http.StatusOK)
 	}
+	for _, tc := range []struct{ user, foreign string }{{"alice", "lab-b"}, {"carol", "lab-a"}} {
+		for _, r := range []string{"24h", "7d", "30d"} {
+			var resp MyJobsResponse
+			e.getJSON(tc.user, "/api/myjobs?range="+r, &resp)
+			for _, j := range resp.Jobs {
+				if j.Account == tc.foreign {
+					t.Fatalf("%s got %s row %s (%s) at %s", tc.user, tc.foreign, j.JobID, j.Name, r)
+				}
+			}
+			_, csv := e.get(tc.user, "/api/myjobs/export.csv?range="+r)
+			if strings.Contains(string(csv), ","+tc.foreign+",") {
+				t.Fatalf("%s export holds %s rows at %s:\n%s", tc.user, tc.foreign, r, csv)
+			}
+		}
+	}
+	var charts ChartsResponse
+	e.getJSON("alice", "/api/myjobs/charts?range=24h", &charts)
+	if len(charts.GPUHours) != 0 { // bob's only GPU job ran in lab-b
+		t.Fatalf("alice's charts hold lab-b GPU hours: %+v", charts.GPUHours)
+	}
+	if got := e.cluster.DBD.Stats().Count(slurm.RPCSacct) - rpcs; got != 3 {
+		t.Fatalf("sacct RPCs = %d, want 3 (one fill per account set)", got)
+	}
+}
+
+// TestHistoryFillFreshWithinTTL is the E9 staleness bound: a job submitted
+// just after a fill shows up in every view once the fill's TTL has passed.
+func TestHistoryFillFreshWithinTTL(t *testing.T) {
+	e := newEnv(t)
+	seedMixedHistory(e)
+	e.wantStatus("alice", "/api/myjobs?range=24h", http.StatusOK)
+	e.submit(slurm.SubmitRequest{
+		Name: "late-arrival", User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512},
+		Profile: slurm.UsageProfile{ActualDuration: 10 * time.Minute},
+	})
+	e.advance(DefaultTTLs().JobHistory)
+	for _, r := range []string{"24h", "7d", "30d"} {
+		var resp MyJobsResponse
+		e.getJSON("alice", "/api/myjobs?range="+r, &resp)
+		found := false
+		for _, j := range resp.Jobs {
+			found = found || j.Name == "late-arrival"
+		}
+		if !found {
+			t.Fatalf("job submitted after the fill missing from %s one TTL later", r)
+		}
+	}
+}
+
+// TestMyJobsExportMatchesJSONForEveryFilter: the CSV export and the JSON
+// table apply one row filter, so for every filter they list the same jobs
+// in the same order.
+func TestMyJobsExportMatchesJSONForEveryFilter(t *testing.T) {
+	e := newEnv(t)
+	seedMixedHistory(e)
+	for _, r := range []string{"24h", "30d"} {
+		for _, filter := range []string{"", "&state=FAILED", "&state=completed", "&user=alice",
+			"&user=bob", "&account=lab-a", "&account=lab-b", "&mine=1",
+			"&user=alice&state=RUNNING", "&user=nobody"} {
+			query := "?range=" + r + filter
+			var resp MyJobsResponse
+			e.getJSON("bob", "/api/myjobs"+query, &resp)
+			_, body := e.get("bob", "/api/myjobs/export.csv"+query)
+			lines := strings.Split(strings.TrimSpace(string(body)), "\n")[1:]
+			if len(lines) != len(resp.Jobs) {
+				t.Fatalf("%s: export %d rows, JSON %d", query, len(lines), len(resp.Jobs))
+			}
+			for i, line := range lines {
+				if id, _, _ := strings.Cut(line, ","); id != resp.Jobs[i].JobID {
+					t.Fatalf("%s row %d: export job %s, JSON job %s", query, i, id, resp.Jobs[i].JobID)
+				}
+			}
+		}
+	}
+}
+
+// FuzzParseTimeRange: every query either fails as a bad request or yields
+// a window that is all time or starts before it ends, and that lies inside
+// the window of the history fill serving it.
+func FuzzParseTimeRange(f *testing.F) {
+	for _, seed := range []string{
+		"", "range=24h", "range=7d", "range=30d", "range=90d", "range=1y", "range=all",
+		"range=fortnight",
+		"range=custom&from=bogus&to=2026-07-01T00:00:00Z",
+		"range=custom&from=2026-07-02T00:00:00Z&to=2026-07-01T00:00:00Z",
+		"range=custom&from=2026-07-01T00:00:00.2Z&to=2026-07-01T00:00:00.9Z",
+		"range=custom&from=2026-06-01T00:00:00Z&to=2026-07-01T02:00:00%2B02:00",
+	} {
+		f.Add(seed)
+	}
+	now := time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, query string) {
+		tr, err := parseTimeRange(&http.Request{URL: &url.URL{RawQuery: query}})
+		if err != nil {
+			if !errors.Is(err, errBadRequest) {
+				t.Fatalf("%q: error %v is not a bad request", query, err)
+			}
+			return
+		}
+		start, end := tr.window(now)
+		if !start.IsZero() && !start.Before(end) {
+			t.Fatalf("%q: window [%v, %v] is empty", query, start, end)
+		}
+		cs, ce := tr.fillClass().window(now)
+		if start.Before(cs) || end.After(ce) {
+			t.Fatalf("%q: window [%v, %v] outside its fill class %q [%v, %v]",
+				query, start, end, tr.fillClass().name, cs, ce)
+		}
+	})
 }
 
 func TestReasonHelpWording(t *testing.T) {

@@ -47,12 +47,12 @@ func (s *Server) handleJobPerfTimeseries(w http.ResponseWriter, r *http.Request)
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
+	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	start, end := tr.window(s.clock.Now())
 	if start.IsZero() {
 		// "all" range: anchor at the earliest terminal record rather than
 		// the epoch.

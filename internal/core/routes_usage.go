@@ -35,12 +35,12 @@ func (s *Server) handleUsageCluster(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRangeDefault(r, now, "1y")
+	tr, err := parseTimeRangeDefault(r, "1y")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	start, end := tr.window(s.clock.Now())
 	if start.IsZero() {
 		minEnd, _, ok, berr := s.rollupBounds(r, slurm.RollupScopeTotal, "")
 		if berr != nil {
@@ -106,12 +106,12 @@ func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRangeDefault(r, now, "90d")
+	tr, err := parseTimeRangeDefault(r, "90d")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	start, end := tr.window(s.clock.Now())
 	top := 10
 	if v := r.URL.Query().Get("top"); v != "" {
 		top, err = strconv.Atoi(v)
@@ -204,12 +204,12 @@ func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRangeDefault(r, now, "30d")
+	tr, err := parseTimeRangeDefault(r, "30d")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	start, end := tr.window(s.clock.Now())
 	if start.IsZero() {
 		minEnd, _, ok, berr := s.rollupBounds(r, slurm.RollupScopeTotal, "")
 		if berr != nil {

@@ -59,9 +59,10 @@ type condEntry struct {
 }
 
 // condMax bounds the revalidation cache. The dashboard's URL space is
-// almost fixed, but accounting windows move with the clock, so stale keys
-// accumulate; past the cap an arbitrary entry is dropped (any victim works:
-// a miss just costs one full decode).
+// almost fixed, but each history fill (one per account set and range class
+// per TTL) asks for a window ending at its own instant, a URL that never
+// repeats, so stale keys accumulate; past the cap an arbitrary entry is
+// dropped (any victim works: a miss just costs one full decode).
 const condMax = 256
 
 // NewClient builds a client over the in-process handler h.
