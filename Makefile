@@ -8,11 +8,13 @@ fmt:             ## fail if gofmt would change any file
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-drills:          ## fast chaos-drill smoke under -race: every catalog scenario, unit drills, and the fleet peer, propagation and reaper tests
-	go test -race -run 'Drill|Peer|Propagation|Reap' -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/
+drills:          ## fast chaos-drill smoke under -race: every catalog scenario, unit drills, the fleet's shared-tier tests and the SSE stream tests
+	go test -race -run 'Drill|Peer|SSE|Shared|Join|PollsWhileTicking|EventStream' -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/ ./internal/push/
 
-fuzz:            ## fuzz the history range parser for a bounded time (native go test fuzzing)
+fuzz:            ## fuzz the history range parser and the live-queue parsers (squeue, scontrol show assoc) for a bounded time each (native go test fuzzing)
 	go test -run '^$$' -fuzz '^FuzzParseTimeRange$$' -fuzztime 10s ./internal/core/
+	go test -run '^$$' -fuzz '^FuzzParseSqueueOutput$$' -fuzztime 10s ./internal/slurmcli/
+	go test -run '^$$' -fuzz '^FuzzParseAssocs$$' -fuzztime 10s ./internal/slurmcli/
 
 test:            ## full test suite, including the scale, hot-path, fleet, REST, rollup and chaos gates
 	go build ./... && go test ./...

@@ -284,8 +284,12 @@ func BenchmarkSection24_CacheLoadCacheOn(b *testing.B) {
 	s := smallStack(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Section24CacheLoad(s, []int{50}, 2, true); err != nil {
+		rows, err := experiments.Section24CacheLoad(s, []int{50}, 2, true)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if rows[0].Rejected > 0 {
+			b.Fatalf("cache on: %d requests shed", rows[0].Rejected)
 		}
 	}
 }
@@ -294,9 +298,11 @@ func BenchmarkSection24_CacheLoadCacheOff(b *testing.B) {
 	s := smallStack(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Section24CacheLoad(s, []int{50}, 2, false); err != nil {
+		rows, err := experiments.Section24CacheLoad(s, []int{50}, 2, false)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(float64(rows[0].Rejected), "rejected/op")
 	}
 }
 

@@ -284,15 +284,15 @@ func runCacheLoad(s *experiments.Stack) error {
 		return err
 	}
 	w := table()
-	fmt.Fprintln(w, "users\tcache\trequests\tctl RPCs\tRPCs/req\tp50\tp99")
+	fmt.Fprintln(w, "users\tcache\trequests\trejected\tctl RPCs\tRPCs/req\tp50\tp99")
 	for _, rows := range [][]experiments.CacheLoadRow{on, off} {
 		for _, r := range rows {
 			mode := "off"
 			if r.CacheOn {
 				mode = "on"
 			}
-			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%.3f\t%s\t%s\n",
-				r.Users, mode, r.Requests, r.CtlRPCs, r.RPCsPerReq, ms(r.P50), ms(r.P99))
+			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%.3f\t%s\t%s\n",
+				r.Users, mode, r.Requests, r.Rejected, r.CtlRPCs, r.RPCsPerReq, ms(r.P50), ms(r.P99))
 		}
 	}
 	w.Flush()

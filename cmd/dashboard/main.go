@@ -26,11 +26,11 @@
 // spelling like "slurmctld=rest,slurmdbd=cli" migrates one source at a time.
 //
 // -replicas N (N > 1) turns on the scale-out fleet tier: N in-process
-// dashboard replicas behind a simulated load balancer (-lb-policy), with
-// widget-refresh ownership partitioned across replicas by consistent hash
-// and rendered snapshots propagated replica to replica, so upstream Slurm
-// load stays O(sources) instead of O(sources × replicas). With -ops-addr
-// set, the fleet's own metrics are exposed at /metrics/fleet there.
+// dashboard replicas behind a simulated load balancer (-lb-policy), all
+// reading one shared data cache and rendered cache, so upstream Slurm load
+// stays one fill per key per TTL however many replicas serve. With
+// -ops-addr set, the fleet's own metrics are exposed at /metrics/fleet
+// there.
 //
 // The -fault-* flags arm the fault-injection layer for live failure drills:
 // -fault-cmd picks the Slurm command to sabotage ("*" for all), and the
@@ -249,25 +249,17 @@ func main() {
 	var shutdown func()
 	var fl *fleet.Fleet
 	if *replicas > 1 {
-		if *noPush {
-			log.Fatal("-no-push is incompatible with -replicas > 1: the fleet's cache coherence runs on the push scheduler")
-		}
 		policy, err := fleet.ParsePolicy(*lbPolicy)
 		if err != nil {
 			log.Fatalf("-lb-policy: %v", err)
 		}
-		// Replicas must not pause idle sources: with clients spread over
-		// the fleet, a source's subscribers may all sit on peer replicas.
-		// The fleet's own idle reaper handles abandonment instead.
-		fleetCfg := cfg
-		fleetCfg.Push.DisableIdlePause = true
 		fl, err = fleet.New(fleet.Options{
 			Replicas: *replicas,
 			Policy:   policy,
 			Clock:    env.Clock,
 			Runner:   env.Runner,
 			Build: func(id string, r slurmcli.Runner) (*core.Server, error) {
-				return env.NewServerRunner(newsURL, fleetCfg, r)
+				return env.NewServerRunner(newsURL, cfg, r)
 			},
 		})
 		if err != nil {
@@ -281,7 +273,7 @@ func main() {
 		}
 		fl.Run(*pushInterval)
 		handler, shutdown = fl, fl.Close
-		log.Printf("fleet tier on: %d replicas, %s balancing, refresh ownership partitioned per source", *replicas, policy)
+		log.Printf("fleet tier on: %d replicas, %s balancing, one shared cache tier", *replicas, policy)
 	} else {
 		server, err := env.NewServerRunner(newsURL, cfg, env.Runner)
 		if err != nil {

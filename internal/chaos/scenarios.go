@@ -253,7 +253,7 @@ func nodeFailureStorm() Scenario {
 			r.Get(user, "/api/cluster_status")
 			// A background refresh source, so the drill observes
 			// skip-while-degraded scheduling without holding a stream open.
-			return r.Server.RegisterPushSource(core.FleetSource{
+			return r.Server.RegisterPushSource(core.PushSource{
 				Widget: "system_status", Key: "system_status:" + user,
 				Path: "/api/system_status", User: user, TTL: r.Server.Config().TTLs.SystemStatus,
 			})
@@ -600,7 +600,9 @@ func loginRush() Scenario {
 	return Scenario{
 		Name: "login_rush",
 		Description: "Hundreds of cold-cache users land at once (the 8am effect): " +
-			"per-user cache keys defeat singleflight, so the fill-admission gate " +
+			"Recent Jobs collapses onto the one live-queue fill, but each user's " +
+			"storage and My Jobs history (a personal account set) are cold keys of " +
+			"their own that singleflight cannot collapse, so the fill-admission gate " +
 			"must bound concurrent upstream fills and fail the overflow fast with " +
 			"retriable 503s — never a 500, never an unbounded upstream pile-up.",
 		Steps:     4,
@@ -622,7 +624,9 @@ func loginRush() Scenario {
 			for i := range r.RushUsers {
 				name := fmt.Sprintf("rush%04d", i)
 				r.RushUsers[i] = name
-				r.Env.Users.AddUser(auth.User{Name: name, Accounts: []string{r.Env.GroupNames[i%len(r.Env.GroupNames)]}})
+				// A personal account beside the group makes each rush user's
+				// My Jobs history a cold key of its own.
+				r.Env.Users.AddUser(auth.User{Name: name, Accounts: []string{r.Env.GroupNames[i%len(r.Env.GroupNames)], name}})
 				r.Env.Storage.ProvisionUser(name)
 			}
 			// A real controller under a login rush answers in tens of

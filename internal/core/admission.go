@@ -8,7 +8,7 @@ import (
 
 // Fill admission bounds how many upstream fills one data source runs
 // concurrently. The server cache's singleflight already collapses a stampede
-// onto one key, but per-user keys (recent_jobs:<user>) and per-group keys
+// onto one key, but per-user keys (storage:<user>) and per-group keys
 // (myjobs:<account set>:<range class>) only partly do: a login rush of N
 // cold-cache users is up to N distinct keys, and every one of them starts
 // its own upstream call. The gate caps that cold-fill

@@ -27,10 +27,11 @@ func (r *blockingRunner) Run(name string, args ...string) (string, error) {
 }
 
 // TestDrillLoginRushFillAdmission is the login-rush drill at unit scale: a
-// cohort of cold-cache users hits a per-user-keyed route at once, so
-// singleflight cannot collapse them and every request wants its own upstream
-// fill. The gate must admit exactly its cap, turn the rest away fast with
-// 503 + Retry-After (never a 500, never a queue), and drain back to zero.
+// cohort of cold-cache users, each in an account set of their own, opens My
+// Jobs at once. History fills are keyed by account set, so singleflight
+// cannot collapse them and every request wants its own upstream fill. The
+// gate must admit exactly its cap, turn the rest away fast with 503 +
+// Retry-After (never a 500, never a queue), and drain back to zero.
 func TestDrillLoginRushFillAdmission(t *testing.T) {
 	const fillCap = 2
 	br := &blockingRunner{entered: make(chan struct{}, 64), release: make(chan struct{})}
@@ -41,13 +42,14 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 		return br
 	})
 
-	// The rush cohort: cold-cache users beyond the fixture trio.
-	users := []string{"alice", "bob", "carol"}
-	for i := 0; i < 5; i++ {
+	// The rush cohort: cold-cache users, one account set each.
+	var users []string
+	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("rush%02d", i)
-		e.users.AddUser(auth.User{Name: name, Accounts: []string{"lab-b"}})
+		e.users.AddUser(auth.User{Name: name, Accounts: []string{fmt.Sprintf("rush-lab-%02d", i)}})
 		users = append(users, name)
 	}
+	const rushPath = "/api/myjobs?range=7d"
 
 	// The first cap users get through the gate and stall on the upstream.
 	var wg sync.WaitGroup
@@ -57,7 +59,7 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, _ := e.get(user, "/api/recent_jobs")
+			status, _ := e.get(user, rushPath)
 			admitted <- status
 		}()
 	}
@@ -69,7 +71,7 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 	// retriable 503 with Retry-After >= 1, not a 500 and not a queue slot.
 	rejected := 0
 	for _, user := range users[fillCap:] {
-		status, hdr, body := e.getFull(user, "/api/recent_jobs")
+		status, hdr, body := e.getFull(user, rushPath)
 		if status != http.StatusServiceUnavailable {
 			t.Fatalf("user %s during saturation: status %d, want 503: %s", user, status, body)
 		}
@@ -89,23 +91,23 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 		}
 	}
 
-	var ctld FillStat
+	var dbd FillStat
 	for _, st := range e.server.FillStats() {
-		if st.Source == srcCtld {
-			ctld = st
+		if st.Source == srcDBD {
+			dbd = st
 		}
 	}
-	if ctld.Cap != fillCap {
-		t.Fatalf("reported cap = %d, want %d", ctld.Cap, fillCap)
+	if dbd.Cap != fillCap {
+		t.Fatalf("reported cap = %d, want %d", dbd.Cap, fillCap)
 	}
-	if ctld.Peak != fillCap {
-		t.Fatalf("fill peak = %d, want exactly the cap %d", ctld.Peak, fillCap)
+	if dbd.Peak != fillCap {
+		t.Fatalf("fill peak = %d, want exactly the cap %d", dbd.Peak, fillCap)
 	}
-	if ctld.InFlight != 0 {
-		t.Fatalf("in-flight fills = %d after drain, want 0", ctld.InFlight)
+	if dbd.InFlight != 0 {
+		t.Fatalf("in-flight fills = %d after drain, want 0", dbd.InFlight)
 	}
-	if ctld.Rejected != int64(rejected) {
-		t.Fatalf("rejected counter = %d, want %d", ctld.Rejected, rejected)
+	if dbd.Rejected != int64(rejected) {
+		t.Fatalf("rejected counter = %d, want %d", dbd.Rejected, rejected)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -32,43 +33,73 @@ func newRESTBackedEnv(t testing.TB) *env {
 		})
 }
 
-// TestBackendSwapEquivalence is the tentpole's contract at the widget
-// level: with identical deterministic environments, a REST-backed dashboard
-// serves byte-identical JSON to the CLI-backed one on every Slurm-sourced
-// widget.
+// backendQueries are the query strings the equivalence test sends to the
+// Slurm widgets whose routes take one; every other widget is fetched bare.
+var backendQueries = map[string]string{
+	"my_jobs":            "range=24h",
+	"my_jobs_export":     "range=24h",
+	"my_jobs_charts":     "range=24h",
+	"job_perf":           "range=24h",
+	"jobperf_timeseries": "range=24h&bucket=hour",
+	"usage_cluster":      "range=1y",
+	"usage_accounts":     "range=90d",
+	"usage_efficiency":   "range=30d",
+}
+
+// TestBackendSwapEquivalence: with identical deterministic environments, a
+// REST-backed dashboard serves byte-identical bodies to the CLI-backed one
+// on every cached Slurm-sourced widget. The route list is the widget
+// table's Slurm widgets, path values filled in from the fixture.
 func TestBackendSwapEquivalence(t *testing.T) {
 	cli := newEnv(t)
 	defer cli.server.Close()
 	rest := newRESTBackedEnv(t)
 	defer rest.server.Close()
-	seedMixedHistory(cli)
-	seedMixedHistory(rest)
-
-	paths := []string{
-		"/api/recent_jobs",
-		"/api/system_status",
-		"/api/cluster_status",
-		"/api/myjobs?range=24h",
-		"/api/myjobs/charts?range=24h",
-		"/api/jobperf?range=24h",
-		"/api/node/c001",
-		"/api/node/c001/jobs",
-		"/api/jobperf/timeseries?range=24h&bucket=hour",
-		"/api/usage/cluster?range=1y",
-		"/api/usage/accounts?range=90d",
-		"/api/usage/efficiency?range=30d",
+	var arrayID slurm.JobID
+	for _, e := range []*env{cli, rest} {
+		seedMixedHistory(e)
+		arrayID = e.submit(slurm.SubmitRequest{
+			Name: "sweep", User: "alice", Account: "lab-a", Partition: "cpu",
+			ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}, ArraySize: 3,
+		})
+		e.advance(time.Minute)
 	}
-	for _, path := range paths {
-		cs, cb := cli.get("alice", path)
-		rs, rb := rest.get("alice", path)
+
+	// Job 1000 is alice's first fixture job.
+	fill := strings.NewReplacer("{name}", "c001", "{account}", "lab-a", "{id}", "1000")
+	compared := 0
+	for _, w := range cli.server.Widgets() {
+		if w.TTL == 0 || !strings.Contains(w.DataSource, "(Slurm)") && !strings.Contains(w.DataSource, "(slurmdbd)") {
+			continue
+		}
+		path := fill.Replace(w.Route[strings.IndexByte(w.Route, ' ')+1:])
+		if w.Name == "job_array" {
+			path = fmt.Sprintf("/api/job/%d/array", arrayID)
+		}
+		if q := backendQueries[w.Name]; q != "" {
+			path += "?" + q
+		}
+		user := "alice"
+		if strings.HasPrefix(path, "/api/admin/") {
+			user = "staff"
+		}
+		cs, cb := cli.get(user, path)
+		rs, rb := rest.get(user, path)
 		if cs != http.StatusOK || rs != http.StatusOK {
-			t.Errorf("%s: status cli=%d rest=%d", path, cs, rs)
+			t.Errorf("%s (%s): status cli=%d rest=%d", path, w.Name, cs, rs)
 			continue
 		}
 		if string(cb) != string(rb) {
 			t.Errorf("%s: bodies differ\ncli:  %s\nrest: %s", path, cb, rb)
 		}
+		compared++
 	}
+	for name := range backendQueries {
+		if cli.server.widget(name) == nil {
+			t.Errorf("query for unknown widget %q", name)
+		}
+	}
+	t.Logf("%d Slurm widget routes compared", compared)
 }
 
 // TestBackendRESTMetricsBridged asserts a REST-backed dashboard surfaces

@@ -13,9 +13,9 @@ import (
 // for ~30 seconds to balance freshness against controller load.
 type CacheTTLs struct {
 	Announcements time.Duration // news API (30 min – 1 h in the paper)
-	RecentJobs    time.Duration // squeue (≈30 s in the paper)
+	RecentJobs    time.Duration // the one live-queue squeue fill (≈30 s in the paper)
 	SystemStatus  time.Duration // sinfo
-	Accounts      time.Duration // scontrol show assoc + squeue per account
+	Accounts      time.Duration // the one scontrol show assoc fill (the queue part follows RecentJobs)
 	Storage       time.Duration // ZFS/GPFS database
 	JobHistory    time.Duration // sacct (My Jobs, Job Performance Metrics)
 	ClusterNodes  time.Duration // scontrol show node (all nodes)

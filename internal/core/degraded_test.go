@@ -27,10 +27,20 @@ func breakerState(t *testing.T, h *HealthResponse, source string) BreakerView {
 // (200 + degraded marker), cold widgets fail fast (503 + Retry-After), the
 // breaker opens and is visible on /api/admin/health and /metrics, and after
 // recovery the half-open probe restores fresh, non-degraded service.
+//
+// Recent Jobs reads the one shared live-queue fill, so once any user has
+// loaded it every user's view is warm: bob, who never asked before the
+// outage, degrades to his own rows of the retained queue. A cold key is one
+// nobody loaded at all.
 func TestDegradedModeEndToEnd(t *testing.T) {
 	e := newEnv(t)
 	e.submit(slurm.SubmitRequest{
 		Name: "drill", User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512},
+		Profile: slurm.UsageProfile{ActualDuration: time.Hour},
+	})
+	e.submit(slurm.SubmitRequest{
+		Name: "bobs-run", User: "bob", Account: "lab-b", Partition: "cpu",
 		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512},
 		Profile: slurm.UsageProfile{ActualDuration: time.Hour},
 	})
@@ -67,19 +77,28 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 		t.Fatalf("degraded body lost last-known-good data: %s", body)
 	}
 
-	// A cold key (bob never loaded this widget) has no fallback: 503 with a
-	// Retry-After hint.
+	// Bob never loaded Recent Jobs, but alice's load filled the shared
+	// queue: his view degrades from it too, and holds only his rows.
 	status, header, body = e.getFull("bob", "/api/recent_jobs")
+	if status != 200 || header.Get("X-OODDash-Degraded") != "stale" {
+		t.Fatalf("bob's fetch from the retained queue: status %d, degraded %q: %s",
+			status, header.Get("X-OODDash-Degraded"), body)
+	}
+	if !bytes.Contains(body, []byte(`"bobs-run"`)) || bytes.Contains(body, []byte(`"drill"`)) {
+		t.Fatalf("bob's degraded view is not exactly his rows: %s", body)
+	}
+
+	// A cold key (nobody loaded system_status) has no fallback: 503 with a
+	// Retry-After hint. That is the third request-level failure (alice and
+	// bob degraded, this one cold): the default threshold of 3 opens the
+	// slurmctld breaker.
+	status, header, body = e.getFull("bob", "/api/system_status")
 	if status != 503 {
 		t.Fatalf("cold fetch during outage: status %d: %s", status, body)
 	}
 	if ra, err := strconv.Atoi(header.Get("Retry-After")); err != nil || ra < 1 {
 		t.Fatalf("Retry-After = %q, want integer >= 1", header.Get("Retry-After"))
 	}
-
-	// Two request-level failures so far (alice degraded, bob cold). One more
-	// trips the default threshold of 3 and opens the slurmctld breaker.
-	e.wantStatus("bob", "/api/recent_jobs", 503)
 	var health HealthResponse
 	e.getJSON("staff", "/api/admin/health", &health)
 	ctld := breakerState(t, &health, "slurmctld")
@@ -95,7 +114,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 
 	// While open: cold requests short-circuit without touching the backend,
 	// warm requests keep serving stale.
-	e.wantStatus("bob", "/api/recent_jobs", 503)
+	e.wantStatus("bob", "/api/system_status", 503)
 	status, header, _ = e.getFull("alice", "/api/recent_jobs")
 	if status != 200 || header.Get("X-OODDash-Degraded") != "stale" {
 		t.Fatalf("warm fetch with open breaker: status %d, degraded %q", status, header.Get("X-OODDash-Degraded"))

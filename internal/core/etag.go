@@ -13,10 +13,10 @@ import (
 // ETag — their age_seconds annotation changes every second, and a client
 // should not cache a stale fallback as if it were current.
 //
-// Every fresh widget response — a render hit, the encode-per-request
-// fallback, a fleet peer's propagated copy — is an etag.Body written by its
-// one conditional writer, so all of them share the Slurm REST surface's
-// (internal/slurmrest) exact semantics.
+// Every fresh widget response — a render hit or the encode-per-request
+// fallback — is an etag.Body written by its one conditional writer, so
+// both share the Slurm REST surface's (internal/slurmrest) exact
+// semantics.
 
 // Per-user responses carry strong ETags, so without cache-scoping headers
 // a shared intermediary cache (a fronting proxy keyed only on the URL)

@@ -74,11 +74,6 @@ type serverObs struct {
 	// traces the tail sampler drops.
 	traceSpans *obs.HistogramVec // ooddash_trace_span_seconds{layer}
 
-	// fleetPeerServes counts widget polls this replica answered as a
-	// non-owner, by how (fresh propagated copy, synchronous owner ensure,
-	// degraded stale copy, or local fallthrough with no owner reachable).
-	fleetPeerServes *obs.CounterVec // ooddash_fleet_peer_serves_total{widget,mode}
-
 	// rollupQueries counts historical rollup reads by the resolution served
 	// and how it was chosen (auto selection vs an explicit bucket request).
 	rollupQueries *obs.CounterVec // ooddash_rollup_queries_total{resolution,selection}
@@ -134,9 +129,6 @@ func newServerObs(s *Server) *serverObs {
 		traceSpans: reg.HistogramVec("ooddash_trace_span_seconds",
 			"Span durations by layer, extracted from every finished trace (retained or dropped).",
 			nil, "layer"),
-		fleetPeerServes: reg.CounterVec("ooddash_fleet_peer_serves_total",
-			"Widget polls answered from peer-propagated fleet snapshots, by widget and mode (fresh, ensured, stale, local).",
-			"widget", "mode"),
 		rollupQueries: reg.CounterVec("ooddash_rollup_queries_total",
 			"Historical rollup queries by resolution served and selection mode (auto, explicit).",
 			"resolution", "selection"),

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/csv"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/slurm"
 )
 
 // TestPerUserCacheScopingHeaders asserts that identity-variant responses
@@ -147,5 +152,77 @@ func TestUsersNeverShareCachedBodyOr304(t *testing.T) {
 	// response in the first place.
 	if cc := aHdr.Get("Cache-Control"); !strings.Contains(cc, "private") {
 		t.Fatalf("Cache-Control = %q, want private", cc)
+	}
+}
+
+// TestNoAccountUserSeesOnlyOwnHistory: a user in no account gets only their
+// own jobs from My Jobs, its charts and its export — never the whole
+// cluster's history that sacct -a lists without -A — and two such users
+// never share a fill. eve has a Slurm association (so she has jobs) but no
+// account in the dashboard's directory; frank has neither.
+func TestNoAccountUserSeesOnlyOwnHistory(t *testing.T) {
+	e := newEnv(t)
+	defer e.server.Close()
+	e.cluster.DBD.AddAssociation(slurm.Association{Account: "lab-b", User: "eve"})
+	e.users.AddUser(auth.User{Name: "eve"})
+	e.users.AddUser(auth.User{Name: "frank"})
+	e.submit(slurm.SubmitRequest{
+		Name: "eves-run", User: "eve", Account: "lab-b", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512},
+		Profile: slurm.UsageProfile{ActualDuration: 10 * time.Minute},
+	})
+	seedMixedHistory(e) // alice's and bob's jobs, which eve must not see
+
+	for _, c := range []struct {
+		user  string
+		names []string
+	}{{"eve", []string{"eves-run"}}, {"frank", nil}, {"eve", []string{"eves-run"}}} {
+		for _, rng := range []string{"24h", "7d", "30d"} {
+			var mj MyJobsResponse
+			e.getJSON(c.user, "/api/myjobs?range="+rng, &mj)
+			var names []string
+			for _, j := range mj.Jobs {
+				if j.User != c.user {
+					t.Fatalf("%s's My Jobs (%s) lists %s's job %s", c.user, rng, j.User, j.Name)
+				}
+				names = append(names, j.Name)
+			}
+			if !slices.Equal(names, c.names) || mj.Total != len(c.names) {
+				t.Fatalf("%s's My Jobs (%s) = %v (total %d), want %v", c.user, rng, names, mj.Total, c.names)
+			}
+		}
+
+		var charts ChartsResponse
+		e.getJSON(c.user, "/api/myjobs/charts?range=24h", &charts)
+		for _, bar := range charts.StateDistribution {
+			if bar.User != c.user {
+				t.Fatalf("%s's charts include %s", c.user, bar.User)
+			}
+		}
+		for _, bar := range charts.GPUHours {
+			if bar.User != c.user {
+				t.Fatalf("%s's GPU-hour chart includes %s", c.user, bar.User)
+			}
+		}
+		if len(charts.StateDistribution) != len(c.names) {
+			t.Fatalf("%s's charts have %d users, want %d", c.user, len(charts.StateDistribution), len(c.names))
+		}
+
+		status, body := e.get(c.user, "/api/myjobs/export.csv?range=24h")
+		if status != http.StatusOK {
+			t.Fatalf("%s's export: status %d", c.user, status)
+		}
+		rows, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1+len(c.names) {
+			t.Fatalf("%s's export has %d data rows, want %d:\n%s", c.user, len(rows)-1, len(c.names), body)
+		}
+		for _, row := range rows[1:] {
+			if row[2] != c.user {
+				t.Fatalf("%s's export lists %s's job", c.user, row[2])
+			}
+		}
 	}
 }

@@ -304,21 +304,20 @@ func (s *Server) handleNodeJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	// One shared squeue snapshot serves every node's running-jobs tab.
-	v, meta, err := s.fetchVia(r, srcCtld, "running_jobs_all", s.cfg.TTLs.NodeDetail, func(ctx context.Context) (any, error) {
-		return s.ctldBk.Squeue(ctx, slurmcli.SqueueOptions{
-			States: []slurm.JobState{slurm.StateRunning},
-		})
-	})
+	// The live-queue fill serves every node's running-jobs tab: its RUNNING
+	// rows on this node, what squeue -t R lists for it.
+	queue, meta, err := s.fetchLiveQueue(r)
 	if err != nil {
 		writeFetchError(w, err)
 		return
 	}
 	s.serveRendered(w, r, meta, "", func() (any, error) {
-		entries := v.([]slurmcli.QueueEntry)
 		resp := NodeJobsResponse{Node: name}
-		for i := range entries {
-			e := &entries[i]
+		for i := range queue {
+			e := &queue[i]
+			if e.State != slurm.StateRunning {
+				continue
+			}
 			nodes, err := slurm.ExpandNodeRange(e.NodeList)
 			if err != nil {
 				continue

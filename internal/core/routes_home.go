@@ -103,21 +103,23 @@ func (s *Server) handleRecentJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	key := "recent_jobs:" + user.Name
-	v, meta, err := s.fetchVia(r, srcCtld, key, s.cfg.TTLs.RecentJobs, func(ctx context.Context) (any, error) {
-		return s.ctldBk.Squeue(ctx, slurmcli.SqueueOptions{
-			User: user.Name, AllStates: true, Limit: s.cfg.RecentJobsLimit,
-		})
-	})
+	queue, meta, err := s.fetchLiveQueue(r)
 	if err != nil {
 		writeFetchError(w, err)
 		return
 	}
 	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
-		entries := v.([]slurmcli.QueueEntry)
-		resp := RecentJobsResponse{Jobs: make([]RecentJob, 0, len(entries))}
-		for i := range entries {
-			resp.Jobs = append(resp.Jobs, recentJobFromEntry(&entries[i]))
+		// The viewer's rows in the queue's newest-first order, then the
+		// first RecentJobsLimit of them: squeue -u <user> -t all --limit N.
+		resp := RecentJobsResponse{Jobs: make([]RecentJob, 0)}
+		for i := range queue {
+			if queue[i].User != user.Name {
+				continue
+			}
+			resp.Jobs = append(resp.Jobs, recentJobFromEntry(&queue[i]))
+			if len(resp.Jobs) == s.cfg.RecentJobsLimit {
+				break
+			}
 		}
 		return resp, nil
 	})
@@ -297,8 +299,8 @@ type AccountsResponse struct {
 	UserGuideURL string       `json:"user_guide_url"`
 }
 
-// accountUsage is the cached per-account aggregation: assoc limits plus the
-// live queue broken down by user. Shared across all members of the account.
+// accountUsage is one account's usage view: assoc limits plus the live
+// queue broken down by user, derived from the two shared fills.
 type accountUsage struct {
 	Account         string
 	GrpCPULimit     int
@@ -319,64 +321,93 @@ type accountUserUsage struct {
 	CPUHoursUsed float64 `json:"cpu_hours_used"`
 }
 
-// fetchAccountUsage loads one account's usage through the command layer,
-// caching under a per-account key so group members share the entry.
-func (s *Server) fetchAccountUsage(r *http.Request, account string) (*accountUsage, fetchMeta, error) {
-	v, meta, err := s.fetchVia(r, srcCtld, "account_usage:"+account, s.cfg.TTLs.Accounts, func(ctx context.Context) (any, error) {
-		assocs, err := slurmcli.ShowAssocs(s.runnerCtx(ctx), account, "")
-		if err != nil {
-			return nil, err
-		}
-		queue, err := s.ctldBk.Squeue(ctx, slurmcli.SqueueOptions{Account: account})
-		if err != nil {
-			return nil, err
-		}
-		u := &accountUsage{Account: account}
-		byUser := make(map[string]*accountUserUsage)
-		userRow := func(name string) *accountUserUsage {
-			uu := byUser[name]
-			if uu == nil {
-				uu = &accountUserUsage{User: name}
-				byUser[name] = uu
-			}
-			return uu
-		}
-		for _, a := range assocs {
-			if a.User == "" {
-				u.GrpCPULimit = a.GrpCPULimit
-				u.GrpGPUHourLimit = a.GPUHourLimit
-				u.GPUHoursUsed = a.GPUHoursUsed
-				continue
-			}
-			uu := userRow(a.User)
-			uu.GPUHoursUsed = a.GPUHoursUsed
-			uu.CPUHoursUsed = a.CPUHoursUsed
-		}
-		for i := range queue {
-			e := &queue[i]
-			uu := userRow(e.User)
-			switch e.State {
-			case slurm.StateRunning, slurm.StateCompleting:
-				u.CPUsInUse += e.CPUs
-				uu.CPUsInUse += e.CPUs
-				uu.RunningJobs++
-			case slurm.StatePending:
-				u.CPUsQueued += e.CPUs
-				uu.CPUsQueued += e.CPUs
-				uu.PendingJobs++
-			}
-		}
-		u.PerUser = make([]accountUserUsage, 0, len(byUser))
-		for _, uu := range byUser {
-			u.PerUser = append(u.PerUser, *uu)
-		}
-		sortAccountUsers(u.PerUser)
-		return u, nil
+// fetchLiveQueue returns the one live-queue fill: every job squeue -t all
+// lists, all users, newest submission first (the controller's order), once
+// per RecentJobs TTL. Recent Jobs, the Accounts widget and its exports, and
+// the node running-jobs tab filter these rows to what their viewer may see,
+// so the controller walks its job list once per TTL however many users
+// look.
+func (s *Server) fetchLiveQueue(r *http.Request) ([]slurmcli.QueueEntry, fetchMeta, error) {
+	v, meta, err := s.fetchVia(r, srcCtld, "live_queue", s.cfg.TTLs.RecentJobs, func(ctx context.Context) (any, error) {
+		return s.ctldBk.Squeue(ctx, slurmcli.SqueueOptions{AllStates: true})
 	})
 	if err != nil {
 		return nil, fetchMeta{}, err
 	}
-	return v.(*accountUsage), meta, nil
+	return v.([]slurmcli.QueueEntry), meta, nil
+}
+
+// fetchAccountData returns the live queue and the one association fill
+// (scontrol show assoc, every account, once per Accounts TTL), with their
+// merged metadata.
+func (s *Server) fetchAccountData(r *http.Request) ([]slurmcli.QueueEntry, []slurmcli.AssocDetail, fetchMeta, error) {
+	queue, meta, err := s.fetchLiveQueue(r)
+	if err != nil {
+		return nil, nil, fetchMeta{}, err
+	}
+	v, am, err := s.fetchVia(r, srcCtld, "assocs", s.cfg.TTLs.Accounts, func(ctx context.Context) (any, error) {
+		return slurmcli.ShowAssocs(s.runnerCtx(ctx), "", "")
+	})
+	if err != nil {
+		return nil, nil, fetchMeta{}, err
+	}
+	meta.absorb(am)
+	return queue, v.([]slurmcli.AssocDetail), meta, nil
+}
+
+// accountUsageFrom builds one account's usage from the shared fills: its
+// association records, and its queue rows in squeue's default states
+// (PD/R/S/CG) — what scontrol show assoc account=<a> plus squeue -A <a>
+// return.
+func accountUsageFrom(account string, assocs []slurmcli.AssocDetail, queue []slurmcli.QueueEntry) *accountUsage {
+	u := &accountUsage{Account: account}
+	byUser := make(map[string]*accountUserUsage)
+	userRow := func(name string) *accountUserUsage {
+		uu := byUser[name]
+		if uu == nil {
+			uu = &accountUserUsage{User: name}
+			byUser[name] = uu
+		}
+		return uu
+	}
+	for i := range assocs {
+		a := &assocs[i]
+		if a.Account != account {
+			continue
+		}
+		if a.User == "" {
+			u.GrpCPULimit = a.GrpCPULimit
+			u.GrpGPUHourLimit = a.GPUHourLimit
+			u.GPUHoursUsed = a.GPUHoursUsed
+			continue
+		}
+		uu := userRow(a.User)
+		uu.GPUHoursUsed = a.GPUHoursUsed
+		uu.CPUHoursUsed = a.CPUHoursUsed
+	}
+	for i := range queue {
+		e := &queue[i]
+		if e.Account != account || !e.State.Active() {
+			continue
+		}
+		uu := userRow(e.User)
+		switch e.State {
+		case slurm.StateRunning, slurm.StateCompleting:
+			u.CPUsInUse += e.CPUs
+			uu.CPUsInUse += e.CPUs
+			uu.RunningJobs++
+		case slurm.StatePending:
+			u.CPUsQueued += e.CPUs
+			uu.CPUsQueued += e.CPUs
+			uu.PendingJobs++
+		}
+	}
+	u.PerUser = make([]accountUserUsage, 0, len(byUser))
+	for _, uu := range byUser {
+		u.PerUser = append(u.PerUser, *uu)
+	}
+	sortAccountUsers(u.PerUser)
+	return u
 }
 
 func sortAccountUsers(users []accountUserUsage) {
@@ -398,23 +429,18 @@ func (s *Server) handleAccounts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	usages := make([]*accountUsage, 0, len(user.Accounts))
-	var meta fetchMeta
-	for _, account := range user.Accounts {
-		u, m, err := s.fetchAccountUsage(r, account)
-		if err != nil {
-			writeFetchError(w, err)
-			return
-		}
-		meta.absorb(m)
-		usages = append(usages, u)
+	queue, assocs, meta, err := s.fetchAccountData(r)
+	if err != nil {
+		writeFetchError(w, err)
+		return
 	}
 	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
 		resp := AccountsResponse{
-			Accounts:     make([]AccountRow, 0, len(usages)),
+			Accounts:     make([]AccountRow, 0, len(user.Accounts)),
 			UserGuideURL: s.cfg.UserGuideURL,
 		}
-		for _, u := range usages {
+		for _, account := range user.Accounts {
+			u := accountUsageFrom(account, assocs, queue)
 			row := AccountRow{
 				Account:         u.Account,
 				CPUsInUse:       u.CPUsInUse,
@@ -446,7 +472,7 @@ func (s *Server) resolveAccountExport(w http.ResponseWriter, r *http.Request) (*
 		writeError(w, fmt.Errorf("%w: %s is not a member of account %s", errForbidden, user.Name, account))
 		return nil, false
 	}
-	u, meta, err := s.fetchAccountUsage(r, account)
+	queue, assocs, meta, err := s.fetchAccountData(r)
 	if err != nil {
 		writeFetchError(w, err)
 		return nil, false
@@ -456,7 +482,7 @@ func (s *Server) resolveAccountExport(w http.ResponseWriter, r *http.Request) (*
 	// Account membership gates the export, so the response is per-identity
 	// as far as any fronting cache is concerned.
 	setPrivateCache(w.Header())
-	return u, true
+	return accountUsageFrom(account, assocs, queue), true
 }
 
 // accountExportHeader is the column set shared by the CSV and XLSX exports.

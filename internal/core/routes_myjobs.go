@@ -261,26 +261,30 @@ type jobHistory struct {
 	rows []JobRow
 }
 
-// fetchJobHistory returns the history fill that serves tr for a user with
-// the given accounts: the jobs of those accounts (their own jobs plus their
-// groups', §2.4 Privacy) over tr's fill class. The key names what the
-// caller may see and the class, never the user or an instant, so every
-// member of the same groups shares one sacct per class per TTL, and a
-// stale value stays findable while slurmdbd is down. auth.Directory keeps
-// each user's accounts sorted, so the joined list names the set in
-// whatever order it was registered. The cache holds fully converted rows:
-// efficiency metrics and warning strings are the expensive part of this
-// route.
-func (s *Server) fetchJobHistory(r *http.Request, accounts []string, tr timeRange) (*jobHistory, fetchMeta, error) {
+// fetchJobHistory returns the history fill that serves tr for user: the
+// jobs of their accounts (their own jobs plus their groups', §2.4 Privacy)
+// over tr's fill class. The key names what the caller may see and the
+// class, never an instant, so every member of the same groups shares one
+// sacct per class per TTL, and a stale value stays findable while slurmdbd
+// is down. auth.Directory keeps each user's accounts sorted, so the joined
+// list names the set in whatever order it was registered. A user in no
+// account sees only their own jobs, under a key that names them: sacct -a
+// without -A would list the whole cluster. The cache holds fully converted
+// rows: efficiency metrics and warning strings are the expensive part of
+// this route.
+func (s *Server) fetchJobHistory(r *http.Request, user *auth.User, tr timeRange) (*jobHistory, fetchMeta, error) {
 	class := tr.fillClass()
-	key := "myjobs:" + strings.Join(accounts, ",") + ":" + class.key()
+	opts := slurmcli.SacctOptions{Accounts: user.Accounts, AllUsers: true}
+	key := "myjobs:" + strings.Join(user.Accounts, ",") + ":" + class.key()
+	if len(user.Accounts) == 0 {
+		opts = slurmcli.SacctOptions{User: user.Name}
+		key = "myjobs-user:" + user.Name + ":" + class.key()
+	}
 	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
 		asOf := s.historyAsOf()
-		start, end := class.window(asOf)
-		rows, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
-			Accounts: accounts, AllUsers: true,
-			Start: start, End: end,
-		})
+		o := opts
+		o.Start, o.End = class.window(asOf)
+		rows, err := s.dbdBk.Sacct(ctx, o)
 		if err != nil {
 			return nil, err
 		}
@@ -354,7 +358,7 @@ func (s *Server) loadJobHistory(w http.ResponseWriter, r *http.Request) (user *a
 		writeError(w, err)
 		return
 	}
-	if h, meta, err = s.fetchJobHistory(r, user.Accounts, tr); err != nil {
+	if h, meta, err = s.fetchJobHistory(r, user, tr); err != nil {
 		writeFetchError(w, err)
 		return
 	}

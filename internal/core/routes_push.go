@@ -111,6 +111,39 @@ func (s *Server) pushFetch(widget, path, user string) push.FetchFunc {
 	}
 }
 
+// PushSource identifies one background refresh source: everything the
+// scheduler needs to re-fetch a widget for one subscriber identity.
+type PushSource struct {
+	Widget string        // event/widget name ("system_status", ...)
+	Key    string        // scheduler/hub key (Widget, or "widget:user")
+	Path   string        // polling route the loopback refresh fetches
+	User   string        // identity the refresh runs as
+	TTL    time.Duration // refresh cadence = the widget's cache TTL
+}
+
+// pushSource builds the PushSource for a push widget and user.
+func pushSource(w *Widget, user string) PushSource {
+	return PushSource{
+		Widget: w.Name,
+		Key:    w.sourceKey(user),
+		Path:   w.path(),
+		User:   user,
+		TTL:    w.TTL,
+	}
+}
+
+// RegisterPushSource registers src with the background refresh scheduler
+// (idempotent). The SSE endpoint calls it for each subscribed widget.
+func (s *Server) RegisterPushSource(src PushSource) error {
+	_, err := s.pushSched.Register(push.Source{
+		Widget: src.Widget,
+		Key:    src.Key,
+		TTL:    src.TTL,
+		Fetch:  s.pushFetch(src.Widget, src.Path, src.User),
+	})
+	return err
+}
+
 // handleEvents dispatches /api/events: an SSE request (Accept:
 // text/event-stream or an explicit ?widgets= subscription) gets the
 // live-update stream; anything else gets the legacy delta-poll feed.
@@ -124,14 +157,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.handleEventsPoll(w, r)
 }
 
-// parseSubscription resolves the requested widget set (every SSE widget
+// parseSubscription resolves the requested widget set (every push widget
 // when the client names none) against the widget table, returning widgets
 // in name order.
 func (s *Server) parseSubscription(r *http.Request) ([]*Widget, error) {
 	var subs []*Widget
 	if raw := r.URL.Query().Get("widgets"); raw == "" {
 		for i := range s.widgets {
-			if s.widgets[i].sse {
+			if s.widgets[i].push != pushNone {
 				subs = append(subs, &s.widgets[i])
 			}
 		}
@@ -144,7 +177,7 @@ func (s *Server) parseSubscription(r *http.Request) ([]*Widget, error) {
 			}
 			seen[n] = true
 			w := s.widget(n)
-			if w == nil || !w.sse {
+			if w == nil || w.push == pushNone {
 				return nil, fmt.Errorf("%w: widget %q is not push-enabled", errBadRequest, n)
 			}
 			subs = append(subs, w)
@@ -199,30 +232,15 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	// source warm this costs no upstream call. A failed refresh (cold
 	// source during an outage) leaves the stream open; events begin when
 	// the source recovers.
-	fd := s.fleetDelegate()
 	keys := make([]string, 0, len(subs))
 	for _, wd := range subs {
-		src := fleetSource(wd, user.Name)
+		src := pushSource(wd, user.Name)
 		keys = append(keys, src.Key)
-		_, held := s.pushHub.Latest(src.Key)
-		if fd != nil {
-			// In a fleet, the key's owner (which may be another replica)
-			// maintains the source; its snapshots are republished into this
-			// replica's hub, so the stream below works unchanged. Touch
-			// records interest; Ensure additionally produces the initial
-			// snapshot when the local hub has none yet.
-			if !held {
-				_, _ = fd.Ensure(r.Context(), src)
-			} else {
-				fd.Touch(src)
-			}
-			continue
-		}
 		if err := s.RegisterPushSource(src); err != nil {
 			writeError(w, err)
 			return
 		}
-		if !held {
+		if _, held := s.pushHub.Latest(src.Key); !held {
 			_, _ = s.pushSched.Refresh(r.Context(), src.Key)
 		}
 	}

@@ -115,11 +115,6 @@ type Server struct {
 	tickLoop  sync.WaitGroup
 	closeOnce sync.Once
 
-	// fleet, when set, is the scale-out tier's delegate (see fleet.go):
-	// push-enabled widget polls consult it for refresh ownership and
-	// peer-propagated snapshots before touching the local fetch path.
-	fleet fleetPtr
-
 	// rollupStats feeds the rollup store gauges on /metrics (may be nil);
 	// rollupOff switches the historical widgets to the raw-recompute
 	// ablation (see rollup.go).
@@ -261,6 +256,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // hit/miss statistics) and for the cache-off ablation (Disabled flag).
 func (s *Server) Cache() *cache.Cache { return s.cache }
 
+// ShareCaches points s at from's data cache and rendered cache, so every
+// replica behind one load balancer reads one cache tier — the way one
+// Rails.cache store serves every app server. Call it after NewServer and
+// before s takes traffic.
+func (s *Server) ShareCaches(from *Server) {
+	s.cache, s.rendered = from.cache, from.rendered
+}
+
 // RenderedCache exposes the rendered-response cache for inspection.
 func (s *Server) RenderedCache() *cache.Cache { return s.rendered }
 
@@ -311,12 +314,10 @@ type Widget struct {
 	// Handler serves the route.
 	Handler http.HandlerFunc
 
-	// push is the widget's background refresh source (routes_push.go), which
-	// the fleet also partitions and serves from peers (fleet.go).
+	// push is the widget's background refresh source (routes_push.go): a
+	// widget with one is on the /api/events stream, and in the default
+	// subscription when a client names none.
 	push pushMode
-	// sse admits the widget to the /api/events subscription set, and to the
-	// default subscription when a client names none. Requires push.
-	sse bool
 	// selfObserving widgets get no span and no SLI record from the
 	// instrument middleware (observe.go).
 	selfObserving bool
@@ -356,23 +357,21 @@ func (s *Server) widget(name string) *Widget {
 }
 
 // registerWidgets builds the widget table. Order matches Table 1. The five
-// homepage widgets are the §2.4 set whose polling the SSE stream replaces;
-// cluster_status and my_jobs also refresh in the background, so a fleet can
-// serve them from peers, but are not offered on the stream.
+// homepage widgets are the §2.4 set whose polling the SSE stream replaces.
 func (s *Server) registerWidgets() {
 	s.widgets = []Widget{
 		{Name: "announcements", Route: "GET /api/announcements",
 			TTL: s.cfg.TTLs.Announcements, DataSource: "API call to center news page",
-			Handler: s.handleAnnouncements, push: pushShared, sse: true},
+			Handler: s.handleAnnouncements, push: pushShared},
 		{Name: "recent_jobs", Route: "GET /api/recent_jobs",
 			TTL: s.cfg.TTLs.RecentJobs, DataSource: "squeue (Slurm)",
-			Handler: s.handleRecentJobs, push: pushPerUser, sse: true},
+			Handler: s.handleRecentJobs, push: pushPerUser},
 		{Name: "system_status", Route: "GET /api/system_status",
 			TTL: s.cfg.TTLs.SystemStatus, DataSource: "sinfo (Slurm)",
-			Handler: s.handleSystemStatus, push: pushShared, sse: true},
+			Handler: s.handleSystemStatus, push: pushShared},
 		{Name: "accounts", Route: "GET /api/accounts",
 			TTL: s.cfg.TTLs.Accounts, DataSource: "scontrol show assoc (Slurm)",
-			Handler: s.handleAccounts, push: pushPerUser, sse: true},
+			Handler: s.handleAccounts, push: pushPerUser},
 		{Name: "accounts_export", Route: "GET /api/accounts/{account}/export.csv",
 			TTL: s.cfg.TTLs.Accounts, DataSource: "scontrol show assoc (Slurm)",
 			Handler: s.handleAccountExport},
@@ -381,10 +380,10 @@ func (s *Server) registerWidgets() {
 			Handler: s.handleAccountExportXLSX},
 		{Name: "storage", Route: "GET /api/storage",
 			TTL: s.cfg.TTLs.Storage, DataSource: "ZFS and GPFS storage database",
-			Handler: s.handleStorage, push: pushPerUser, sse: true},
+			Handler: s.handleStorage, push: pushPerUser},
 		{Name: "my_jobs", Route: "GET /api/myjobs",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleMyJobs, push: pushPerUser},
+			Handler: s.handleMyJobs},
 		{Name: "my_jobs_export", Route: "GET /api/myjobs/export.csv",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
 			Handler: s.handleMyJobsExport},
@@ -396,12 +395,12 @@ func (s *Server) registerWidgets() {
 			Handler: s.handleJobPerf},
 		{Name: "cluster_status", Route: "GET /api/cluster_status",
 			TTL: s.cfg.TTLs.ClusterNodes, DataSource: "scontrol show node (Slurm)",
-			Handler: s.handleClusterStatus, push: pushShared},
+			Handler: s.handleClusterStatus},
 		{Name: "node_overview", Route: "GET /api/node/{name}",
 			TTL: s.cfg.TTLs.NodeDetail, DataSource: "scontrol show node (Slurm)",
 			Handler: s.handleNodeOverview},
 		{Name: "node_jobs", Route: "GET /api/node/{name}/jobs",
-			TTL: s.cfg.TTLs.NodeDetail, DataSource: "squeue (Slurm)",
+			TTL: s.cfg.TTLs.RecentJobs, DataSource: "squeue (Slurm)",
 			Handler: s.handleNodeJobs},
 		{Name: "job_overview", Route: "GET /api/job/{id}",
 			TTL: s.cfg.TTLs.JobDetail, DataSource: "scontrol show job (Slurm)",
@@ -477,7 +476,7 @@ func (s *Server) Mount(mux *http.ServeMux, names ...string) error {
 		if len(names) > 0 && !want[w.Name] {
 			continue
 		}
-		mux.HandleFunc(w.Route, s.instrument(w, s.fleetIntercept(w, w.Handler)))
+		mux.HandleFunc(w.Route, s.instrument(w, w.Handler))
 		mounted++
 		delete(want, w.Name)
 	}

@@ -19,11 +19,11 @@ import (
 )
 
 // TestWidgetTableDerivedSets pins the sets derived from the widget table:
-// the push sources (which the fleet also intercepts), the SSE subscription
-// set and the self-observing widgets.
+// the push sources, which are the SSE subscription set, and the
+// self-observing widgets.
 func TestWidgetTableDerivedSets(t *testing.T) {
 	e := newEnv(t)
-	var shared, perUser, sse, self []string
+	var shared, perUser, pushed, self []string
 	paths := map[string]string{}
 	for _, w := range e.server.widgets {
 		switch w.push {
@@ -33,13 +33,8 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 			perUser = append(perUser, w.Name)
 		}
 		if w.push != pushNone {
+			pushed = append(pushed, w.Name)
 			paths[w.Name] = w.path()
-		}
-		if w.sse {
-			sse = append(sse, w.Name)
-			if w.push == pushNone {
-				t.Errorf("SSE widget %q has no push source", w.Name)
-			}
 		}
 		if w.selfObserving {
 			self = append(self, w.Name)
@@ -49,9 +44,8 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 		what      string
 		got, want []string
 	}{
-		{"shared push sources", shared, []string{"announcements", "cluster_status", "system_status"}},
-		{"per-user push sources", perUser, []string{"accounts", "my_jobs", "recent_jobs", "storage"}},
-		{"SSE widgets", sse, []string{"accounts", "announcements", "recent_jobs", "storage", "system_status"}},
+		{"shared push sources", shared, []string{"announcements", "system_status"}},
+		{"per-user push sources", perUser, []string{"accounts", "recent_jobs", "storage"}},
 		{"self-observing widgets", self, []string{"admin_slo", "admin_trace", "admin_traces", "events", "metrics"}},
 	} {
 		sort.Strings(c.got)
@@ -59,14 +53,13 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.what, c.got, c.want)
 		}
 	}
+	sort.Strings(pushed)
 	wantPaths := map[string]string{
-		"announcements":  "/api/announcements",
-		"cluster_status": "/api/cluster_status",
-		"system_status":  "/api/system_status",
-		"accounts":       "/api/accounts",
-		"my_jobs":        "/api/myjobs",
-		"recent_jobs":    "/api/recent_jobs",
-		"storage":        "/api/storage",
+		"announcements": "/api/announcements",
+		"system_status": "/api/system_status",
+		"accounts":      "/api/accounts",
+		"recent_jobs":   "/api/recent_jobs",
+		"storage":       "/api/storage",
 	}
 	if !reflect.DeepEqual(paths, wantPaths) {
 		t.Errorf("push source paths = %v, want %v", paths, wantPaths)
@@ -78,7 +71,8 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 		t.Errorf("shared source key = %q", got)
 	}
 
-	// The default subscription (no ?widgets=) is the SSE set in name order.
+	// The default subscription (no ?widgets=) is every push widget in name
+	// order.
 	req := httptest.NewRequest(http.MethodGet, "/api/events", nil)
 	subs, err := e.server.parseSubscription(req)
 	if err != nil {
@@ -88,10 +82,10 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 	for _, w := range subs {
 		names = append(names, w.Name)
 	}
-	if !reflect.DeepEqual(names, sse) {
-		t.Errorf("default subscription = %v, want %v", names, sse)
+	if !reflect.DeepEqual(names, pushed) {
+		t.Errorf("default subscription = %v, want %v", names, pushed)
 	}
-	// A push widget outside the SSE set is not subscribable.
+	// A widget without a push source is not subscribable.
 	req = httptest.NewRequest(http.MethodGet, "/api/events?widgets=my_jobs", nil)
 	if _, err := e.server.parseSubscription(req); err == nil {
 		t.Error("my_jobs accepted as an SSE subscription")

@@ -2,9 +2,8 @@
 // holds the bytes exactly as served together with their strong entity tag,
 // and Body.Serve is the one conditional writer — set ETag, answer a
 // matching If-None-Match with 304, else write the bytes. The widget routes
-// (internal/core), the push hub and fleet propagation (internal/push,
-// internal/fleet) and the Slurm REST surface (internal/slurmrest) all carry
-// and serve Bodies. Tags are FNV-64a content hashes of the exact body, so
+// (internal/core), the push hub (internal/push) and the Slurm REST surface
+// (internal/slurmrest) all carry and serve Bodies. Tags are FNV-64a content hashes of the exact body, so
 // equal bytes always revalidate and any byte change invalidates.
 package etag
 

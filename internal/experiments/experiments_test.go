@@ -204,6 +204,15 @@ func TestSection24CacheShieldsController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 4 and 16 users stay below the fill-admission cap, so neither arm may
+	// shed a request.
+	for _, rows := range [][]CacheLoadRow{on, off} {
+		for _, row := range rows {
+			if row.Rejected != 0 {
+				t.Fatalf("%d requests shed (row %+v)", row.Rejected, row)
+			}
+		}
+	}
 	// Cache on: RPCs per request collapse far below 1.
 	for _, row := range on {
 		if row.RPCsPerReq > 0.5 {

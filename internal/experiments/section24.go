@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -13,9 +14,12 @@ import (
 // CacheLoadRow is one point of the user-count sweep: how hard slurmctld is
 // hit and how fast routes respond, with the server cache on or off.
 type CacheLoadRow struct {
-	Users      int
-	CacheOn    bool
-	Requests   int
+	Users    int
+	CacheOn  bool
+	Requests int
+	// Rejected counts 503s: requests the dashboard shed (fill admission or
+	// the per-attempt timeout) instead of queueing on slurmctld.
+	Rejected   int
 	CtlRPCs    int64
 	RPCsPerReq float64
 	P50        time.Duration
@@ -27,7 +31,8 @@ type CacheLoadRow struct {
 // squeue-backed recent-jobs route and the sinfo-backed system-status route.
 // Expected shape (the paper's §2.4/§3.2 claim): with the cache on, ctl RPCs
 // stay ~flat as users grow (bounded by distinct cache keys, not request
-// volume); with the cache off they grow linearly with requests.
+// volume); with the cache off they grow linearly with requests, and once
+// concurrent fills pass the admission cap the overflow is shed as 503s.
 func Section24CacheLoad(s *Stack, userCounts []int, requestsPerUser int, cacheOn bool) ([]CacheLoadRow, error) {
 	out := make([]CacheLoadRow, 0, len(userCounts))
 	for _, users := range userCounts {
@@ -37,10 +42,11 @@ func Section24CacheLoad(s *Stack, userCounts []int, requestsPerUser int, cacheOn
 		before := stats.Count(slurm.RPCSqueue) + stats.Count(slurm.RPCSinfo)
 
 		var (
-			mu   sync.Mutex
-			lats durations
-			errs []error
-			wg   sync.WaitGroup
+			mu       sync.Mutex
+			lats     durations
+			rejected int
+			errs     []error
+			wg       sync.WaitGroup
 		)
 		for u := 0; u < users; u++ {
 			wg.Add(1)
@@ -48,20 +54,28 @@ func Section24CacheLoad(s *Stack, userCounts []int, requestsPerUser int, cacheOn
 				defer wg.Done()
 				user := s.User(u)
 				local := make(durations, 0, requestsPerUser*2)
+				shed := 0
 				for i := 0; i < requestsPerUser; i++ {
 					for _, path := range []string{"/api/recent_jobs", "/api/system_status"} {
-						_, lat, err := s.MustGet(user, path)
+						status, _, lat, err := s.Get(user, path)
+						if err == nil && status != http.StatusOK && status != http.StatusServiceUnavailable {
+							err = fmt.Errorf("experiments: GET %s as %s: status %d", path, user, status)
+						}
 						if err != nil {
 							mu.Lock()
 							errs = append(errs, err)
 							mu.Unlock()
 							return
 						}
+						if status == http.StatusServiceUnavailable {
+							shed++
+						}
 						local = append(local, lat)
 					}
 				}
 				mu.Lock()
 				lats = append(lats, local...)
+				rejected += shed
 				mu.Unlock()
 			}(u)
 		}
@@ -74,6 +88,7 @@ func Section24CacheLoad(s *Stack, userCounts []int, requestsPerUser int, cacheOn
 		row := CacheLoadRow{
 			Users: users, CacheOn: cacheOn,
 			Requests: len(lats),
+			Rejected: rejected,
 			CtlRPCs:  after - before,
 			P50:      lats.percentile(0.50),
 			P99:      lats.percentile(0.99),

@@ -3,11 +3,14 @@ package fleet
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/browser"
+	"ooddash/internal/push"
 )
 
 // statusCounter records page-level response classes served through the LB.
@@ -38,16 +41,17 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // TestDrillReplicaKill is the fleet chaos drill `make drills` runs under
-// -race: kill the replica that owns system_status mid-traffic and assert
+// -race: kill a replica mid-traffic, with an SSE stream held on it, and
+// assert
 //
-//	(1) re-election completes within one tick of heartbeat expiry,
+//	(1) the stream ends with the shutdown event,
 //	(2) clients see zero page-level 5xx and zero failed widget fetches,
-//	(3) no source is ever polled by two replicas in the same round.
+//	    before and after the kill, and
+//	(3) the survivors serve every sampled view exactly as a fresh single
+//	    server does: the killed replica held no state anyone needs.
 func TestDrillReplicaKill(t *testing.T) {
 	const interval = 75 * time.Second
-	env, fl := newTestFleet(t, 3, PolicyRoundRobin, func(o *Options) {
-		o.HeartbeatTimeout = interval / 2
-	})
+	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
 	sc := &statusCounter{next: fl}
 	srv := httptest.NewServer(sc)
 	defer srv.Close()
@@ -56,11 +60,8 @@ func TestDrillReplicaKill(t *testing.T) {
 	for i := range browsers {
 		browsers[i] = browser.New(env.UserNames[i%len(env.UserNames)], srv.URL, nil, env.Clock)
 	}
-	refreshCounts := func() map[string]map[string]int64 { return fl.SourceRefreshes() }
-	prev := refreshCounts()
-
 	// round runs one tick of simulated time plus every browser's homepage
-	// load, then asserts the single-poller invariant for the round.
+	// load.
 	round := func(name string) {
 		t.Helper()
 		env.Clock.Advance(interval)
@@ -71,69 +72,76 @@ func TestDrillReplicaKill(t *testing.T) {
 				t.Fatalf("%s: browser %d failed %d widget fetches", name, i, load.Failed)
 			}
 		}
-		cur := refreshCounts()
-		polled := map[string][]string{}
-		for id, counts := range cur {
-			for key, n := range counts {
-				if n > prev[id][key] {
-					polled[key] = append(polled[key], id)
-				}
-			}
-		}
-		for key, ids := range polled {
-			if len(ids) > 1 {
-				t.Fatalf("%s: source %q polled by %d replicas %v in one round", name, key, len(ids), ids)
-			}
-		}
-		prev = cur
-		if err := fl.CheckExclusiveOwnership(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 	}
 
-	// Warm-up: traffic registers sources on their owners and propagation
-	// fills every replica's hub.
 	round("warm-1")
 	round("warm-2")
 
-	victim := fl.Owner("system_status")
-	if victim == "" {
-		t.Fatal("system_status has no owner after warm-up")
+	// The victim is the first replica, whose caches every replica shares.
+	victim := fl.Replicas()[0]
+	victimSrv := httptest.NewServer(fl.Server(victim))
+	defer victimSrv.Close()
+	req, err := http.NewRequest(http.MethodGet, victimSrv.URL+"/api/events?widgets=system_status", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	req.Header.Set(auth.UserHeader, env.UserNames[0])
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	names := make(chan string, 16)
+	go func() {
+		defer close(names)
+		dec := push.NewDecoder(resp.Body)
+		for {
+			ev, err := dec.Next()
+			if err != nil {
+				return
+			}
+			names <- ev.Name
+		}
+	}()
+	if name := <-names; name != "system_status" {
+		t.Fatalf("first event on the victim's stream = %q, want the replay", name)
+	}
+
 	if err := fl.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
+	var sawShutdown bool
+	for name := range names {
+		sawShutdown = sawShutdown || name == "shutdown"
+	}
+	if !sawShutdown {
+		t.Fatal("the killed replica's stream ended without the shutdown event")
+	}
+	if slices.Contains(fl.Live(), victim) {
+		t.Fatal("victim still listed live after the kill")
+	}
 
-	// Immediately after the kill — before any heartbeat expiry — the LB
-	// fails over and peers serve their propagated copies: no 5xx, no
-	// failed fetches, even for sources the corpse still nominally owns.
+	// Immediately after the kill the LB fails over: no 5xx, no failed
+	// fetches.
 	for i, b := range browsers {
 		if load := b.LoadPage(browser.HomepageWidgets()); load.Failed > 0 {
 			t.Fatalf("post-kill browser %d failed %d widget fetches", i, load.Failed)
 		}
 	}
-
-	// One tick later the corpse's heartbeat has aged past the timeout:
-	// detection, ring rebuild, and re-election all happen in that tick.
-	round("handover")
-	if got := fl.Owner("system_status"); got == victim || got == "" {
-		t.Fatalf("system_status owner after handover = %q (victim %q)", got, victim)
-	}
-	for _, id := range fl.Live() {
-		if id == victim {
-			t.Fatal("victim still listed live after handover")
-		}
-	}
-	if fl.met.ownerChanges.Value() == 0 {
-		t.Fatal("no owner changes recorded across the kill")
-	}
-	if fl.met.hbExpiries.Value() == 0 {
-		t.Fatal("no heartbeat expiry recorded")
-	}
-
-	// Steady state resumes on the survivors.
 	round("post-1")
 	round("post-2")
+
+	ref := newReference(t, env)
+	for _, user := range env.UserNames[:3] {
+		for _, w := range browser.HomepageWidgets() {
+			want := fleetGet(t, ref, user, w.Path, "").Body.String()
+			for _, id := range fl.Live() {
+				if got := fleetGet(t, fl.Server(id), user, w.Path, "").Body.String(); got != want {
+					t.Fatalf("survivor %s serves %s as %s differently from a fresh server", id, w.Path, user)
+				}
+			}
+		}
+	}
 
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

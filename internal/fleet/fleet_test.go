@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"context"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -33,14 +33,13 @@ func newTestFleet(t *testing.T, n int, policy Policy, mutate func(*Options)) (*w
 	newsSrv := httptest.NewServer(env.Feed)
 	t.Cleanup(newsSrv.Close)
 	opts := Options{
-		Replicas:         n,
-		Policy:           policy,
-		Clock:            env.Clock,
-		Runner:           env.Runner,
-		HeartbeatTimeout: 40 * time.Second,
+		Replicas: n,
+		Policy:   policy,
+		Clock:    env.Clock,
+		Runner:   env.Runner,
 		Build: func(id string, r slurmcli.Runner) (*core.Server, error) {
 			return env.NewServerRunner(newsSrv.URL, core.Config{
-				Push: core.PushConfig{DisableIdlePause: true, Jitter: -1},
+				Push: core.PushConfig{Jitter: -1},
 			}, r)
 		},
 	}
@@ -53,6 +52,20 @@ func newTestFleet(t *testing.T, n int, policy Policy, mutate func(*Options)) (*w
 	}
 	t.Cleanup(fl.Close)
 	return env, fl
+}
+
+// newReference builds a fresh single server over env: what one dashboard
+// with its own cache serves at this instant.
+func newReference(t *testing.T, env *workload.Env) *core.Server {
+	t.Helper()
+	newsSrv := httptest.NewServer(env.Feed)
+	t.Cleanup(newsSrv.Close)
+	ref, err := env.NewServerRunner(newsSrv.URL, core.Config{}, env.Runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ref.Close)
+	return ref
 }
 
 func fleetGet(t *testing.T, h http.Handler, user, path, etag string) *httptest.ResponseRecorder {
@@ -166,8 +179,9 @@ func TestLBStickyAffinityAndFailover(t *testing.T) {
 	}
 }
 
-// pushWidgets are the widget table's seven push-enabled widgets: the ones a
-// fleet partitions by owner and serves from peers.
+// pushWidgets are the widget table's push widgets, plus cluster_status and
+// my_jobs, the two widgets that had push sources only so fleet peers could
+// serve them.
 var pushWidgets = []struct {
 	name, path string
 	perUser    bool
@@ -181,121 +195,137 @@ var pushWidgets = []struct {
 	{"my_jobs", "/api/myjobs", true},
 }
 
-// TestPeerServesOwnerBytesWithMatchingETag: for every push widget the owner
-// poll, the peer poll and the peer hub's snapshot carry one body — identical
-// bytes and ETag, the tag being the hash of those bytes — a client that
-// validated against the owner revalidates against the peer, and a per-user
-// widget keeps its private cache class on the peer.
+// otherGroupUser returns a user sharing no account with user.
+func otherGroupUser(t *testing.T, env *workload.Env, user string) string {
+	t.Helper()
+	u, _ := env.Users.Lookup(user)
+	for _, name := range env.UserNames {
+		v, _ := env.Users.Lookup(name)
+		if !slices.ContainsFunc(v.Accounts, u.MemberOf) {
+			return name
+		}
+	}
+	t.Fatalf("every user shares an account with %s", user)
+	return ""
+}
+
+// TestPeerServesOwnerBytesWithMatchingETag: replicas share one cache tier,
+// so for every push widget the replica that filled it and every peer serve
+// one body — identical bytes and ETag, the tag being the hash of those
+// bytes — and a client that validated against one replica gets a 304 from
+// another. Per-user widgets stay private: they carry the private cache
+// class everywhere, and a second user in other groups, served by a peer
+// right after the first user's fill, gets exactly what a fresh single
+// server serves them.
 func TestPeerServesOwnerBytesWithMatchingETag(t *testing.T) {
-	env, fl := newTestFleet(t, 2, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
 	user := env.UserNames[0]
+	other := otherGroupUser(t, env, user)
+	ref := newReference(t, env)
+	ids := fl.Replicas()
 	for _, w := range pushWidgets {
 		t.Run(w.name, func(t *testing.T) {
-			key := w.name
-			if w.perUser {
-				key += ":" + user
+			first := fleetGet(t, fl.Server(ids[0]), user, w.path, "")
+			tag := first.Header().Get("Etag")
+			if first.Code != http.StatusOK || tag == "" || tag != etag.For(first.Body.Bytes()) {
+				t.Fatalf("first serve: status %d, ETag %q is not the hash of its bytes", first.Code, tag)
 			}
-			ownerID := fl.Owner(key)
-			peerID := fl.Replicas()[(slices.Index(fl.Replicas(), ownerID)+1)%2]
-			owner, peer := fl.Server(ownerID), fl.Server(peerID)
-
-			ownerRec := fleetGet(t, owner, user, w.path, "")
-			if ownerRec.Code != http.StatusOK || ownerRec.Header().Get("X-Ooddash-Fleet") != "" {
-				t.Fatalf("owner serve: status %d fleet header %q", ownerRec.Code, ownerRec.Header().Get("X-Ooddash-Fleet"))
+			for _, id := range ids[1:] {
+				peer := fl.Server(id)
+				rec := fleetGet(t, peer, user, w.path, "")
+				if rec.Code != http.StatusOK || rec.Body.String() != first.Body.String() || rec.Header().Get("Etag") != tag {
+					t.Fatalf("replica %s: status %d, ETag %q, bytes\n%q\nvs %s's %q\n%q",
+						id, rec.Code, rec.Header().Get("Etag"), rec.Body.String(), ids[0], tag, first.Body.String())
+				}
+				if cc, vary := rec.Header().Get("Cache-Control"), rec.Header().Get("Vary"); w.perUser &&
+					(cc != "private" || vary != auth.UserHeader) || !w.perUser && (cc != "" || vary != "") {
+					t.Fatalf("replica %s cache class: Cache-Control %q, Vary %q (per-user %v)", id, cc, vary, w.perUser)
+				}
+				// A client that validated against the first replica
+				// revalidates against this one — cross-replica 304.
+				if rec := fleetGet(t, peer, user, w.path, tag); rec.Code != http.StatusNotModified {
+					t.Fatalf("replica %s revalidation status %d, want 304", id, rec.Code)
+				}
 			}
-			peerRec := fleetGet(t, peer, user, w.path, "")
-			if peerRec.Code != http.StatusOK {
-				t.Fatalf("peer serve: status %d", peerRec.Code)
+			if !w.perUser {
+				return
 			}
-			if peerRec.Header().Get("X-Ooddash-Fleet") != "peer" {
-				t.Fatal("peer response not marked as fleet-served")
-			}
-			if cc, vary := peerRec.Header().Get("Cache-Control"), peerRec.Header().Get("Vary"); w.perUser &&
-				(cc != "private" || vary != auth.UserHeader) || !w.perUser && (cc != "" || vary != "") {
-				t.Fatalf("peer cache class: Cache-Control %q, Vary %q (per-user %v)", cc, vary, w.perUser)
-			}
-			if peerRec.Body.String() != ownerRec.Body.String() {
-				t.Fatalf("peer bytes differ from owner bytes:\n%q\nvs\n%q", peerRec.Body.String(), ownerRec.Body.String())
-			}
-			tag := ownerRec.Header().Get("Etag")
-			if tag == "" || peerRec.Header().Get("Etag") != tag {
-				t.Fatalf("etag mismatch: owner %q peer %q", tag, peerRec.Header().Get("Etag"))
-			}
-			snap, ok := peer.PushHub().Latest(key)
-			if !ok {
-				t.Fatalf("peer hub holds no snapshot of %s", key)
-			}
-			if string(snap.Body.Bytes) != ownerRec.Body.String() || snap.Body.Tag != tag {
-				t.Fatalf("peer hub body %q (%s) differs from the served %q (%s)", snap.Body.Bytes, snap.Body.Tag, ownerRec.Body.String(), tag)
-			}
-			if snap.Body.Tag != etag.For(snap.Body.Bytes) {
-				t.Fatalf("hub tag %s is not the hash of its bytes (%s)", snap.Body.Tag, etag.For(snap.Body.Bytes))
-			}
-
-			// A client that validated against the owner revalidates against
-			// the peer — cross-replica 304.
-			if rec := fleetGet(t, peer, user, w.path, tag); rec.Code != http.StatusNotModified {
-				t.Fatalf("peer revalidation status %d, want 304", rec.Code)
-			}
-
-			// Exactly one replica polls the source: its owner.
-			if err := fl.CheckExclusiveOwnership(); err != nil {
-				t.Fatal(err)
-			}
-			if slices.Contains(peer.PushSourceKeys(), key) {
-				t.Fatalf("non-owner replica scheduled %s", key)
-			}
-			if !slices.Contains(owner.PushSourceKeys(), key) {
-				t.Fatalf("owner replica did not schedule %s", key)
+			for _, name := range []string{user, other} {
+				got := fleetGet(t, fl.Server(ids[1]), name, w.path, "")
+				want := fleetGet(t, ref, name, w.path, "")
+				if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+					t.Fatalf("%s's %s from a peer differs from a fresh server's:\n%q\nvs\n%q",
+						name, w.name, got.Body.String(), want.Body.String())
+				}
 			}
 		})
 	}
 }
 
-func TestPropagationFeedsPeerSSE(t *testing.T) {
+// TestSSEStreamsOnTwoReplicasShareOneFill: streams held on two replicas
+// each register the source on their own replica's scheduler and both see
+// every change, while the shared cache keeps upstream cost at one fill per
+// TTL. Closing one stream pauses that replica's source (pause-when-idle
+// sees its own subscribers) while the other keeps refreshing.
+func TestSSEStreamsOnTwoReplicasShareOneFill(t *testing.T) {
 	env, fl := newTestFleet(t, 2, PolicyRoundRobin, nil)
 	user := env.UserNames[0]
-	key := "recent_jobs:" + user
-	ownerID := fl.Owner(key)
-	var peerID string
+	u, _ := env.Users.Lookup(user)
+	widgets := []browser.WidgetRequest{{Name: "recent_jobs", Path: "/api/recent_jobs", TTL: 30 * time.Second}}
+	var streams []*browser.EventStream
+	var events []chan push.Event
 	for _, id := range fl.Replicas() {
-		if id != ownerID {
-			peerID = id
+		srv := httptest.NewServer(fl.Server(id))
+		t.Cleanup(srv.Close)
+		ch := make(chan push.Event, 64)
+		st, err := browser.New(user, srv.URL, nil, env.Clock).OpenEventStream(widgets, func(ev push.Event) { ch <- ev })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		streams, events = append(streams, st), append(events, ch)
+		drainUntil(t, ch, "recent_jobs", 5*time.Second) // subscribe-time replay
+	}
+
+	for round := 0; round < 3; round++ {
+		before := fl.UpstreamCalls()["slurmctld"]
+		if _, err := env.Cluster.Ctl.Submit(slurm.SubmitRequest{
+			User: user, Account: u.Accounts[0], Partition: "cpu", QOS: "normal",
+			TimeLimit: time.Hour, ReqTRES: slurm.TRES{CPUs: 2, MemMB: 1024},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		env.Clock.Advance(40 * time.Second)
+		env.Cluster.Ctl.Tick()
+		fl.Tick()
+		for _, ch := range events {
+			drainUntil(t, ch, "recent_jobs", 5*time.Second)
+		}
+		if got := fl.UpstreamCalls()["slurmctld"] - before; got != 1 {
+			t.Fatalf("round %d: two replicas' refreshes cost %d slurmctld calls, want 1", round, got)
 		}
 	}
-	peerSrv := httptest.NewServer(fl.Server(peerID))
-	defer peerSrv.Close()
 
-	b := browser.New(user, peerSrv.URL, nil, env.Clock)
-	events := make(chan push.Event, 64)
-	st, err := b.OpenEventStream(browser.HomepageWidgets(), func(ev push.Event) { events <- ev })
-	if err != nil {
-		t.Fatal(err)
+	// The second replica's stream goes away: its scheduler pauses the
+	// source; the first replica's keeps refreshing.
+	streams[1].Close()
+	key := "recent_jobs:" + user
+	hub1 := fl.Server(fl.Replicas()[1]).PushHub()
+	for deadline := time.Now().Add(5 * time.Second); hub1.SubscribersFor(key) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("closed stream still subscribed")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	defer st.Close()
-
-	// Subscribe-time replay primes the stream (the peer ensures fresh
-	// snapshots via the owners).
-	drainUntil(t, events, "recent_jobs", 5*time.Second)
-
-	// New upstream work must reach the peer-held stream purely via
-	// owner refresh + fleet propagation.
-	if _, err := env.Cluster.Ctl.Submit(slurm.SubmitRequest{
-		User: user, Account: "grp01", Partition: "cpu", QOS: "normal",
-		TimeLimit: time.Hour, ReqTRES: slurm.TRES{CPUs: 2, MemMB: 1024},
-	}); err != nil {
-		t.Fatal(err)
+	refreshes := func(i int) int64 {
+		return fl.Server(fl.Replicas()[i]).PushScheduler().SourceRefreshes()[key]
 	}
-	env.Clock.Advance(80 * time.Second)
-	env.Cluster.Ctl.Tick()
+	r0, r1 := refreshes(0), refreshes(1)
+	env.Clock.Advance(40 * time.Second)
 	fl.Tick()
-	drainUntil(t, events, "recent_jobs", 5*time.Second)
-
-	if fl.met.propagations.Value() == 0 {
-		t.Fatal("no propagations recorded")
-	}
-	if err := fl.CheckExclusiveOwnership(); err != nil {
-		t.Fatal(err)
+	if refreshes(0) != r0+1 || refreshes(1) != r1 {
+		t.Fatalf("after the second stream closed: refreshes %d -> %d and %d -> %d, want one more on the first replica only",
+			r0, refreshes(0), r1, refreshes(1))
 	}
 }
 
@@ -314,43 +344,76 @@ func drainUntil(t *testing.T, events <-chan push.Event, name string, timeout tim
 	}
 }
 
-func TestJoinRebalancesOwnership(t *testing.T) {
+// TestHistoryFillSharedAcrossReplicas: My Jobs at 7d and 30d, viewed by
+// two members of one account set through every replica inside one TTL,
+// costs one accounting call fleet-wide, and every replica serves each view
+// the same bytes.
+func TestHistoryFillSharedAcrossReplicas(t *testing.T) {
+	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	a, _ := env.Users.Lookup(env.UserNames[0])
+	var viewers []string
+	for _, name := range env.UserNames {
+		if u, _ := env.Users.Lookup(name); slices.Equal(u.Accounts, a.Accounts) {
+			viewers = append(viewers, name)
+		}
+	}
+	if len(viewers) < 2 {
+		t.Fatalf("no second member of %v", a.Accounts)
+	}
+	viewers = viewers[:2]
+	before := fl.UpstreamCalls()["slurmdbd"]
+	for _, path := range []string{"/api/myjobs?range=7d", "/api/myjobs?range=30d"} {
+		for _, user := range viewers {
+			var first string
+			for i, id := range fl.Replicas() {
+				rec := fleetGet(t, fl.Server(id), user, path, "")
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s as %s on %s: status %d", path, user, id, rec.Code)
+				}
+				if i == 0 {
+					first = rec.Body.String()
+				} else if rec.Body.String() != first {
+					t.Fatalf("%s as %s: replica %s serves different bytes", path, user, id)
+				}
+			}
+		}
+	}
+	if got := fl.UpstreamCalls()["slurmdbd"] - before; got != 1 {
+		t.Fatalf("two users x two ranges x 3 replicas cost %d accounting calls, want 1", got)
+	}
+}
+
+// TestJoinServesSharedCacheAtOnce: a replica that joins a warm fleet
+// serves every push widget the same bytes and ETag as the rest from its
+// first request, at no upstream cost.
+func TestJoinServesSharedCacheAtOnce(t *testing.T) {
 	env, fl := newTestFleet(t, 1, PolicyRoundRobin, nil)
-	// Touch a spread of sources so there is ownership to move.
-	for i := 0; i < 6; i++ {
-		fleetGet(t, fl, env.UserNames[i], "/api/recent_jobs", "")
+	user := env.UserNames[0]
+	only := fl.Server(fl.Replicas()[0])
+	warm := map[string]*httptest.ResponseRecorder{}
+	for _, w := range pushWidgets {
+		if warm[w.path] = fleetGet(t, only, user, w.path, ""); warm[w.path].Code != http.StatusOK {
+			t.Fatalf("%s: status %d", w.path, warm[w.path].Code)
+		}
 	}
-	fleetGet(t, fl, env.UserNames[0], "/api/system_status", "")
-	only := fl.Replicas()[0]
-	before := len(fl.Server(only).PushSourceKeys())
-	if before == 0 {
-		t.Fatal("no sources registered before join")
-	}
+	before := fl.UpstreamCalls()
 
 	id, err := fl.Join()
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := len(fl.Server(only).PushSourceKeys())
-	taken := len(fl.Server(id).PushSourceKeys())
-	if taken == 0 {
-		t.Fatalf("joined replica took no sources (%d keys total)", before)
+	if !slices.Equal(fl.Live(), []string{"r0", id}) {
+		t.Fatalf("live replicas after Join = %v", fl.Live())
 	}
-	if after+taken != before {
-		t.Fatalf("sources lost in rebalance: %d -> %d + %d", before, after, taken)
-	}
-	if err := fl.CheckExclusiveOwnership(); err != nil {
-		t.Fatal(err)
-	}
-	if fl.met.ownerChanges.Value() == 0 {
-		t.Fatal("owner-change counter never incremented")
-	}
-	// The newcomer's sources were refreshed at handover: every hub holds
-	// them and a poll through the LB succeeds wherever it lands.
-	for i := 0; i < 4; i++ {
-		if rec := fleetGet(t, fl, env.UserNames[0], "/api/recent_jobs", ""); rec.Code != http.StatusOK {
-			t.Fatalf("post-join poll %d: status %d", i, rec.Code)
+	for _, w := range pushWidgets {
+		rec := fleetGet(t, fl.Server(id), user, w.path, "")
+		if rec.Code != http.StatusOK || rec.Body.String() != warm[w.path].Body.String() ||
+			rec.Header().Get("Etag") != warm[w.path].Header().Get("Etag") {
+			t.Fatalf("%s on the newcomer: status %d, bytes or ETag differ from the warm replica's", w.path, rec.Code)
 		}
+	}
+	if after := fl.UpstreamCalls(); !maps.Equal(after, before) {
+		t.Fatalf("the newcomer's first requests cost upstream calls: %v -> %v", before, after)
 	}
 }
 
@@ -416,11 +479,10 @@ func TestSLOFleetDualView(t *testing.T) {
 	newsSrv := httptest.NewServer(env.Feed)
 	t.Cleanup(newsSrv.Close)
 	fl, err := New(Options{
-		Replicas:         3,
-		Policy:           PolicyRoundRobin,
-		Clock:            env.Clock,
-		Runner:           env.Runner,
-		HeartbeatTimeout: 40 * time.Second,
+		Replicas: 3,
+		Policy:   PolicyRoundRobin,
+		Clock:    env.Clock,
+		Runner:   env.Runner,
 		Build: func(id string, r slurmcli.Runner) (*core.Server, error) {
 			// SLO recording disabled: the script records synthetic SLI
 			// events directly, so incidental request traffic can't skew the
@@ -494,132 +556,50 @@ func TestSLOFleetDualView(t *testing.T) {
 	}
 }
 
-// TestReapDropsIdleSourceEverywhere drives the idle reaper on the simulated
-// clock: a per-user source first requested through a peer is registered on
-// its owner; 10 minutes plus one tick without a request or an SSE
-// subscriber unregisters it on the owner and drops it from every hub; the
-// next peer poll ensures it again; and an SSE subscriber on a peer keeps it
-// through the same wait.
-func TestReapDropsIdleSourceEverywhere(t *testing.T) {
-	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
-	user := env.UserNames[2]
-	key := "recent_jobs:" + user
-	ownerID := fl.Owner(key)
-	owner := fl.Server(ownerID)
-	peer := fl.Server(fl.Replicas()[(slices.Index(fl.Replicas(), ownerID)+1)%3]) // any non-owner
-	poll := func() {
-		t.Helper()
-		if rec := fleetGet(t, peer, user, "/api/recent_jobs", ""); rec.Code != http.StatusOK ||
-			rec.Header().Get("X-Ooddash-Fleet") != "peer" {
-			t.Fatalf("peer poll: status %d fleet header %q", rec.Code, rec.Header().Get("X-Ooddash-Fleet"))
-		}
-	}
-	registered := func() bool { return slices.Contains(owner.PushSourceKeys(), key) }
-	holders := func() (n int) {
-		for _, id := range fl.Replicas() {
-			if _, ok := fl.Server(id).PushHub().Latest(key); ok {
-				n++
-			}
-		}
-		return n
-	}
-	wait := func() {
-		t.Helper()
-		before := fl.met.reaped.Value()
-		env.Clock.Advance(reapIdle)
-		fl.Tick()
-		if !registered() || fl.met.reaped.Value() != before {
-			t.Fatal("source reaped at exactly the idle cutoff")
-		}
-		env.Clock.Advance(5 * time.Second)
-		fl.Tick()
-	}
-
-	poll()
-	if !registered() || holders() != 3 {
-		t.Fatalf("after a peer poll: registered on owner %v, held by %d hubs, want true and 3", registered(), holders())
-	}
-	wait()
-	if registered() || holders() != 0 {
-		t.Fatalf("idle source survived: registered on owner %v, held by %d hubs", registered(), holders())
-	}
-	var expo strings.Builder
-	if err := fl.Metrics().WritePrometheus(&expo); err != nil ||
-		!strings.Contains(expo.String(), "ooddash_fleet_sources_reaped_total 1\n") {
-		t.Fatalf("reaped counter not 1 (%v):\n%s", err, expo.String())
-	}
-
-	// The next peer poll finds nothing held and ensures the source again.
-	poll()
-	if !registered() {
-		t.Fatal("peer poll after the reap did not re-register the source")
-	}
-
-	// An SSE subscriber on the peer keeps the source through the same wait.
-	srv := httptest.NewServer(peer)
-	defer srv.Close()
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/api/events?widgets=recent_jobs", nil)
-	req.Header.Set(auth.UserHeader, user)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	wait()
-	if !registered() || holders() != 3 || fl.met.reaped.Value() != 1 {
-		t.Fatalf("watched source reaped: registered %v, held by %d hubs, reaped %d",
-			registered(), holders(), fl.met.reaped.Value())
-	}
-}
-
-// TestPeerConcurrentEnsureWhileTickDrains races peer Ensures for one key,
-// from every peer at once, against Tick refreshing the owner and draining
-// its tap, over rounds that each change the key's content. Whatever the
-// interleaving, every healthy replica's hub must end on the owner's newest
-// body. Run it under -race with -count=10.
-func TestPeerConcurrentEnsureWhileTickDrains(t *testing.T) {
+// TestConcurrentPollsWhileTicking races polls on every replica against
+// Tick, over rounds that each change the queue. Whatever the interleaving,
+// every replica then serves the user one body, the one a fresh single
+// server serves. Run it under -race.
+func TestConcurrentPollsWhileTicking(t *testing.T) {
 	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
 	user := env.UserNames[0]
-	src := core.FleetSource{Widget: "recent_jobs", Key: "recent_jobs:" + user,
-		Path: "/api/recent_jobs", User: user, TTL: 30 * time.Second}
-	ownerID := fl.Owner(src.Key)
-	fleetGet(t, fl.Server(ownerID), user, src.Path, "") // registers on the owner
+	u, _ := env.Users.Lookup(user)
+	paths := []string{"/api/recent_jobs", "/api/accounts"}
 	for round := 0; round < 4; round++ {
 		if _, err := env.Cluster.Ctl.Submit(slurm.SubmitRequest{
-			User: user, Account: "grp01", Partition: "cpu", QOS: "normal",
+			User: user, Account: u.Accounts[0], Partition: "cpu", QOS: "normal",
 			TimeLimit: time.Hour, ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512},
 		}); err != nil {
 			t.Fatal(err)
 		}
-		env.Clock.Advance(src.TTL + time.Second)
+		env.Clock.Advance(61 * time.Second)
 		env.Cluster.Ctl.Tick()
 
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() { defer wg.Done(); fl.Tick() }()
 		for _, id := range fl.Replicas() {
-			b := &binding{fl: fl, rep: fl.byID[id]}
-			for g := 0; id != ownerID && g < 3; g++ {
+			for g := 0; g < 3; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, ok := b.Ensure(context.Background(), src); !ok {
-						t.Errorf("round %d: Ensure via %s failed", round, id)
+					for _, path := range paths {
+						if rec := fleetGet(t, fl.Server(id), user, path, ""); rec.Code != http.StatusOK {
+							t.Errorf("round %d: %s on %s: status %d", round, path, id, rec.Code)
+						}
 					}
 				}()
 			}
 		}
 		wg.Wait()
 
-		want, _ := fl.Server(ownerID).PushHub().Latest(src.Key)
-		if want.Body.Tag != etag.For(want.Body.Bytes) {
-			t.Fatalf("round %d: owner tag %q is not the hash of its bytes %q", round, want.Body.Tag, want.Body.Bytes)
-		}
-		for _, id := range fl.Live() {
-			if got, _ := fl.Server(id).PushHub().Latest(src.Key); got.Body.Tag != want.Body.Tag ||
-				string(got.Body.Bytes) != string(want.Body.Bytes) {
-				t.Fatalf("round %d: replica %s holds %q (%s), owner's newest is %q (%s)",
-					round, id, got.Body.Bytes, got.Body.Tag, want.Body.Bytes, want.Body.Tag)
+		ref := newReference(t, env)
+		for _, path := range paths {
+			want := fleetGet(t, ref, user, path, "").Body.String()
+			for _, id := range fl.Live() {
+				if got := fleetGet(t, fl.Server(id), user, path, "").Body.String(); got != want {
+					t.Fatalf("round %d: %s on %s = %q, a fresh server serves %q", round, path, id, got, want)
+				}
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // vnodes points (FNV-1a of "id#i") on a uint64 circle; a key is owned by
 // the member whose point is the first at or clockwise of the key's hash.
 // Virtual nodes smooth the partition sizes, and consistency bounds the
-// churn: removing one member moves only the keys it owned, so a replica
-// kill re-elects exactly the dead replica's sources and nothing else.
+// churn: removing one member moves only the keys it owned, so sticky
+// routing moves only a killed replica's users, each to the next member.
 type ring struct {
 	hashes []uint64 // sorted point hashes
 	owners []string // owners[i] owns hashes[i]

@@ -14,17 +14,16 @@ import (
 
 // scalePhase is one phase's outcome in the scale-out test.
 type scalePhase struct {
-	calls     int64 // upstream calls reaching the daemons after round 0
-	dupPolls  int   // sources polled by more than one replica in one round
-	failed    int64 // widget fetches that errored with no cached fallback
-	reelected int   // rounds from the kill until system_status changed owner
+	calls  int64 // upstream calls reaching the daemons after round 0
+	failed int64 // widget fetches that errored with no cached fallback
 }
 
 // runScalePhase drives clients browsers through 6 homepage rounds, 75 s of
 // simulated time apart, against a fresh fleet behind a real HTTP listener.
 // Each round submits the same seeded batch of 5 jobs, so payloads change
-// and every phase sees identical churn. killRound >= 0 kills the owner of
-// system_status just before that round's page loads.
+// and every phase sees identical churn. killRound >= 0 kills the first
+// replica, whose caches the others share, just before that round's page
+// loads.
 func runScalePhase(t *testing.T, replicas, clients int, noCoherence bool, killRound int) scalePhase {
 	const (
 		rounds   = 6
@@ -32,7 +31,6 @@ func runScalePhase(t *testing.T, replicas, clients int, noCoherence bool, killRo
 	)
 	env, fl := newTestFleet(t, replicas, PolicyRoundRobin, func(o *Options) {
 		o.NoCoherence = noCoherence
-		o.HeartbeatTimeout = interval / 2
 	})
 	sc := &statusCounter{next: fl}
 	srv := httptest.NewServer(sc)
@@ -43,18 +41,13 @@ func runScalePhase(t *testing.T, replicas, clients int, noCoherence bool, killRo
 		browsers[i] = browser.New(env.UserNames[i%len(env.UserNames)], srv.URL, httpc, env.Clock)
 	}
 
-	p := scalePhase{reelected: -1}
+	var p scalePhase
 	var failed atomic.Int64
 	rng := rand.New(rand.NewSource(7))
-	prev := fl.SourceRefreshes()
-	var victim string
 	var base map[string]int64
 	for round := 0; round < rounds; round++ {
 		if round == killRound {
-			if victim = fl.Owner("system_status"); victim == "" {
-				t.Fatalf("round %d: system_status has no owner to kill", round)
-			}
-			if err := fl.Kill(victim); err != nil {
+			if err := fl.Kill(fl.Replicas()[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -72,25 +65,6 @@ func runScalePhase(t *testing.T, replicas, clients int, noCoherence bool, killRo
 		env.Clock.Advance(interval)
 		env.Cluster.Ctl.Tick()
 		fl.Tick()
-
-		cur := fl.SourceRefreshes()
-		polled := map[string]int{}
-		for id, counts := range cur {
-			for key, n := range counts {
-				if n > prev[id][key] {
-					polled[key]++
-				}
-			}
-		}
-		for _, n := range polled {
-			if n > 1 {
-				p.dupPolls++
-			}
-		}
-		prev = cur
-		if victim != "" && p.reelected < 0 && fl.Owner("system_status") != victim {
-			p.reelected = round - killRound
-		}
 		if round == 0 {
 			// Round 0's cost is the cold-start fill burst, not the
 			// steady-state refresh load the flatness gate is about.
@@ -107,23 +81,18 @@ func runScalePhase(t *testing.T, replicas, clients int, noCoherence bool, killRo
 	if sc.c5xx != 0 {
 		t.Errorf("%d page-level 5xx through the LB", sc.c5xx)
 	}
-	if !noCoherence && p.dupPolls != 0 {
-		t.Errorf("%d sources polled by more than one replica in one round", p.dupPolls)
-	}
-	t.Logf("%d replicas, %d clients: %d upstream calls, %d failed widgets, %d duplicate polls",
-		replicas, clients, p.calls, p.failed, p.dupPolls)
+	t.Logf("%d replicas, %d clients: %d upstream calls, %d failed widgets",
+		replicas, clients, p.calls, p.failed)
 	return p
 }
 
 // TestScaleOutKeepsUpstreamRPCsFlat is the §2.4 claim at fleet scale:
 // going from 1 replica x 50 clients to 4 replicas x 500 clients costs at
-// most 1.3x the upstream calls, because refresh ownership is partitioned
-// and owners' snapshots propagate to peers. The no-coherence ablation
-// (every replica refreshes everything) must cost at least 3x, or the
-// coherence machinery is not what keeps the load flat. A replica-kill
-// phase must fail no widget fetch and re-elect system_status's owner
-// within one round. Every phase serves zero page-level 5xx, and the
-// coherent phases never poll a source on two replicas in one round.
+// most 1.3x the upstream calls, because every replica reads one shared
+// cache tier. The no-coherence ablation (a private cache per replica) must
+// cost at least 3x, or the shared tier is not what keeps the load flat. A
+// replica-kill phase must fail no widget fetch. Every phase serves zero
+// page-level 5xx.
 func TestScaleOutKeepsUpstreamRPCsFlat(t *testing.T) {
 	var baseline, scaled, noCoherence, kill scalePhase
 	for _, ph := range []struct {
@@ -147,8 +116,7 @@ func TestScaleOutKeepsUpstreamRPCsFlat(t *testing.T) {
 	}
 	ratio := float64(scaled.calls) / float64(baseline.calls)
 	ablation := float64(noCoherence.calls) / float64(baseline.calls)
-	t.Logf("upstream calls vs baseline: scaled %.2fx, no-coherence %.2fx; kill re-elected after %d round(s)",
-		ratio, ablation, kill.reelected)
+	t.Logf("upstream calls vs baseline: scaled %.2fx, no-coherence %.2fx", ratio, ablation)
 	if ratio > 1.3 {
 		t.Errorf("scaled fleet costs %.2fx the baseline's upstream calls, want <= 1.3x", ratio)
 	}
@@ -157,8 +125,5 @@ func TestScaleOutKeepsUpstreamRPCsFlat(t *testing.T) {
 	}
 	if kill.failed != 0 {
 		t.Errorf("kill phase failed %d widget fetches, want 0", kill.failed)
-	}
-	if kill.reelected < 0 || kill.reelected > 1 {
-		t.Errorf("system_status re-elected after %d rounds (-1: never), want 0 or 1", kill.reelected)
 	}
 }

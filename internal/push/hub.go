@@ -51,7 +51,7 @@ type Snapshot struct {
 type HubStats struct {
 	Subscribers int   // currently connected subscriptions
 	Published   int64 // snapshots that got a new version
-	Suppressed  int64 // publishes dropped because the tag was unchanged (or the snapshot older)
+	Suppressed  int64 // publishes dropped because the tag was unchanged
 	Delivered   int64 // snapshots handed to subscriber buffers
 	Dropped     int64 // snapshots coalesced away because a subscriber lagged
 }
@@ -67,7 +67,6 @@ type Hub struct {
 	version int64
 	latest  map[string]Snapshot
 	subs    map[*Subscription]struct{}
-	passive int // subscriptions created by SubscribeAll (taps, not clients)
 	closed  bool
 
 	published  int64
@@ -97,48 +96,26 @@ func NewHub(clk clock.Clock) *Hub {
 // the stored one either way; fresh reports whether a new version was
 // minted.
 func (h *Hub) Publish(widget, key string, body etag.Body, degraded bool) (Snapshot, bool) {
-	return h.publish(Snapshot{Widget: widget, Key: key, Body: body, Degraded: degraded}, time.Time{})
-}
-
-// Republish stores snap — a snapshot another hub published, as a fleet
-// peer receives its owner's — keeping snap's Timestamp. Newest wins: a
-// snapshot confirmed earlier than the one held is ignored, so a late
-// delivery never rolls the hub back. Otherwise it behaves as Publish.
-func (h *Hub) Republish(snap Snapshot) (Snapshot, bool) {
-	return h.publish(snap, snap.Timestamp)
-}
-
-// publish is Publish and Republish: at is the confirm time, zero meaning
-// the hub clock's now.
-func (h *Hub) publish(snap Snapshot, at time.Time) (Snapshot, bool) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		return Snapshot{}, false
 	}
-	if at.IsZero() {
-		at = h.clock.Now()
-	}
-	prev, held := h.latest[snap.Key]
-	older := held && at.Before(prev.Timestamp)
-	same := held && prev.Body.Tag == snap.Body.Tag && prev.Degraded == snap.Degraded
-	if older || same {
-		if !older {
-			prev.Timestamp = at // unchanged content, confirmed again
-			h.latest[snap.Key] = prev
-		}
+	now := h.clock.Now()
+	if prev, held := h.latest[key]; held && prev.Body.Tag == body.Tag && prev.Degraded == degraded {
+		prev.Timestamp = now // unchanged content, confirmed again
+		h.latest[key] = prev
 		h.suppressed++
 		h.mu.Unlock()
 		return prev, false
 	}
 	h.version++
-	snap.Version = h.version
-	snap.Timestamp = at
-	h.latest[snap.Key] = snap
+	snap := Snapshot{Widget: widget, Key: key, Version: h.version, Body: body, Degraded: degraded, Timestamp: now}
+	h.latest[key] = snap
 	h.published++
 	targets := make([]*Subscription, 0, len(h.subs))
 	for sub := range h.subs {
-		if sub.wants(snap.Key) {
+		if sub.keys[key] {
 			targets = append(targets, sub)
 		}
 	}
@@ -149,15 +126,6 @@ func (h *Hub) publish(snap Snapshot, at time.Time) (Snapshot, bool) {
 		sub.offer(snap)
 	}
 	return snap, true
-}
-
-// Drop forgets key's stored snapshot, so the next reader finds nothing
-// held (the fleet reaper's cleanup). Pending subscriber buffers keep what
-// they already received.
-func (h *Hub) Drop(key string) {
-	h.mu.Lock()
-	delete(h.latest, key)
-	h.mu.Unlock()
 }
 
 // Latest returns the stored snapshot for key, if any.
@@ -228,47 +196,21 @@ func (h *Hub) Subscribe(keys []string) *Subscription {
 	return sub
 }
 
-// SubscribeAll registers a passive subscription that receives every key's
-// new versions — the fleet layer's propagation tap. Passive subscriptions
-// are invisible to SubscriberCount and SubscribersFor, so a tap never makes
-// an idle source look watched (pause-when-idle keeps seeing real clients
-// only). The caller must Close the subscription when done.
-func (h *Hub) SubscribeAll() *Subscription {
-	sub := &Subscription{
-		hub:     h,
-		all:     true,
-		pending: make(map[string]Snapshot, 8),
-		notify:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		close(sub.done)
-		return sub
-	}
-	h.subs[sub] = struct{}{}
-	h.passive++
-	h.mu.Unlock()
-	return sub
-}
-
-// SubscriberCount returns the number of open client subscriptions
-// (passive SubscribeAll taps excluded).
+// SubscriberCount returns the number of open client subscriptions.
 func (h *Hub) SubscriberCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.subs) - h.passive
+	return len(h.subs)
 }
 
 // SubscribersFor returns how many open client subscriptions include key —
-// the scheduler's pause-when-idle signal. Passive taps do not count.
+// the scheduler's pause-when-idle signal.
 func (h *Hub) SubscribersFor(key string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := 0
 	for sub := range h.subs {
-		if !sub.all && sub.keys[key] {
+		if sub.keys[key] {
 			n++
 		}
 	}
@@ -281,7 +223,7 @@ func (h *Hub) Stats() HubStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := HubStats{
-		Subscribers: len(h.subs) - h.passive,
+		Subscribers: len(h.subs),
 		Published:   h.published,
 		Suppressed:  h.suppressed,
 		Delivered:   h.deliveredTotal,
@@ -320,9 +262,6 @@ func (h *Hub) unsubscribe(sub *Subscription) {
 	h.mu.Lock()
 	if _, ok := h.subs[sub]; ok {
 		delete(h.subs, sub)
-		if sub.all {
-			h.passive--
-		}
 		h.deliveredTotal += d
 		h.droppedTotal += dr
 	}
@@ -343,7 +282,6 @@ type SubStats struct {
 type Subscription struct {
 	hub  *Hub
 	keys map[string]bool
-	all  bool // SubscribeAll tap: wants every key, excluded from client counts
 
 	mu        sync.Mutex
 	pending   map[string]Snapshot
@@ -355,8 +293,6 @@ type Subscription struct {
 	notify chan struct{}
 	done   chan struct{}
 }
-
-func (s *Subscription) wants(key string) bool { return s.all || s.keys[key] }
 
 // offer buffers snap for the subscriber, coalescing onto any undelivered
 // snapshot for the same key. Never blocks.

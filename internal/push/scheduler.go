@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -135,36 +134,7 @@ func (s *Scheduler) Register(src Source) (bool, error) {
 	return true, nil
 }
 
-// Unregister removes the source for key and reports whether it existed.
-// The fleet layer uses it when refresh ownership of a key moves to another
-// replica, and when an idle source is reaped.
-func (s *Scheduler) Unregister(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sources[key]; !ok {
-		return false
-	}
-	delete(s.sources, key)
-	s.stats.Sources = len(s.sources)
-	return true
-}
-
-// Keys returns the registered source keys in sorted order — the fleet
-// drill's evidence that each key is scheduled on exactly one replica.
-func (s *Scheduler) Keys() []string {
-	s.mu.Lock()
-	out := make([]string, 0, len(s.sources))
-	for k := range s.sources {
-		out = append(out, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// SourceRefreshes returns the per-key fetch-attempt counts. Counts survive
-// only as long as the source is registered (Unregister drops them with the
-// source).
+// SourceRefreshes returns the per-key fetch-attempt counts.
 func (s *Scheduler) SourceRefreshes() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -243,4 +244,41 @@ func TestSchedulerCloseRejectsRegister(t *testing.T) {
 		t.Fatal("Register after Close succeeded")
 	}
 	sched.Close() // idempotent
+}
+
+// SourceRefreshes counts fetch attempts per key, scheduled and immediate;
+// a duplicate registration is a no-op that keeps the count.
+func TestSchedulerSourceRefreshCounts(t *testing.T) {
+	clock := testClock()
+	hub := NewHub(clock)
+	defer hub.Close()
+	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub, Jitter: -1})
+	defer sched.Close()
+
+	fetch := func(payload string) FetchFunc {
+		return func(ctx context.Context) (etag.Body, bool, error) {
+			return etag.New([]byte(payload)), false, nil
+		}
+	}
+	for _, key := range []string{"b", "a"} {
+		if _, err := sched.Register(Source{Widget: key, Key: key, TTL: time.Minute, Fetch: fetch(key)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	added, err := sched.Register(Source{Widget: "a", Key: "a", TTL: time.Minute, Fetch: fetch("a")})
+	if err != nil || added {
+		t.Fatalf("duplicate Register = (%v, %v), want (false, nil)", added, err)
+	}
+
+	if _, err := sched.Refresh(context.Background(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(61 * time.Second)
+	sched.Tick() // both due
+	if got, want := sched.SourceRefreshes(), map[string]int64{"a": 2, "b": 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("SourceRefreshes = %v, want %v", got, want)
+	}
+	if _, err := sched.Refresh(context.Background(), "c"); err == nil {
+		t.Fatal("Refresh of an unregistered source succeeded")
+	}
 }

@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -88,9 +89,9 @@ func (j *Job) IsArrayTask() bool { return j.ArrayJobID != 0 }
 // "1234" otherwise.
 func (j *Job) DisplayID() string {
 	if j.IsArrayTask() {
-		return fmt.Sprintf("%d_%d", j.ArrayJobID, j.ArrayTaskID)
+		return strconv.FormatInt(int64(j.ArrayJobID), 10) + "_" + strconv.Itoa(j.ArrayTaskID)
 	}
-	return fmt.Sprintf("%d", j.ID)
+	return strconv.FormatInt(int64(j.ID), 10)
 }
 
 // WaitTime returns how long the job waited (or has waited) in the queue.

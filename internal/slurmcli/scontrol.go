@@ -231,15 +231,20 @@ func scontrolShowAssoc(cl *slurm.Cluster, args []string) (string, error) {
 		if user != "" && a.User != user {
 			continue
 		}
-		grpTRES := ""
-		if a.GrpCPULimit > 0 {
-			grpTRES = fmt.Sprintf("cpu=%d", a.GrpCPULimit)
-		}
-		fmt.Fprintf(&b,
-			"ClusterName=%s Account=%s UserName=%s GrpTRES=%s GrpTRESMins=gres/gpu=%.0f GPUHoursUsed=%.2f CPUHoursUsed=%.2f\n",
-			cl.Name, a.Account, a.User, grpTRES, a.GrpGPUHourLimit*60, a.GPUHoursUsed, a.CPUTimeUsed)
+		b.WriteString(assocLine(cl.Name, a))
 	}
 	return b.String(), nil
+}
+
+// assocLine formats one association record of scontrol show assoc.
+func assocLine(cluster string, a *slurm.Association) string {
+	grpTRES := ""
+	if a.GrpCPULimit > 0 {
+		grpTRES = fmt.Sprintf("cpu=%d", a.GrpCPULimit)
+	}
+	return fmt.Sprintf(
+		"ClusterName=%s Account=%s UserName=%s GrpTRES=%s GrpTRESMins=gres/gpu=%.0f GPUHoursUsed=%.2f CPUHoursUsed=%.2f\n",
+		cluster, a.Account, a.User, grpTRES, a.GrpGPUHourLimit*60, a.GPUHoursUsed, a.CPUTimeUsed)
 }
 
 // scontrolShowReservation emulates `scontrol show reservation`: one block
@@ -655,6 +660,12 @@ func ShowAssocs(r Runner, account, user string) ([]AssocDetail, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseAssocs(out)
+}
+
+// parseAssocs parses scontrol show assoc output: one record per line of
+// Key=Value pairs.
+func parseAssocs(out string) ([]AssocDetail, error) {
 	var assocs []AssocDetail
 	for _, line := range strings.Split(out, "\n") {
 		if strings.TrimSpace(line) == "" {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"ooddash/internal/slurm"
 )
@@ -92,16 +93,19 @@ func runSqueue(cl *slurm.Cluster, args []string) (string, error) {
 
 	jobs := cl.Ctl.Jobs(filter)
 	now := cl.Ctl.Now()
-	var b strings.Builder
+	// One buffer for the whole listing: an all-states queue is hundreds of
+	// rows.
+	b := make([]byte, 0, 160*(len(jobs)+1))
+	var val []byte
 	if !noHeader {
-		b.WriteString(squeueLine(format, nil, now, true))
-		b.WriteByte('\n')
+		b, val = appendSqueueLine(b, val, format, nil, now)
+		b = append(b, '\n')
 	}
 	for _, j := range jobs {
-		b.WriteString(squeueLine(format, j, now, false))
-		b.WriteByte('\n')
+		b, val = appendSqueueLine(b, val, format, j, now)
+		b = append(b, '\n')
 	}
-	return b.String(), nil
+	return string(b), nil
 }
 
 // squeueHeaders maps format verbs to their column headers.
@@ -112,17 +116,17 @@ var squeueHeaders = map[byte]string{
 	'l': "TIME_LIMIT", 'D': "NODES", 'C': "CPUS", 'm': "MIN_MEMORY", 'b': "TRES_PER_NODE",
 }
 
-// squeueLine expands one squeue format string for a job (or, when header is
-// true, for the column headers). Supports the "%.10x" width syntax (width is
-// honored for padding but long values are not truncated, matching squeue's
-// behaviour with negative widths closely enough for parsing).
-func squeueLine(format string, j *slurm.Job, now time.Time, header bool) string {
-	var b strings.Builder
+// appendSqueueLine appends one squeue format string expanded for a job (or,
+// when j is nil, for the column headers) to b. Supports the "%.10x" width
+// syntax (width is honored for padding but long values are not truncated,
+// matching squeue's behaviour with negative widths closely enough for
+// parsing). val is scratch space for one field, returned for reuse.
+func appendSqueueLine(b, val []byte, format string, j *slurm.Job, now time.Time) ([]byte, []byte) {
 	i := 0
 	for i < len(format) {
 		c := format[i]
 		if c != '%' {
-			b.WriteByte(c)
+			b = append(b, c)
 			i++
 			continue
 		}
@@ -141,76 +145,78 @@ func squeueLine(format string, j *slurm.Job, now time.Time, header bool) string 
 		}
 		verb := format[i]
 		i++
-		var val string
-		if header {
-			val = squeueHeaders[verb]
+		if j == nil {
+			val = append(val[:0], squeueHeaders[verb]...)
 		} else {
-			val = squeueValue(verb, j, now)
+			val = appendSqueueValue(val[:0], verb, j, now)
 		}
-		if width > 0 && len(val) < width {
-			val = strings.Repeat(" ", width-len(val)) + val
+		for pad := width - len(val); pad > 0; pad-- {
+			b = append(b, ' ')
 		}
-		b.WriteString(val)
+		b = append(b, val...)
 	}
-	return b.String()
+	return b, val
 }
 
-func squeueValue(verb byte, j *slurm.Job, now time.Time) string {
+// appendSqueueValue appends one format verb's value for j to b.
+func appendSqueueValue(b []byte, verb byte, j *slurm.Job, now time.Time) []byte {
 	switch verb {
 	case 'i':
-		return j.DisplayID()
+		return append(b, j.DisplayID()...)
 	case 'j':
-		return j.Name
+		return append(b, j.Name...)
 	case 'u':
-		return j.User
+		return append(b, j.User...)
 	case 'a':
-		return j.Account
+		return append(b, j.Account...)
 	case 'P':
-		return j.Partition
+		return append(b, j.Partition...)
 	case 'q':
-		return j.QOS
+		return append(b, j.QOS...)
 	case 'T':
-		return string(j.State)
+		return append(b, j.State...)
 	case 't':
-		return j.State.ShortCode()
+		return append(b, j.State.ShortCode()...)
 	case 'r':
-		return string(j.Reason)
+		return append(b, j.Reason...)
 	case 'R':
 		if j.State == slurm.StatePending {
-			return "(" + string(j.Reason) + ")"
+			b = append(b, '(')
+			b = append(b, j.Reason...)
+			return append(b, ')')
 		}
-		return slurm.NodeNameRange(j.Nodes)
+		return append(b, slurm.NodeNameRange(j.Nodes)...)
 	case 'S':
-		return FormatTime(j.StartTime)
+		return appendTime(b, j.StartTime)
 	case 'V':
-		return FormatTime(j.SubmitTime)
+		return appendTime(b, j.SubmitTime)
 	case 'e':
-		return FormatTime(j.EndTime)
+		return appendTime(b, j.EndTime)
 	case 'M':
-		return FormatDuration(j.Elapsed(now))
+		return appendDuration(b, j.Elapsed(now))
 	case 'l':
-		return FormatDuration(j.TimeLimit)
+		return appendDuration(b, j.TimeLimit)
 	case 'D':
 		n := j.ReqTRES.Nodes
 		if j.AllocTRES.Nodes > 0 {
 			n = j.AllocTRES.Nodes
 		}
-		return strconv.Itoa(n)
+		return strconv.AppendInt(b, int64(n), 10)
 	case 'C':
 		c := j.ReqTRES.CPUs
 		if j.AllocTRES.CPUs > 0 {
 			c = j.AllocTRES.CPUs
 		}
-		return strconv.Itoa(c)
+		return strconv.AppendInt(b, int64(c), 10)
 	case 'm':
-		return FormatMem(j.ReqTRES.MemMB)
+		return appendMem(b, j.ReqTRES.MemMB)
 	case 'b':
 		if j.ReqTRES.GPUs == 0 {
-			return "N/A"
+			return append(b, "N/A"...)
 		}
-		return fmt.Sprintf("gres/gpu:%d", j.ReqTRES.GPUs)
+		return fmt.Appendf(b, "gres/gpu:%d", j.ReqTRES.GPUs)
 	default:
-		return "%" + string(verb)
+		return utf8.AppendRune(append(b, '%'), rune(verb))
 	}
 }
 
