@@ -6,7 +6,7 @@
 //
 //	dashboard [-addr :8080] [-small] [-seed 42] [-warp 60]
 //	          [-backend cli|rest|slurmctld=rest,slurmdbd=cli]
-//	          [-replicas 3] [-lb-policy round_robin|least_conn|sticky]
+//	          [-replicas 3]
 //	          [-no-push] [-push-interval 1s] [-push-heartbeat 15s]
 //	          [-trace-sample 1] [-trace-slow-ms 500] [-trace-store-max 256]
 //	          [-fault-cmd squeue] [-fault-rate 0.2] [-fault-outage]
@@ -26,7 +26,7 @@
 // spelling like "slurmctld=rest,slurmdbd=cli" migrates one source at a time.
 //
 // -replicas N (N > 1) turns on the scale-out fleet tier: N in-process
-// dashboard replicas behind a simulated load balancer (-lb-policy), all
+// dashboard replicas behind a simulated round-robin load balancer, all
 // reading one shared data cache and rendered cache, so upstream Slurm load
 // stays one fill per key per TTL however many replicas serve. With
 // -ops-addr set, the fleet's own metrics are exposed at /metrics/fleet
@@ -38,7 +38,9 @@
 // deterministic bursts, or a full outage). -fault-after delays arming so the
 // fault lands mid-run against warm caches — watch widgets flip to degraded
 // (stale) mode on /api/admin/health and /metrics, or measure it with
-// cmd/loadgen's live mode.
+// cmd/loadgen's live mode. Faults wrap the command runner, so they reach
+// CLI-served sources only: the dashboard refuses to start when -fault-cmd
+// names a command (or "*") whose daemon -backend serves over REST.
 //
 // -ops-addr starts a second, operators-only listener carrying net/http/pprof
 // (bind it to localhost — it is deliberately kept off the user-facing mux so
@@ -101,6 +103,25 @@ func parseBackend(s string) (core.BackendConfig, error) {
 	return bc, nil
 }
 
+// checkFaultBackend refuses a fault that could never fire. The fault runner
+// wraps the CLI command runner, so a -fault-cmd whose daemon -backend
+// serves over REST, or "*" while either daemon is on REST, would be armed
+// and ignored.
+func checkFaultBackend(faultCmd string, bc core.BackendConfig) error {
+	if faultCmd == "" {
+		return nil
+	}
+	for _, d := range []struct{ daemon, mode string }{
+		{"slurmctld", bc.Slurmctld},
+		{"slurmdbd", bc.Slurmdbd},
+	} {
+		if d.mode == core.BackendREST && (faultCmd == "*" || slurmcli.DaemonFor(faultCmd) == d.daemon) {
+			return fmt.Errorf("-fault-cmd %q cannot reach %s: -backend serves it over REST, and faults reach CLI-served sources only", faultCmd, d.daemon)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "dashboard listen address")
@@ -117,8 +138,7 @@ func main() {
 		pushInterval  = flag.Duration("push-interval", time.Second, "wall-clock cadence of the background tick (cache purge, push refresh, SLO evaluation)")
 		pushHeartbeat = flag.Duration("push-heartbeat", 15*time.Second, "SSE keep-alive comment interval (0 disables heartbeats)")
 
-		replicas = flag.Int("replicas", 1, "dashboard replicas behind the simulated load balancer (>1 enables the fleet tier)")
-		lbPolicy = flag.String("lb-policy", "round_robin", "fleet load-balancing policy: round_robin, least_conn, or sticky")
+		replicas = flag.Int("replicas", 1, "dashboard replicas behind the simulated round-robin load balancer (>1 enables the fleet tier)")
 
 		sloConfig = flag.String("slo-config", "", "JSON file of SLO objectives (empty = built-in defaults: 99.9% availability, 99% latency under 250ms, 28d budgets)")
 
@@ -137,6 +157,14 @@ func main() {
 		faultSeed       = flag.Int64("fault-seed", 1, "fault-injection RNG seed")
 	)
 	flag.Parse()
+
+	backendCfg, err := parseBackend(*backendMode)
+	if err != nil {
+		log.Fatalf("-backend: %v", err)
+	}
+	if err := checkFaultBackend(*faultCmd, backendCfg); err != nil {
+		log.Fatal(err)
+	}
 
 	spec := workload.DefaultSpec()
 	if *small {
@@ -219,10 +247,6 @@ func main() {
 	if *traceSlowMS <= 0 {
 		traceCfg.Slow = -1
 	}
-	backendCfg, err := parseBackend(*backendMode)
-	if err != nil {
-		log.Fatalf("-backend: %v", err)
-	}
 	cfg := core.Config{
 		Push:    core.PushConfig{Disabled: *noPush, Heartbeat: hb},
 		Trace:   traceCfg,
@@ -249,13 +273,8 @@ func main() {
 	var shutdown func()
 	var fl *fleet.Fleet
 	if *replicas > 1 {
-		policy, err := fleet.ParsePolicy(*lbPolicy)
-		if err != nil {
-			log.Fatalf("-lb-policy: %v", err)
-		}
 		fl, err = fleet.New(fleet.Options{
 			Replicas: *replicas,
-			Policy:   policy,
 			Clock:    env.Clock,
 			Runner:   env.Runner,
 			Build: func(id string, r slurmcli.Runner) (*core.Server, error) {
@@ -273,7 +292,7 @@ func main() {
 		}
 		fl.Run(*pushInterval)
 		handler, shutdown = fl, fl.Close
-		log.Printf("fleet tier on: %d replicas, %s balancing, one shared cache tier", *replicas, policy)
+		log.Printf("fleet tier on: %d replicas, round-robin balancing, one shared cache tier", *replicas)
 	} else {
 		server, err := env.NewServerRunner(newsURL, cfg, env.Runner)
 		if err != nil {

@@ -11,7 +11,9 @@ package browser
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"sync"
 	"time"
 
 	"ooddash/internal/auth"
@@ -96,6 +98,12 @@ type Browser struct {
 	// (EventSource's Last-Event-ID behavior). Guarded by the stream's mutex
 	// while a stream is open.
 	lastEventID int64
+
+	// streamed counts, per API path, the live event streams that subscribe
+	// to it. The hub sends every change, so while one lives the cached copy
+	// is current and LoadPage paints it without a fetch.
+	streamMu sync.Mutex
+	streamed map[string]int
 }
 
 // New returns a browser for user against the dashboard at baseURL. Each
@@ -108,11 +116,12 @@ func New(user, baseURL string, client *http.Client, clk clock.Clock) *Browser {
 	}
 	db := clientcache.New(clk)
 	return &Browser{
-		User:    user,
-		BaseURL: baseURL,
-		Client:  client,
-		db:      db,
-		store:   db.ObjectStore("api-responses"),
+		User:     user,
+		BaseURL:  baseURL,
+		Client:   client,
+		db:       db,
+		store:    db.ObjectStore("api-responses"),
+		streamed: make(map[string]int),
 	}
 }
 
@@ -150,13 +159,19 @@ func (b *Browser) fetchAPI(path, etag string) (body []byte, newTag string, degra
 }
 
 // LoadPage loads one page: every widget goes through the client cache
-// policy, exactly like widgets.js in the served frontend.
+// policy, exactly like widgets.js in the served frontend. A widget a live
+// event stream subscribes to paints from the cache whatever its age; it
+// goes to the network only when nothing is cached yet.
 func (b *Browser) LoadPage(widgets []WidgetRequest) PageLoad {
 	var out PageLoad
 	for _, w := range widgets {
 		serverDegraded := false
 		var netTime time.Duration
-		res, err := b.store.FetchTagged(w.Path, w.TTL, func(etag string) ([]byte, string, error) {
+		maxAge := w.TTL
+		if b.isStreamed(w.Path) {
+			maxAge = math.MaxInt64
+		}
+		res, err := b.store.FetchTagged(w.Path, maxAge, func(etag string) ([]byte, string, error) {
 			start := time.Now()
 			body, tag, deg, ferr := b.fetchAPI(w.Path, etag)
 			netTime = time.Since(start)
@@ -190,6 +205,22 @@ func (b *Browser) LoadPage(widgets []WidgetRequest) PageLoad {
 		out.Widgets = append(out.Widgets, wr)
 	}
 	return out
+}
+
+// isStreamed reports whether a live event stream subscribes to path.
+func (b *Browser) isStreamed(path string) bool {
+	b.streamMu.Lock()
+	defer b.streamMu.Unlock()
+	return b.streamed[path] > 0
+}
+
+// trackStream adds delta to the stream count of every path in paths.
+func (b *Browser) trackStream(paths map[string]string, delta int) {
+	b.streamMu.Lock()
+	defer b.streamMu.Unlock()
+	for _, path := range paths {
+		b.streamed[path] += delta
+	}
 }
 
 // LoadHomepage loads the five-widget homepage.

@@ -15,9 +15,11 @@ import (
 
 // EventStream is the browser's SSE connection to /api/events: every named
 // event it receives is written into the client cache under the widget's API
-// path, so page loads paint instantly from cache without polling. When the
-// stream dies the browser simply falls back to the polling policy LoadPage
-// already implements — the cache it kept hot is still there.
+// path, so page loads paint instantly from cache without polling, through
+// quiet cycles too — the hub sends every change, so while the stream lives
+// LoadPage trusts the cached copy whatever its age. When the stream dies the
+// browser simply falls back to the polling policy LoadPage already
+// implements — the cache it kept hot is still there.
 type EventStream struct {
 	browser *Browser
 	paths   map[string]string // event name -> client-cache key (API path)
@@ -75,12 +77,14 @@ func (b *Browser) OpenEventStream(widgets []WidgetRequest, onEvent func(push.Eve
 		lastID:  b.lastEventID,
 		done:    make(chan struct{}),
 	}
+	b.trackStream(paths, 1)
 	go st.loop()
 	return st, nil
 }
 
 func (st *EventStream) loop() {
 	defer close(st.done)
+	defer st.browser.trackStream(st.paths, -1) // before done closes
 	dec := push.NewDecoder(st.resp.Body)
 	for {
 		ev, err := dec.Next()

@@ -160,3 +160,34 @@ func TestEventStreamResumesFromLastID(t *testing.T) {
 		t.Fatalf("resume replayed %d events, want 0", n)
 	}
 }
+
+// TestEventStreamKeepsQuietWidgetsFresh: while a live stream subscribes to
+// a widget, a page load paints the cached copy however old it is, since the
+// hub would have sent any change; once the stream ends, the client TTL
+// applies again.
+func TestEventStreamKeepsQuietWidgetsFresh(t *testing.T) {
+	env, _, url := sseStack(t)
+	b := New(env.UserNames[0], url, nil, env.Clock)
+	widgets := []WidgetRequest{{Name: "system_status", Path: "/api/system_status", TTL: 60 * time.Second}}
+	events := make(chan push.Event, 8)
+	st, err := b.OpenEventStream(widgets, func(ev push.Event) { events <- ev })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close() // a failed check must not leave the stream holding the listener open
+	select {
+	case <-events: // the subscribe-time replay
+	case <-time.After(5 * time.Second):
+		t.Fatal("no initial snapshot")
+	}
+
+	env.Clock.Advance(10 * time.Minute) // a quiet stretch: no refresh, no event
+	if load := b.LoadPage(widgets); load.NetworkFetches != 0 || load.Widgets[0].Source != clientcache.SourceFresh {
+		t.Fatalf("streamed widget 10 min after its last event: source=%s network=%d, want cache-fresh/0",
+			load.Widgets[0].Source, load.NetworkFetches)
+	}
+	st.Close()
+	if load := b.LoadPage(widgets); load.NetworkFetches != 1 {
+		t.Fatalf("after the stream closed: network=%d, want 1 (the 60 s client TTL applies)", load.NetworkFetches)
+	}
+}

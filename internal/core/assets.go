@@ -159,7 +159,8 @@ const assetWidgetsJS = `"use strict";
   }
   openEventStream(widgets, paint);
 
-  // openEventStream subscribes this page's pushable widgets to the live
+  // openEventStream subscribes this page's push widgets — the sections the
+  // server marked with a data-push name from its widget table — to the live
   // update feed: each event's payload is exactly the widget's API response,
   // so it goes through the same cache-put + repaint as a poll. EventSource
   // reconnects (with Last-Event-ID) on its own; when push is unavailable the
@@ -167,14 +168,9 @@ const assetWidgetsJS = `"use strict";
   // every page load.
   function openEventStream(els, paintFn) {
     if (!window.EventSource) return;
-    const pushable = ["announcements", "recent_jobs", "system_status",
-      "cluster_status", "accounts", "storage", "my_jobs"];
-    const special = { myjobs: "my_jobs" };
     const byName = {};
     for (const el of els) {
-      const leaf = el.dataset.api.split("/").pop();
-      const name = special[leaf] || leaf;
-      if (pushable.indexOf(name) >= 0) byName[name] = el;
+      if (el.dataset.push) byName[el.dataset.push] = el;
     }
     const names = Object.keys(byName);
     if (!names.length) return;

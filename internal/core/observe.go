@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -321,18 +322,11 @@ func newServerObs(s *Server) *serverObs {
 			}
 		})
 
-	// Live SLO engine: the event stream, current burn rates, the 28-day
-	// error-budget ledger, and alert states per objective/rule. The
-	// bad-event series and any firing alert carry an OpenMetrics exemplar
-	// linking to the most recent bad request's trace, so a page alert on
-	// the scrape points straight at a culpable retained flame trace.
-	sloLabel := func(pairs ...string) []obs.Label {
-		out := make([]obs.Label, 0, len(pairs)/2)
-		for i := 0; i+1 < len(pairs); i += 2 {
-			out = append(out, obs.Label{Name: pairs[i], Value: pairs[i+1]})
-		}
-		return out
-	}
+	// Live SLO engine: the event stream, and the families every SLO view
+	// exports (burn rates, the 28-day error-budget ledger, alert states).
+	// The bad-event series and any firing alert carry an OpenMetrics
+	// exemplar linking to the most recent bad request's trace, so a page
+	// alert on the scrape points straight at a culpable retained flame trace.
 	sloExemplar := func(objective string) *obs.Exemplar {
 		if id, v, ts, ok := s.sloEng.LastBadExemplar(objective); ok {
 			return &obs.Exemplar{TraceID: id, Value: v, Ts: ts}
@@ -347,85 +341,14 @@ func newServerObs(s *Server) *serverObs {
 			for _, o := range st.Objectives {
 				good, bad := s.sloEng.EventTotals(o.Name)
 				out = append(out,
-					obs.Sample{Labels: sloLabel("objective", o.Name, "result", "good"), Value: float64(good)},
-					obs.Sample{Labels: sloLabel("objective", o.Name, "result", "bad"),
+					obs.Sample{Labels: []obs.Label{{Name: "objective", Value: o.Name}, {Name: "result", Value: "good"}},
+						Value: float64(good)},
+					obs.Sample{Labels: []obs.Label{{Name: "objective", Value: o.Name}, {Name: "result", Value: "bad"}},
 						Value: float64(bad), Exemplar: sloExemplar(o.Name)})
 			}
 			return out
 		})
-	reg.CollectorFunc("ooddash_slo_burn_rate", obs.KindGauge,
-		"Current burn rate in multiples of the budgeted error rate, by objective, rule, and window (short, long).",
-		func() []obs.Sample {
-			st := s.sloEng.Status()
-			var out []obs.Sample
-			for _, o := range st.Objectives {
-				for _, a := range o.Alerts {
-					out = append(out,
-						obs.Sample{Labels: sloLabel("objective", o.Name, "rule", a.Rule, "window", "short"), Value: a.ShortBurn},
-						obs.Sample{Labels: sloLabel("objective", o.Name, "rule", a.Rule, "window", "long"), Value: a.LongBurn})
-				}
-			}
-			return out
-		})
-	sloBudgetGauge := func(name, help string, read func(slo.BudgetStatus) float64) {
-		reg.CollectorFunc(name, obs.KindGauge, help, func() []obs.Sample {
-			st := s.sloEng.Status()
-			out := make([]obs.Sample, 0, len(st.Objectives))
-			for _, o := range st.Objectives {
-				out = append(out, obs.Sample{
-					Labels: sloLabel("objective", o.Name), Value: read(o.Budget)})
-			}
-			return out
-		})
-	}
-	sloBudgetGauge("ooddash_slo_budget_spent_ratio",
-		"Share of the 28d error budget consumed, per objective (may exceed 1).",
-		func(b slo.BudgetStatus) float64 { return b.SpentRatio })
-	sloBudgetGauge("ooddash_slo_budget_remaining_ratio",
-		"Share of the 28d error budget remaining, per objective (may go negative).",
-		func(b slo.BudgetStatus) float64 { return b.RemainingRatio })
-	sloBudgetGauge("ooddash_slo_budget_exhaustion_seconds",
-		"Projected seconds until budget exhaustion at the current 1h burn rate (0 when not burning).",
-		func(b slo.BudgetStatus) float64 { return b.ExhaustionSeconds })
-	reg.CollectorFunc("ooddash_slo_alert_state", obs.KindGauge,
-		"Alert state by objective and rule (0 inactive, 1 pending, 2 firing); firing alerts carry the last bad event's trace exemplar.",
-		func() []obs.Sample {
-			st := s.sloEng.Status()
-			var out []obs.Sample
-			for _, o := range st.Objectives {
-				for _, a := range o.Alerts {
-					sample := obs.Sample{Labels: sloLabel("objective", o.Name, "rule", a.Rule)}
-					switch a.State {
-					case "pending":
-						sample.Value = 1
-					case "firing":
-						sample.Value = 2
-						sample.Exemplar = sloExemplar(o.Name)
-					}
-					out = append(out, sample)
-				}
-			}
-			return out
-		})
-	sloAlertCounter := func(name, help string, read func(slo.AlertStatus) uint64) {
-		reg.CollectorFunc(name, obs.KindCounter, help, func() []obs.Sample {
-			st := s.sloEng.Status()
-			var out []obs.Sample
-			for _, o := range st.Objectives {
-				for _, a := range o.Alerts {
-					out = append(out, obs.Sample{
-						Labels: sloLabel("objective", o.Name, "rule", a.Rule), Value: float64(read(a))})
-				}
-			}
-			return out
-		})
-	}
-	sloAlertCounter("ooddash_slo_alerts_fired_total",
-		"Alerts that reached firing, per objective and rule.",
-		func(a slo.AlertStatus) uint64 { return a.Fired })
-	sloAlertCounter("ooddash_slo_alerts_resolved_total",
-		"Firing alerts that resolved, per objective and rule.",
-		func(a slo.AlertStatus) uint64 { return a.Resolved })
+	slo.Export(reg, "ooddash_slo", s.sloEng.Status, sloExemplar)
 
 	// The simulator's own RPC counters via sdiag, so the dashboard's command
 	// cost (ooddash_slurm_commands_total) can be read next to what the
@@ -483,9 +406,13 @@ func (s *Server) observeRefresh(widget string, d time.Duration, published bool, 
 	s.obsm.pushRefreshes.With(widget, result).Inc()
 }
 
-// observeCommand is the metered runner's hook: per-command, per-daemon
-// attribution of every Slurm invocation the dashboard makes.
+// observeCommand is the hook of the metered runner and of the REST client:
+// per-command, per-daemon attribution of every Slurm invocation the
+// dashboard makes.
 func (s *Server) observeCommand(command, daemon string, d time.Duration, err error) {
+	s.upstreamMu.Lock()
+	s.upstream[daemon]++
+	s.upstreamMu.Unlock()
 	outcome := "ok"
 	switch {
 	case err == nil:
@@ -673,6 +600,16 @@ func (s *Server) instrument(wd *Widget, h http.HandlerFunc) http.HandlerFunc {
 				w.Header().Get(degradedHeader) != "", logField(r.Header.Get(auth.UserHeader))))
 		}
 	}
+}
+
+// UpstreamCalls returns the upstream Slurm calls this server issued, by
+// daemon: every command through its metered runner and every request
+// through its REST client. Cache hits and breaker short-circuits never
+// reach either, so this is the load the server put on Slurm.
+func (s *Server) UpstreamCalls() map[string]int64 {
+	s.upstreamMu.Lock()
+	defer s.upstreamMu.Unlock()
+	return maps.Clone(s.upstream)
 }
 
 // Metrics exposes the server's metrics registry, so an embedding program

@@ -43,31 +43,34 @@ const baseTemplate = `<!DOCTYPE html>
 </html>`
 
 // pageTemplates maps page names to their content blocks. Each widget div
-// carries its API route and client-cache TTL as data attributes consumed by
-// widgets.js; this is the template/API-route pairing of §2.3. The TTL is the
-// serving widget's configured one, so the browser cache (§2.4's second
-// layer) ages its copy on the same cadence as the server cache.
+// carries its API route, client-cache TTL and push name as data attributes
+// consumed by widgets.js; this is the template/API-route pairing of §2.3.
+// The TTL is the serving widget's configured one, so the browser cache
+// (§2.4's second layer) ages its copy on the same cadence as the server
+// cache. The push name is the widget's name when the widget table gives it
+// a push source, and empty otherwise: widgets.js subscribes exactly the
+// sections that carry one.
 var pageTemplates = map[string]string{
 	"home": `{{define "content"}}
 <h1 class="sr-only">Dashboard homepage</h1>
 <div class="widget-grid">
-  <section class="widget" id="announcements" data-api="/api/announcements" data-ttl="{{index .TTL "announcements"}}">
+  <section class="widget" id="announcements" data-api="/api/announcements" data-ttl="{{index .TTL "announcements"}}" data-push="{{index .Push "announcements"}}">
     <h2>Announcements <a class="more" href="/news">All news</a></h2>
     <div class="widget-body loading" role="status">Loading announcements…</div>
   </section>
-  <section class="widget" id="recent-jobs" data-api="/api/recent_jobs" data-ttl="{{index .TTL "recent_jobs"}}">
+  <section class="widget" id="recent-jobs" data-api="/api/recent_jobs" data-ttl="{{index .TTL "recent_jobs"}}" data-push="{{index .Push "recent_jobs"}}">
     <h2>Recent Jobs <a class="more" href="/myjobs">All jobs</a></h2>
     <div class="widget-body loading" role="status">Loading recent jobs…</div>
   </section>
-  <section class="widget" id="system-status" data-api="/api/system_status" data-ttl="{{index .TTL "system_status"}}">
+  <section class="widget" id="system-status" data-api="/api/system_status" data-ttl="{{index .TTL "system_status"}}" data-push="{{index .Push "system_status"}}">
     <h2>System Status <a class="more" href="/clusterstatus">Details</a></h2>
     <div class="widget-body loading" role="status">Loading system status…</div>
   </section>
-  <section class="widget" id="accounts" data-api="/api/accounts" data-ttl="{{index .TTL "accounts"}}">
+  <section class="widget" id="accounts" data-api="/api/accounts" data-ttl="{{index .TTL "accounts"}}" data-push="{{index .Push "accounts"}}">
     <h2>Accounts <a class="more" href="{{.UserGuideURL}}">User guide</a></h2>
     <div class="widget-body loading" role="status">Loading accounts…</div>
   </section>
-  <section class="widget" id="storage" data-api="/api/storage" data-ttl="{{index .TTL "storage"}}">
+  <section class="widget" id="storage" data-api="/api/storage" data-ttl="{{index .TTL "storage"}}" data-push="{{index .Push "storage"}}">
     <h2>Storage</h2>
     <div class="widget-body loading" role="status">Loading storage…</div>
   </section>
@@ -87,11 +90,11 @@ var pageTemplates = map[string]string{
   </select>
   <button id="toggle-efficiency">Toggle Efficiency Data</button>
 </div>
-<section class="widget" id="myjobs-charts" data-api="/api/myjobs/charts" data-ttl="{{index .TTL "my_jobs_charts"}}">
+<section class="widget" id="myjobs-charts" data-api="/api/myjobs/charts" data-ttl="{{index .TTL "my_jobs_charts"}}" data-push="{{index .Push "my_jobs_charts"}}">
   <h2>Job distribution</h2>
   <div class="widget-body loading" role="status">Loading charts…</div>
 </section>
-<section class="widget" id="myjobs-table" data-api="/api/myjobs" data-ttl="{{index .TTL "my_jobs"}}">
+<section class="widget" id="myjobs-table" data-api="/api/myjobs" data-ttl="{{index .TTL "my_jobs"}}" data-push="{{index .Push "my_jobs"}}">
   <h2>Jobs</h2>
   <div class="widget-body loading" role="status">Loading jobs…</div>
 </section>
@@ -99,7 +102,7 @@ var pageTemplates = map[string]string{
 
 	"jobperf": `{{define "content"}}
 <h1>Job Performance Metrics</h1>
-<section class="widget" id="jobperf" data-api="/api/jobperf" data-ttl="{{index .TTL "job_perf"}}">
+<section class="widget" id="jobperf" data-api="/api/jobperf" data-ttl="{{index .TTL "job_perf"}}" data-push="{{index .Push "job_perf"}}">
   <div class="widget-body loading" role="status">Loading metrics…</div>
 </section>
 {{end}}`,
@@ -111,17 +114,17 @@ var pageTemplates = map[string]string{
   <button id="view-list" aria-pressed="false">List view</button>
   <input id="search" type="search" placeholder="Filter nodes…" aria-label="Filter nodes">
 </div>
-<section class="widget" id="cluster-status" data-api="/api/cluster_status" data-ttl="{{index .TTL "cluster_status"}}">
+<section class="widget" id="cluster-status" data-api="/api/cluster_status" data-ttl="{{index .TTL "cluster_status"}}" data-push="{{index .Push "cluster_status"}}">
   <div class="widget-body loading" role="status">Loading nodes…</div>
 </section>
 {{end}}`,
 
 	"node": `{{define "content"}}
 <h1>Node {{.Subject}}</h1>
-<section class="widget" id="node-overview" data-api="/api/node/{{.Subject}}" data-ttl="{{index .TTL "node_overview"}}">
+<section class="widget" id="node-overview" data-api="/api/node/{{.Subject}}" data-ttl="{{index .TTL "node_overview"}}" data-push="{{index .Push "node_overview"}}">
   <div class="widget-body loading" role="status">Loading node…</div>
 </section>
-<section class="widget" id="node-jobs" data-api="/api/node/{{.Subject}}/jobs" data-ttl="{{index .TTL "node_jobs"}}">
+<section class="widget" id="node-jobs" data-api="/api/node/{{.Subject}}/jobs" data-ttl="{{index .TTL "node_jobs"}}" data-push="{{index .Push "node_jobs"}}">
   <h2>Running jobs</h2>
   <div class="widget-body loading" role="status">Loading jobs…</div>
 </section>
@@ -129,11 +132,11 @@ var pageTemplates = map[string]string{
 
 	"job": `{{define "content"}}
 <h1>Job {{.Subject}}</h1>
-<section class="widget" id="job-overview" data-api="/api/job/{{.Subject}}" data-ttl="{{index .TTL "job_overview"}}">
+<section class="widget" id="job-overview" data-api="/api/job/{{.Subject}}" data-ttl="{{index .TTL "job_overview"}}" data-push="{{index .Push "job_overview"}}">
   <div class="widget-body loading" role="status">Loading job…</div>
 </section>
 <section class="widget tabs" id="job-logs"
-         data-api="/api/job/{{.Subject}}/logs" data-ttl="{{index .TTL "job_logs"}}">
+         data-api="/api/job/{{.Subject}}/logs" data-ttl="{{index .TTL "job_logs"}}" data-push="{{index .Push "job_logs"}}">
   <h2>Output</h2>
   <div class="widget-body loading" role="status">Loading logs…</div>
 </section>
@@ -142,14 +145,14 @@ var pageTemplates = map[string]string{
 	"insights": `{{define "content"}}
 <h1>Job Insights</h1>
 <p>Automated analysis of your recent jobs with recommendations.</p>
-<section class="widget" id="insights" data-api="/api/insights?range=30d" data-ttl="{{index .TTL "insights"}}">
+<section class="widget" id="insights" data-api="/api/insights?range=30d" data-ttl="{{index .TTL "insights"}}" data-push="{{index .Push "insights"}}">
   <div class="widget-body loading" role="status">Analyzing your jobs…</div>
 </section>
 {{end}}`,
 
 	"news": `{{define "content"}}
 <h1>All News</h1>
-<section class="widget" id="all-news" data-api="/api/announcements" data-ttl="{{index .TTL "announcements"}}">
+<section class="widget" id="all-news" data-api="/api/announcements" data-ttl="{{index .TTL "announcements"}}" data-push="{{index .Push "announcements"}}">
   <div class="widget-body loading" role="status">Loading news…</div>
 </section>
 {{end}}`,
@@ -227,6 +230,9 @@ type pageData struct {
 	IsAdmin bool
 	// TTL maps widget names to their TTLs in whole seconds (data-ttl).
 	TTL map[string]int64
+	// Push maps each push widget's name to itself (data-push); widgets
+	// without a push source are absent and render empty.
+	Push map[string]string
 }
 
 // renderPage executes a page template; authentication failures render a 401
@@ -251,6 +257,7 @@ func (s *Server) renderPage(w http.ResponseWriter, r *http.Request, page, title,
 		Subject:      subject,
 		IsAdmin:      user.Admin,
 		TTL:          s.pageTTLs,
+		Push:         s.pagePush,
 	}
 	if err := t.ExecuteTemplate(w, "base", data); err != nil {
 		log.Printf("core: rendering %s: %v", page, err)
@@ -260,8 +267,12 @@ func (s *Server) renderPage(w http.ResponseWriter, r *http.Request, page, title,
 // registerPages mounts the HTML pages and static assets.
 func (s *Server) registerPages(mux *http.ServeMux) {
 	s.pageTTLs = make(map[string]int64, len(s.widgets))
+	s.pagePush = make(map[string]string)
 	for _, w := range s.widgets {
 		s.pageTTLs[w.Name] = int64(w.TTL / time.Second)
+		if w.push != pushNone {
+			s.pagePush[w.Name] = w.Name
+		}
 	}
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		s.renderPage(w, r, "home", "Home", "")

@@ -77,8 +77,10 @@ type Server struct {
 	res     *resilience.Set
 	mux     *http.ServeMux
 	widgets []Widget
-	// pageTTLs holds each widget's TTL in seconds for the pages' data-ttl.
+	// pageTTLs holds each widget's TTL in seconds for the pages' data-ttl,
+	// and pagePush the push widgets' names for their data-push.
 	pageTTLs map[string]int64
+	pagePush map[string]string
 
 	// fills are the per-source cold-fill admission gates (see admission.go):
 	// they bound concurrent upstream fills where singleflight cannot (many
@@ -100,6 +102,11 @@ type Server struct {
 	// when set, receives one structured line per instrumented request.
 	obsm      *serverObs
 	accessLog func(line string)
+
+	// upstream counts the upstream Slurm calls this server issued, by
+	// daemon: CLI commands and REST requests alike (observeCommand).
+	upstreamMu sync.Mutex
+	upstream   map[string]int64
 
 	// tracer is the span-tracing subsystem: root spans from the instrument
 	// middleware and the push refresh loop, tail-sampled retention in its
@@ -161,6 +168,7 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 		mux:     http.NewServeMux(),
 	}
 	s.rollupStats = deps.RollupStats
+	s.upstream = make(map[string]int64, 2)
 	// The SLO engine precedes the metrics registry so its budget and alert
 	// collectors can be registered; it shares the server clock, so chaos
 	// drills evaluate alerts deterministically on simulated time.

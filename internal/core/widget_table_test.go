@@ -136,6 +136,59 @@ func TestPageDataTTLFollowsConfig(t *testing.T) {
 	}
 }
 
+var sectionPush = regexp.MustCompile(`data-api="([^"]*)" data-ttl="[^"]*" data-push="([^"]*)"`)
+
+// TestPagePushSetsFollowWidgetTable checks, for every page, that the
+// sections widgets.js subscribes (those with a data-push name) are exactly
+// the page's widgets that have a push source, named as the widget table
+// names them, and that /api/events accepts that set.
+func TestPagePushSetsFollowWidgetTable(t *testing.T) {
+	e := newEnv(t)
+	defer e.server.Close()
+	for _, page := range []string{"/", "/myjobs", "/jobperf", "/clusterstatus", "/node/c001", "/job/1", "/insights", "/news"} {
+		status, body := e.get("alice", page)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d", page, status)
+		}
+		matches := sectionPush.FindAllStringSubmatch(string(body), -1)
+		if len(matches) != len(sectionTTL.FindAllString(string(body), -1)) {
+			t.Fatalf("%s: %d sections carry data-push, of %d widget sections", page, len(matches), len(sectionTTL.FindAllString(string(body), -1)))
+		}
+		var subscribed, want []string
+		for _, m := range matches {
+			api, name := m[1], m[2]
+			if name != "" {
+				subscribed = append(subscribed, name)
+			}
+			_, pattern := e.server.mux.Handler(httptest.NewRequest(http.MethodGet, api, nil))
+			for _, w := range e.server.widgets {
+				if w.Route == pattern && w.push != pushNone {
+					want = append(want, w.Name)
+				}
+			}
+		}
+		if !reflect.DeepEqual(subscribed, want) {
+			t.Errorf("%s subscribes %v, want its push widgets %v", page, subscribed, want)
+		}
+		if len(subscribed) == 0 {
+			continue
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, e.web.URL+"/api/events?widgets="+strings.Join(subscribed, ","), nil)
+		req.Header.Set(auth.UserHeader, "alice")
+		resp, err := e.web.Client().Do(req)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		cancel()
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: /api/events?widgets=%s answered %d", page, strings.Join(subscribed, ","), resp.StatusCode)
+		}
+	}
+}
+
 // TestTickPushPurgesPastGrace covers the server's purge sweep on the
 // simulated clock: TickPush drops rendered entries past their TTL and data
 // entries past their stale grace window, with push on or off.

@@ -9,42 +9,68 @@ import (
 	"testing"
 )
 
+// matchTag and matchCases are TestETagMatch's table; FuzzETagMatch seeds
+// from its headers.
+const matchTag = `"00000000deadbeef"`
+
+var matchCases = []struct {
+	name   string
+	header string
+	want   bool
+}{
+	{"empty header", "", false},
+	{"exact strong match", matchTag, true},
+	{"wildcard", "*", true},
+	{"wildcard with whitespace", "  *  ", true},
+	{"weak candidate matches strong tag", `W/` + matchTag, true},
+	{"weak candidate with surrounding space", ` W/` + matchTag + ` `, true},
+	{"second candidate matches", `"other", ` + matchTag, true},
+	{"first candidate matches", matchTag + `, "other"`, true},
+	{"middle candidate, odd whitespace", `"a" ,   W/` + matchTag + `  ,"b"`, true},
+	{"tab-separated candidates", "\"a\",\t" + matchTag, true},
+	{"no candidate matches", `"other"`, false},
+	{"multiple non-matching candidates", `"a", W/"b", "c"`, false},
+	{"candidate is a prefix of the tag", `"00000000deadbee`, false},
+	{"candidate is the tag minus quotes", `00000000deadbeef`, false},
+	{"tag is a prefix of the candidate", matchTag[:len(matchTag)-1] + `ff"`, false},
+	{"empty list elements around a match", `, ` + matchTag + ` ,`, true},
+	{"weak marker alone", `W/`, false},
+	{"weak marker inside quotes is literal", `"W/00000000deadbeef"`, false},
+}
+
 // TestETagMatch locks in the RFC 9110 §13.1.2 weak-comparison semantics
 // of If-None-Match evaluation (shared by internal/core and
 // internal/slurmrest): W/ prefixes are ignored, candidate lists may carry odd
 // whitespace, "*" matches anything, and comparison is whole-tag — a
 // candidate that is a mere prefix of the tag must not match.
 func TestETagMatch(t *testing.T) {
-	tag := `"00000000deadbeef"`
-	cases := []struct {
-		name   string
-		header string
-		want   bool
-	}{
-		{"empty header", "", false},
-		{"exact strong match", tag, true},
-		{"wildcard", "*", true},
-		{"wildcard with whitespace", "  *  ", true},
-		{"weak candidate matches strong tag", `W/` + tag, true},
-		{"weak candidate with surrounding space", ` W/` + tag + ` `, true},
-		{"second candidate matches", `"other", ` + tag, true},
-		{"first candidate matches", tag + `, "other"`, true},
-		{"middle candidate, odd whitespace", `"a" ,   W/` + tag + `  ,"b"`, true},
-		{"tab-separated candidates", "\"a\",\t" + tag, true},
-		{"no candidate matches", `"other"`, false},
-		{"multiple non-matching candidates", `"a", W/"b", "c"`, false},
-		{"candidate is a prefix of the tag", `"00000000deadbee`, false},
-		{"candidate is the tag minus quotes", `00000000deadbeef`, false},
-		{"tag is a prefix of the candidate", tag[:len(tag)-1] + `ff"`, false},
-		{"empty list elements around a match", `, ` + tag + ` ,`, true},
-		{"weak marker alone", `W/`, false},
-		{"weak marker inside quotes is literal", `"W/00000000deadbeef"`, false},
-	}
-	for _, c := range cases {
-		if got := match(c.header, tag); got != c.want {
+	for _, c := range matchCases {
+		if got := match(c.header, matchTag); got != c.want {
 			t.Errorf("%s: match(%q) = %v, want %v", c.name, c.header, got, c.want)
 		}
 	}
+}
+
+// FuzzETagMatch: no header panics match, and a match needs "*" or the tag
+// itself in the header. A body's own tag matches alone, with a W/ prefix,
+// and anywhere in a candidate list; "*" matches any tag. Seeds are
+// TestETagMatch's headers.
+func FuzzETagMatch(f *testing.F) {
+	for _, c := range matchCases {
+		f.Add(c.header, []byte(`{"a":1}`+"\n"))
+	}
+	f.Fuzz(func(t *testing.T, header string, body []byte) {
+		tag := For(body)
+		if match(header, tag) && strings.TrimSpace(header) != "*" && !strings.Contains(header, tag) {
+			t.Fatalf("match(%q, %s) with neither * nor the tag in the header", header, tag)
+		}
+		for _, h := range []string{tag, "W/" + tag, " W/" + tag + " ", header + ", " + tag,
+			tag + "," + header, header + ",W/" + tag + "," + header, "*", " * "} {
+			if !match(h, tag) {
+				t.Fatalf("match(%q, %s) = false", h, tag)
+			}
+		}
+	})
 }
 
 // TestServe pins the one conditional writer: a 200 carries the tag, the

@@ -51,7 +51,7 @@ func (w *statusWriter) WriteHeader(code int) {
 //	    server does: the killed replica held no state anyone needs.
 func TestDrillReplicaKill(t *testing.T) {
 	const interval = 75 * time.Second
-	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 3, nil)
 	sc := &statusCounter{next: fl}
 	srv := httptest.NewServer(sc)
 	defer srv.Close()

@@ -13,7 +13,10 @@
 // sources on its own replica's scheduler, whose pause-when-idle sees that
 // replica's subscribers. A killed replica holds no state anyone needs: the
 // load balancer fails over to the next live one, which finds the same
-// cache.
+// cache. Since replicas are interchangeable, the load balancer is plain
+// round-robin. Each replica meters its own upstream calls
+// (core.Server.UpstreamCalls) and exports its own SLO view; the fleet sums
+// the one and pools the other.
 //
 // NoCoherence keeps a private cache per replica: the share-nothing
 // ablation arm of the scale-out test.
@@ -35,17 +38,17 @@ import (
 type Options struct {
 	// Replicas is the initial replica count (at least 1).
 	Replicas int
-	// Policy selects the load-balancing policy (default round_robin).
+	// Policy is the load-balancing policy; empty or PolicyRoundRobin, the
+	// only one.
 	Policy Policy
 	// Clock is the shared (possibly simulated) clock the fleet, every
 	// replica and the cluster read; nil means wall clock.
 	Clock clock.Clock
 	// Build constructs one replica's server. It receives the replica id and
-	// the runner the replica must use for upstream Slurm commands (the
-	// fleet wraps the base runner with a per-replica RPC meter). Required.
-	Build func(id string, runner slurmcli.Runner) (*core.Server, error)
-	// Runner is the base upstream runner every replica's meter wraps.
+	// Runner, the runner every replica uses for upstream Slurm commands.
 	// Required.
+	Build func(id string, runner slurmcli.Runner) (*core.Server, error)
+	// Runner is the upstream Slurm runner every replica shares. Required.
 	Runner slurmcli.Runner
 	// NoCoherence gives every replica its own private caches: replicas
 	// become fully independent servers behind the LB, sharing nothing.
@@ -54,50 +57,14 @@ type Options struct {
 	NoCoherence bool
 }
 
-// vnodes is the consistent-hash virtual-node count per replica.
-const vnodes = 64
-
 // replica is one core.Server plus its fleet-side state.
 type replica struct {
-	id   string
-	srv  *core.Server
-	rpcs *meterRunner
-
-	inflight atomic.Int64
-	killed   atomic.Bool // process death model
+	id     string
+	srv    *core.Server
+	killed atomic.Bool // process death model
 }
 
 func (r *replica) healthy() bool { return !r.killed.Load() }
-
-// meterRunner counts upstream commands by daemon, beneath the replica's own
-// metered runner — it sees exactly the commands that reached the simulated
-// daemons (cache hits and degraded fallbacks never get here).
-type meterRunner struct {
-	next slurmcli.Runner
-	mu   sync.Mutex
-	byD  map[string]int64
-}
-
-func newMeterRunner(next slurmcli.Runner) *meterRunner {
-	return &meterRunner{next: next, byD: make(map[string]int64, 2)}
-}
-
-func (m *meterRunner) Run(name string, args ...string) (string, error) {
-	m.mu.Lock()
-	m.byD[slurmcli.DaemonFor(name)]++
-	m.mu.Unlock()
-	return m.next.Run(name, args...)
-}
-
-func (m *meterRunner) snapshot() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.byD))
-	for k, v := range m.byD {
-		out[k] = v
-	}
-	return out
-}
 
 // Fleet runs the replicas and the load balancer.
 type Fleet struct {
@@ -110,8 +77,7 @@ type Fleet struct {
 	nextID   int
 	closed   bool
 
-	ringPtr atomic.Pointer[ring] // sticky routing; rebuilt on Join
-	rr      atomic.Int64         // round-robin cursor
+	rr atomic.Int64 // round-robin cursor
 
 	// sloAgg layers fleet-level SLO objectives over the healthy replicas'
 	// engines: pooled counts decide whether the *fleet* meets an objective
@@ -129,7 +95,7 @@ func New(opts Options) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: New: missing Build factory")
 	}
 	if opts.Runner == nil {
-		return nil, fmt.Errorf("fleet: New: missing base Runner")
+		return nil, fmt.Errorf("fleet: New: missing Runner")
 	}
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
@@ -137,15 +103,14 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
-	if opts.Policy == "" {
-		opts.Policy = PolicyRoundRobin
+	if opts.Policy != "" && opts.Policy != PolicyRoundRobin {
+		return nil, fmt.Errorf("fleet: New: unknown policy %q (round_robin is the only one)", opts.Policy)
 	}
 	fl := &Fleet{
 		opts: opts,
 		byID: make(map[string]*replica),
 		stop: make(chan struct{}),
 	}
-	fl.met = newMetrics(fl)
 	for i := 0; i < opts.Replicas; i++ {
 		if _, err := fl.addReplica(); err != nil {
 			fl.Close()
@@ -153,6 +118,7 @@ func New(opts Options) (*Fleet, error) {
 		}
 	}
 	fl.sloAgg = slo.NewAggregator(opts.Clock, fl.replicas[0].srv.SLO().Objectives(), fl.sloMembers)
+	fl.met = newMetrics(fl)
 	return fl, nil
 }
 
@@ -187,24 +153,18 @@ func (fl *Fleet) addReplica() (*replica, error) {
 	fl.nextID++
 	fl.mu.Unlock()
 
-	rpcs := newMeterRunner(fl.opts.Runner)
-	srv, err := fl.opts.Build(id, rpcs)
+	srv, err := fl.opts.Build(id, fl.opts.Runner)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: %w", id, err)
 	}
-	rep := &replica{id: id, srv: srv, rpcs: rpcs}
+	rep := &replica{id: id, srv: srv}
 	fl.mu.Lock()
 	if len(fl.replicas) > 0 && !fl.opts.NoCoherence {
 		srv.ShareCaches(fl.replicas[0].srv)
 	}
 	fl.replicas = append(fl.replicas, rep)
 	fl.byID[id] = rep
-	ids := make([]string, len(fl.replicas))
-	for i, r := range fl.replicas {
-		ids[i] = r.id
-	}
 	fl.mu.Unlock()
-	fl.ringPtr.Store(buildRing(ids, vnodes))
 	return rep, nil
 }
 
@@ -216,13 +176,6 @@ func (fl *Fleet) replicaList() []*replica {
 	copy(out, fl.replicas)
 	fl.mu.Unlock()
 	return out
-}
-
-func (fl *Fleet) currentRing() *ring {
-	if r := fl.ringPtr.Load(); r != nil {
-		return r
-	}
-	return &ring{}
 }
 
 // Tick advances the fleet one step on the shared clock: every healthy
@@ -343,20 +296,21 @@ func (fl *Fleet) Server(id string) *core.Server {
 	return nil
 }
 
-// UpstreamRPCs returns each replica's upstream command counts by daemon
-// (per-replica attribution: a shared fill is charged to the replica whose
-// request ran it).
+// UpstreamRPCs returns each replica's upstream calls by daemon, CLI
+// commands and REST requests alike, as each replica's own meter counts
+// them (core.Server.UpstreamCalls). A shared fill is charged to the
+// replica whose request ran it.
 func (fl *Fleet) UpstreamRPCs() map[string]map[string]int64 {
 	out := make(map[string]map[string]int64)
 	for _, rep := range fl.replicaList() {
-		out[rep.id] = rep.rpcs.snapshot()
+		out[rep.id] = rep.srv.UpstreamCalls()
 	}
 	return out
 }
 
-// UpstreamCalls returns the commands that reached the simulated daemons,
-// by daemon: the sum of the replicas' meters. This is the load Slurm sees
-// and the number the scale-out test's flatness gate compares.
+// UpstreamCalls returns the upstream calls the replicas issued, by daemon:
+// the sum of their meters. This is the load Slurm sees and the number the
+// scale-out test's flatness gate compares.
 func (fl *Fleet) UpstreamCalls() map[string]int64 {
 	out := make(map[string]int64, 2)
 	for _, counts := range fl.UpstreamRPCs() {

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"ooddash/internal/browser"
 	"ooddash/internal/core"
 	"ooddash/internal/etag"
+	"ooddash/internal/obs"
 	"ooddash/internal/obs/obstest"
 	"ooddash/internal/push"
 	"ooddash/internal/slo"
@@ -24,7 +26,7 @@ import (
 
 // newTestFleet builds a fleet of n replicas over one shared simulated
 // environment — N dashboard processes in front of one Slurm.
-func newTestFleet(t *testing.T, n int, policy Policy, mutate func(*Options)) (*workload.Env, *Fleet) {
+func newTestFleet(t *testing.T, n int, mutate func(*Options)) (*workload.Env, *Fleet) {
 	t.Helper()
 	env, err := workload.Build(workload.SmallSpec())
 	if err != nil {
@@ -34,7 +36,6 @@ func newTestFleet(t *testing.T, n int, policy Policy, mutate func(*Options)) (*w
 	t.Cleanup(newsSrv.Close)
 	opts := Options{
 		Replicas: n,
-		Policy:   policy,
 		Clock:    env.Clock,
 		Runner:   env.Runner,
 		Build: func(id string, r slurmcli.Runner) (*core.Server, error) {
@@ -83,7 +84,7 @@ func fleetGet(t *testing.T, h http.Handler, user, path, etag string) *httptest.R
 }
 
 func TestLBRoundRobinSpreads(t *testing.T) {
-	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 3, nil)
 	user := env.UserNames[0]
 	for i := 0; i < 9; i++ {
 		rec := fleetGet(t, fl, user, "/api/system_status", "")
@@ -101,81 +102,29 @@ func TestLBRoundRobinSpreads(t *testing.T) {
 	}
 }
 
-func TestLBLeastConnPrefersIdleReplica(t *testing.T) {
-	env, fl := newTestFleet(t, 3, PolicyLeastConn, nil)
-	srv := httptest.NewServer(fl)
-	defer srv.Close()
+// TestLBRoundRobinFailsOverPastKilledReplica: the load balancer skips a
+// killed replica, counts each skip as a failover, and no request fails;
+// the survivors share the traffic.
+func TestLBRoundRobinFailsOverPastKilledReplica(t *testing.T) {
+	env, fl := newTestFleet(t, 3, nil)
 	user := env.UserNames[0]
-
-	// Two held-open SSE streams pin one in-flight request each on the two
-	// least-loaded replicas; the next request must land on the idle third.
-	var pinned []string
-	for i := 0; i < 2; i++ {
-		req, err := http.NewRequest(http.MethodGet, srv.URL+"/api/events?widgets=system_status", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(auth.UserHeader, user)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stream %d: status %d", i, resp.StatusCode)
-		}
-		pinned = append(pinned, resp.Header.Get(fleetReplicaHeaderKey))
-	}
-	if pinned[0] == pinned[1] {
-		t.Fatalf("both streams pinned to %s; least-conn should spread", pinned[0])
-	}
-	rec := fleetGet(t, fl, user, "/api/system_status", "")
-	got := rec.Header().Get(fleetReplicaHeaderKey)
-	if got == pinned[0] || got == pinned[1] {
-		t.Fatalf("poll routed to busy replica %s (streams hold %v)", got, pinned)
-	}
-}
-
-func TestLBStickyAffinityAndFailover(t *testing.T) {
-	env, fl := newTestFleet(t, 3, PolicySticky, nil)
-	user := env.UserNames[0]
-
-	first := fleetGet(t, fl, user, "/api/system_status", "").Header().Get(fleetReplicaHeaderKey)
-	for i := 0; i < 4; i++ {
-		if got := fleetGet(t, fl, user, "/api/system_status", "").Header().Get(fleetReplicaHeaderKey); got != first {
-			t.Fatalf("sticky user bounced %s -> %s", first, got)
-		}
-	}
-
-	// The population spreads: not every user sticks to the same replica.
-	distinct := map[string]bool{}
-	for _, u := range env.UserNames {
-		distinct[fleetGet(t, fl, u, "/api/system_status", "").Header().Get(fleetReplicaHeaderKey)] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatalf("all %d users stuck to one replica", len(env.UserNames))
-	}
-
-	// Kill the user's replica: passive failover moves them to a stable
-	// fallback with no error surfaced.
-	if err := fl.Kill(first); err != nil {
+	victim := fl.Replicas()[1]
+	if err := fl.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
-	rec := fleetGet(t, fl, user, "/api/system_status", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("post-kill status %d", rec.Code)
-	}
-	fallback := rec.Header().Get(fleetReplicaHeaderKey)
-	if fallback == first || fallback == "" {
-		t.Fatalf("failover picked %q (killed %q)", fallback, first)
-	}
-	for i := 0; i < 3; i++ {
-		if got := fleetGet(t, fl, user, "/api/system_status", "").Header().Get(fleetReplicaHeaderKey); got != fallback {
-			t.Fatalf("failover not sticky: %s -> %s", fallback, got)
+	served := map[string]int{}
+	for i := 0; i < 9; i++ {
+		rec := fleetGet(t, fl, user, "/api/system_status", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d after the kill: status %d", i, rec.Code)
 		}
+		served[rec.Header().Get(fleetReplicaHeaderKey)]++
 	}
-	if fl.met.lbFailovers.Value() == 0 {
-		t.Fatal("failover counter never incremented")
+	if served[victim] != 0 || len(served) != 2 {
+		t.Fatalf("requests by replica after killing %s: %v, want both survivors and never the victim", victim, served)
+	}
+	if got := fl.met.lbFailovers.Value(); got != 3 {
+		t.Fatalf("failovers = %d, want 3 (every third request starts at the victim)", got)
 	}
 }
 
@@ -218,7 +167,7 @@ func otherGroupUser(t *testing.T, env *workload.Env, user string) string {
 // right after the first user's fill, gets exactly what a fresh single
 // server serves them.
 func TestPeerServesOwnerBytesWithMatchingETag(t *testing.T) {
-	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 3, nil)
 	user := env.UserNames[0]
 	other := otherGroupUser(t, env, user)
 	ref := newReference(t, env)
@@ -268,7 +217,7 @@ func TestPeerServesOwnerBytesWithMatchingETag(t *testing.T) {
 // TTL. Closing one stream pauses that replica's source (pause-when-idle
 // sees its own subscribers) while the other keeps refreshing.
 func TestSSEStreamsOnTwoReplicasShareOneFill(t *testing.T) {
-	env, fl := newTestFleet(t, 2, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 2, nil)
 	user := env.UserNames[0]
 	u, _ := env.Users.Lookup(user)
 	widgets := []browser.WidgetRequest{{Name: "recent_jobs", Path: "/api/recent_jobs", TTL: 30 * time.Second}}
@@ -349,7 +298,7 @@ func drainUntil(t *testing.T, events <-chan push.Event, name string, timeout tim
 // costs one accounting call fleet-wide, and every replica serves each view
 // the same bytes.
 func TestHistoryFillSharedAcrossReplicas(t *testing.T) {
-	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 3, nil)
 	a, _ := env.Users.Lookup(env.UserNames[0])
 	var viewers []string
 	for _, name := range env.UserNames {
@@ -387,7 +336,7 @@ func TestHistoryFillSharedAcrossReplicas(t *testing.T) {
 // serves every push widget the same bytes and ETag as the rest from its
 // first request, at no upstream cost.
 func TestJoinServesSharedCacheAtOnce(t *testing.T) {
-	env, fl := newTestFleet(t, 1, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 1, nil)
 	user := env.UserNames[0]
 	only := fl.Server(fl.Replicas()[0])
 	warm := map[string]*httptest.ResponseRecorder{}
@@ -418,7 +367,7 @@ func TestJoinServesSharedCacheAtOnce(t *testing.T) {
 }
 
 func TestNoLiveReplicas(t *testing.T) {
-	env, fl := newTestFleet(t, 2, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 2, nil)
 	for _, id := range fl.Replicas() {
 		if err := fl.Kill(id); err != nil {
 			t.Fatal(err)
@@ -430,27 +379,104 @@ func TestNoLiveReplicas(t *testing.T) {
 	}
 }
 
+// TestFleetMetricsExposition: the fleet registry carries the LB and
+// upstream families and, under ooddash_fleet_slo_, every SLO family a
+// replica derives from its Status, with the same type; the fleet's and a
+// replica's documents are both valid expositions.
 func TestFleetMetricsExposition(t *testing.T) {
-	env, fl := newTestFleet(t, 2, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 2, nil)
 	fleetGet(t, fl, env.UserNames[0], "/api/system_status", "")
-	rec := httptest.NewRecorder()
-	if err := fl.Metrics().WritePrometheus(rec); err != nil {
-		t.Fatal(err)
+	expose := func(reg *obs.Registry) string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	body := rec.Body.String()
+	fleetDoc, replicaDoc := expose(fl.Metrics()), expose(fl.Server("r0").Metrics())
 	for _, want := range []string{
 		"ooddash_fleet_replicas_live 2",
 		"ooddash_fleet_lb_requests_total",
-		"ooddash_fleet_upstream_rpcs_total",
-		"ooddash_fleet_slo_burn_rate",
-		"ooddash_fleet_slo_alert_state",
-		"ooddash_fleet_slo_budget_spent_ratio",
+		`ooddash_fleet_upstream_rpcs_total{replica="r0",daemon="slurmctld"}`,
 	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, body)
+		if !strings.Contains(fleetDoc, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, fleetDoc)
 		}
 	}
-	obstest.Validate(t, body)
+	families := regexp.MustCompile(`(?m)^# TYPE ooddash_slo_(\w+) (\w+)$`).FindAllStringSubmatch(replicaDoc, -1)
+	shared := 0
+	for _, f := range families {
+		if f[1] == "events_total" {
+			continue // per-request event counts: an engine's own, not from Status
+		}
+		shared++
+		if want := "# TYPE ooddash_fleet_slo_" + f[1] + " " + f[2] + "\n"; !strings.Contains(fleetDoc, want) {
+			t.Errorf("a replica exports ooddash_slo_%s, the fleet lacks %q", f[1], want)
+		}
+	}
+	if shared != 7 {
+		t.Fatalf("a replica exports %d Status-derived SLO families, want 7: %v", shared, families)
+	}
+	obstest.Validate(t, fleetDoc)
+	obstest.Validate(t, replicaDoc)
+}
+
+// TestUpstreamCallsMatchDaemonsOverREST: with slurmdbd served over REST
+// and slurmctld over the CLI, the fleet's upstream count per daemon equals
+// the RPCs the simulated daemons served. REST requests are charged like
+// commands, by the replica that made them.
+func TestUpstreamCallsMatchDaemonsOverREST(t *testing.T) {
+	env, err := workload.Build(workload.SmallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	newsSrv := httptest.NewServer(env.Feed)
+	t.Cleanup(newsSrv.Close)
+	fl, err := New(Options{
+		Replicas: 3,
+		Clock:    env.Clock,
+		Runner:   env.Runner,
+		Build: func(id string, r slurmcli.Runner) (*core.Server, error) {
+			return env.NewServerRunner(newsSrv.URL, core.Config{
+				Push:    core.PushConfig{Jitter: -1},
+				Backend: core.BackendConfig{Slurmctld: core.BackendCLI, Slurmdbd: core.BackendREST},
+			}, r)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fl.Close)
+	served := func() map[string]int64 {
+		return map[string]int64{
+			"slurmctld": env.Cluster.Ctl.Stats().Total(),
+			"slurmdbd":  env.Cluster.DBD.Stats().Total(),
+		}
+	}
+	daemonsBefore, fleetBefore := served(), fl.UpstreamCalls()
+	for round := 0; round < 2; round++ {
+		for _, user := range env.UserNames[:3] {
+			for _, path := range []string{"/", "/api/recent_jobs", "/api/system_status", "/api/cluster_status",
+				"/api/myjobs?range=7d", "/api/myjobs/charts", "/api/jobperf", "/api/insights?range=30d"} {
+				if rec := fleetGet(t, fl, user, path, ""); rec.Code != http.StatusOK {
+					t.Fatalf("%s as %s: status %d", path, user, rec.Code)
+				}
+			}
+		}
+		env.Clock.Advance(5 * time.Minute)
+		fl.Tick()
+	}
+	want, got := served(), fl.UpstreamCalls()
+	for d := range want {
+		want[d] -= daemonsBefore[d]
+		got[d] -= fleetBefore[d]
+	}
+	if want["slurmdbd"] == 0 || want["slurmctld"] == 0 {
+		t.Fatalf("the daemons served %v: the walk reached no REST or no CLI source", want)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("fleet upstream calls by daemon = %v, the daemons served %v", got, want)
+	}
 }
 
 // sloFleetObjectives are tight-window objectives for the dual-view test:
@@ -480,7 +506,6 @@ func TestSLOFleetDualView(t *testing.T) {
 	t.Cleanup(newsSrv.Close)
 	fl, err := New(Options{
 		Replicas: 3,
-		Policy:   PolicyRoundRobin,
 		Clock:    env.Clock,
 		Runner:   env.Runner,
 		Build: func(id string, r slurmcli.Runner) (*core.Server, error) {
@@ -561,7 +586,7 @@ func TestSLOFleetDualView(t *testing.T) {
 // every replica then serves the user one body, the one a fresh single
 // server serves. Run it under -race.
 func TestConcurrentPollsWhileTicking(t *testing.T) {
-	env, fl := newTestFleet(t, 3, PolicyRoundRobin, nil)
+	env, fl := newTestFleet(t, 3, nil)
 	user := env.UserNames[0]
 	u, _ := env.Users.Lookup(user)
 	paths := []string{"/api/recent_jobs", "/api/accounts"}

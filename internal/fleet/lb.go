@@ -1,115 +1,40 @@
 package fleet
 
-import (
-	"fmt"
-	"net/http"
-	"sort"
+import "net/http"
 
-	"ooddash/internal/auth"
-)
-
-// Policy selects how the simulated load balancer spreads requests over
-// replicas.
+// Policy names the load balancer's routing policy. Round-robin is the only
+// one: every replica reads one cache tier and serves the same bytes and
+// ETags at the same upstream cost, so which replica answers does not
+// matter, and the replicas share one process, so no replica is busier than
+// another for a router to steer around.
 type Policy string
 
-const (
-	// PolicyRoundRobin cycles requests over live replicas.
-	PolicyRoundRobin Policy = "round_robin"
-	// PolicyLeastConn prefers the replica with the fewest in-flight
-	// requests (ties break by replica order).
-	PolicyLeastConn Policy = "least_conn"
-	// PolicySticky pins each authenticated user to a replica by consistent
-	// hash, so a user's SSE stream and their page polls land on the same
-	// replica (one hub fan-out per user, maximal client-cache 304 reuse);
-	// anonymous requests fall back to round-robin. On failover the user
-	// moves to the next replica on the ring and sticks there.
-	PolicySticky Policy = "sticky"
-)
-
-// ParsePolicy validates a -lb-policy flag value.
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case PolicyRoundRobin, PolicyLeastConn, PolicySticky:
-		return Policy(s), nil
-	case "":
-		return PolicyRoundRobin, nil
-	}
-	return "", fmt.Errorf("fleet: unknown lb policy %q (want round_robin, least_conn, or sticky)", s)
-}
+// PolicyRoundRobin cycles requests over live replicas.
+const PolicyRoundRobin Policy = "round_robin"
 
 // fleetReplicaHeaderKey names the replica that served a response, in
 // canonical MIME form (wire: X-Ooddash-Replica).
 const fleetReplicaHeaderKey = "X-Ooddash-Replica"
 
-// ServeHTTP is the load balancer: it orders the replicas per policy, skips
-// unhealthy ones (a killed replica models a refused connection — passive
-// failover retries the next candidate, so clients never see the corpse),
+// ServeHTTP is the load balancer: starting at the round-robin cursor, it
+// skips unhealthy replicas (a killed replica models a refused connection —
+// passive failover retries the next one, so clients never see the corpse)
 // and proxies to the first live replica.
 func (fl *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	order := fl.routeOrder(r)
-	skipped := 0
-	for _, rep := range order {
+	reps := fl.replicaList()
+	start := int(fl.rr.Add(1) - 1)
+	for i := range reps {
+		rep := reps[(start+i)%len(reps)]
 		if !rep.healthy() {
-			skipped++
 			continue
 		}
-		if skipped > 0 {
-			fl.met.lbFailovers.Add(int64(skipped))
+		if i > 0 {
+			fl.met.lbFailovers.Add(int64(i))
 		}
 		fl.met.lbRequests.With(rep.id).Inc()
 		w.Header()[fleetReplicaHeaderKey] = []string{rep.id}
-		rep.inflight.Add(1)
 		rep.srv.ServeHTTP(w, r)
-		rep.inflight.Add(-1)
 		return
 	}
 	http.Error(w, "fleet: no live replicas", http.StatusServiceUnavailable)
-}
-
-// routeOrder returns every replica in the policy's preference order; the
-// caller walks it skipping unhealthy entries.
-func (fl *Fleet) routeOrder(r *http.Request) []*replica {
-	reps := fl.replicaList()
-	if len(reps) <= 1 {
-		return reps
-	}
-	switch fl.opts.Policy {
-	case PolicyLeastConn:
-		order := make([]*replica, len(reps))
-		copy(order, reps)
-		sort.SliceStable(order, func(i, j int) bool {
-			return order[i].inflight.Load() < order[j].inflight.Load()
-		})
-		return order
-	case PolicySticky:
-		if user := r.Header.Get(auth.UserHeader); user != "" {
-			ids := fl.currentRing().ownersFor("sticky/"+user, len(reps))
-			byID := make(map[string]*replica, len(reps))
-			for _, rep := range reps {
-				byID[rep.id] = rep
-			}
-			order := make([]*replica, 0, len(reps))
-			for _, id := range ids {
-				if rep := byID[id]; rep != nil {
-					order = append(order, rep)
-					delete(byID, id)
-				}
-			}
-			// Replicas not on the ring yet (e.g. just joined, ring not
-			// rebuilt) go last, in stable order.
-			for _, rep := range reps {
-				if byID[rep.id] != nil {
-					order = append(order, rep)
-				}
-			}
-			return order
-		}
-		fallthrough
-	default: // round_robin
-		n := int(fl.rr.Add(1)-1) % len(reps)
-		order := make([]*replica, 0, len(reps))
-		order = append(order, reps[n:]...)
-		order = append(order, reps[:n]...)
-		return order
-	}
 }

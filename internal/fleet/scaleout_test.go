@@ -29,7 +29,7 @@ func runScalePhase(t *testing.T, replicas, clients int, noCoherence bool, killRo
 		rounds   = 6
 		interval = 75 * time.Second
 	)
-	env, fl := newTestFleet(t, replicas, PolicyRoundRobin, func(o *Options) {
+	env, fl := newTestFleet(t, replicas, func(o *Options) {
 		o.NoCoherence = noCoherence
 	})
 	sc := &statusCounter{next: fl}

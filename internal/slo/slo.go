@@ -2,6 +2,7 @@
 // per-objective SLI recorders feed ring-buffered sliding windows,
 // multi-window multi-burn-rate alert rules (Google SRE workbook style), a
 // 28-day error-budget ledger, and a deterministic alert state machine.
+// Export renders any Status source as metric families on an obs.Registry.
 //
 // Everything runs on an injected clock.Clock, so the same event sequence on the
 // simulated clock produces byte-identical alert transitions across runs —
@@ -627,6 +628,25 @@ func budgetStatus(def Objective, good, bad uint64, hourBurn float64) BudgetStatu
 	return st
 }
 
+// objectiveStatus builds one objective's snapshot at now from its budget
+// window counts, its window counter (for the last hour's burn) and its
+// alert states. An engine and the fleet aggregator differ only in where
+// the counts come from.
+func objectiveStatus(now time.Time, def Objective, good, bad uint64, wc windowCounter, alerts []alertState) ObjectiveStatus {
+	hg, hb := wc.windowCounts(now, time.Hour)
+	st := ObjectiveStatus{
+		Name:   def.Name,
+		Kind:   string(def.Kind),
+		Target: def.Target,
+		Budget: budgetStatus(def, good, bad, burnRate(hg, hb, 1-def.Target)),
+		Alerts: alertStatuses(alerts),
+	}
+	if def.Kind == KindLatency {
+		st.ThresholdSeconds = def.Threshold.Seconds()
+	}
+	return st
+}
+
 // Status evaluates to the current clock time and returns the snapshot.
 func (e *Engine) Status() Status {
 	e.mu.Lock()
@@ -636,18 +656,7 @@ func (e *Engine) Status() Status {
 	st := Status{Now: now, Transitions: append([]Transition(nil), e.trans.entries...)}
 	for _, o := range e.objs {
 		good, bad := o.budget.window(now, BudgetWindow)
-		hg, hb := o.fine.window(now, time.Hour)
-		os := ObjectiveStatus{
-			Name:   o.def.Name,
-			Kind:   string(o.def.Kind),
-			Target: o.def.Target,
-			Budget: budgetStatus(o.def, good, bad, burnRate(hg, hb, 1-o.def.Target)),
-			Alerts: alertStatuses(o.alerts),
-		}
-		if o.def.Kind == KindLatency {
-			os.ThresholdSeconds = o.threshold
-		}
-		st.Objectives = append(st.Objectives, os)
+		st.Objectives = append(st.Objectives, objectiveStatus(now, o.def, good, bad, o, o.alerts))
 	}
 	return st
 }
@@ -744,18 +753,7 @@ func (a *Aggregator) Status() Status {
 			good += g
 			bad += b
 		}
-		hg, hb := o.windowCounts(now, time.Hour)
-		os := ObjectiveStatus{
-			Name:   o.def.Name,
-			Kind:   string(o.def.Kind),
-			Target: o.def.Target,
-			Budget: budgetStatus(o.def, good, bad, burnRate(hg, hb, 1-o.def.Target)),
-			Alerts: alertStatuses(o.alerts),
-		}
-		if o.def.Kind == KindLatency {
-			os.ThresholdSeconds = o.def.Threshold.Seconds()
-		}
-		st.Objectives = append(st.Objectives, os)
+		st.Objectives = append(st.Objectives, objectiveStatus(now, o.def, good, bad, o, o.alerts))
 	}
 	return st
 }

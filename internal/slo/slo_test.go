@@ -327,23 +327,41 @@ func TestSLOLastBadExemplar(t *testing.T) {
 	}
 }
 
+// configGood and configBad are TestSLOConfigParse's inputs; FuzzParseConfig
+// seeds from them.
+var configGood = `{
+  "objectives": [
+    {"name": "availability", "kind": "availability", "target": 0.995,
+     "rules": [
+       {"name": "page", "burn": 10, "short": "5m", "long": "1h",
+        "for": "90s", "keep_for": "2m"}
+     ]},
+    {"name": "latency", "kind": "latency", "target": 0.99,
+     "threshold": "150ms",
+     "rules": [
+       {"name": "ticket", "severity": "ticket", "burn": 3,
+        "short": "30m", "long": "6h"}
+     ]}
+  ]
+}`
+
+var configBad = []string{
+	`{`, // malformed JSON
+	`{"objectives": []}`,
+	`{"objectives": [{"name": "x", "kind": "nope", "target": 0.9,
+	  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "5m"}]}]}`,
+	`{"objectives": [{"name": "x", "kind": "availability", "target": 1.5,
+	  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "5m"}]}]}`,
+	`{"objectives": [{"name": "x", "kind": "availability", "target": 0.9,
+	  "rules": [{"name": "r", "burn": 1, "short": "5m", "long": "1m"}]}]}`,
+	`{"objectives": [{"name": "x", "kind": "availability", "target": 0.9,
+	  "rules": [{"name": "r", "burn": 1, "short": "oops", "long": "5m"}]}]}`,
+	`{"objectives": [{"name": "x", "kind": "latency", "target": 0.9,
+	  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "5m"}]}]}`,
+}
+
 func TestSLOConfigParse(t *testing.T) {
-	src := `{
-	  "objectives": [
-	    {"name": "availability", "kind": "availability", "target": 0.995,
-	     "rules": [
-	       {"name": "page", "burn": 10, "short": "5m", "long": "1h",
-	        "for": "90s", "keep_for": "2m"}
-	     ]},
-	    {"name": "latency", "kind": "latency", "target": 0.99,
-	     "threshold": "150ms",
-	     "rules": [
-	       {"name": "ticket", "severity": "ticket", "burn": 3,
-	        "short": "30m", "long": "6h"}
-	     ]}
-	  ]
-	}`
-	objs, err := ParseConfig([]byte(src))
+	objs, err := ParseConfig([]byte(configGood))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,21 +380,7 @@ func TestSLOConfigParse(t *testing.T) {
 		t.Fatalf("latency parsed wrong: %+v", lat)
 	}
 
-	bad := []string{
-		`{`, // malformed JSON
-		`{"objectives": []}`,
-		`{"objectives": [{"name": "x", "kind": "nope", "target": 0.9,
-		  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "5m"}]}]}`,
-		`{"objectives": [{"name": "x", "kind": "availability", "target": 1.5,
-		  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "5m"}]}]}`,
-		`{"objectives": [{"name": "x", "kind": "availability", "target": 0.9,
-		  "rules": [{"name": "r", "burn": 1, "short": "5m", "long": "1m"}]}]}`,
-		`{"objectives": [{"name": "x", "kind": "availability", "target": 0.9,
-		  "rules": [{"name": "r", "burn": 1, "short": "oops", "long": "5m"}]}]}`,
-		`{"objectives": [{"name": "x", "kind": "latency", "target": 0.9,
-		  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "5m"}]}]}`,
-	}
-	for i, src := range bad {
+	for i, src := range configBad {
 		if _, err := ParseConfig([]byte(src)); err == nil {
 			t.Errorf("bad config %d parsed without error", i)
 		}
@@ -387,4 +391,22 @@ func TestSLODefaultObjectivesValid(t *testing.T) {
 	if err := Validate(DefaultObjectives()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseConfig: no input panics ParseConfig, and every objective set it
+// accepts passes Validate. Seeds are TestSLOConfigParse's inputs.
+func FuzzParseConfig(f *testing.F) {
+	f.Add([]byte(configGood))
+	for _, src := range configBad {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		objs, err := ParseConfig(data)
+		if err != nil {
+			return
+		}
+		if err := Validate(objs); err != nil {
+			t.Fatalf("ParseConfig accepted %q, which fails Validate: %v", data, err)
+		}
+	})
 }

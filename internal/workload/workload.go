@@ -435,11 +435,11 @@ func (e *Env) NewServer(newsBaseURL string) (*core.Server, error) {
 // NewServerRunner builds a dashboard server over the environment with full
 // control of the core configuration and the Slurm runner. An empty
 // ClusterName takes the environment's; the environment's services and
-// shared clock always win. The fleet tier gives each replica its own
-// (counted) runner over the shared simulated cluster while every other
-// dependency — clock, users, storage, news, logs — stays shared, exactly
-// like N dashboard processes in front of one Slurm; single servers pass
-// env.Runner.
+// shared clock always win. Each call builds its own REST client, so every
+// server meters its own upstream calls (core.Server.UpstreamCalls); the
+// fleet tier builds its replicas here over one shared cluster, clock,
+// user directory, storage, news feed and log store, like N dashboard
+// processes in front of one Slurm.
 func (e *Env) NewServerRunner(newsBaseURL string, cfg core.Config, runner slurmcli.Runner) (*core.Server, error) {
 	if cfg.ClusterName == "" {
 		cfg.ClusterName = e.Cluster.Name
