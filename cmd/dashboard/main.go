@@ -76,20 +76,30 @@ import (
 // parseBackend turns the -backend flag into a per-source BackendConfig.
 // Accepts a bare mode ("cli", "rest") applied to both daemons, or a
 // comma-separated list of source=mode pairs ("slurmctld=rest,slurmdbd=cli").
+// Any other mode is refused here, before the workload is built.
 func parseBackend(s string) (core.BackendConfig, error) {
 	var bc core.BackendConfig
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return bc, nil
 	}
+	checkMode := func(mode string) error {
+		if mode != core.BackendCLI && mode != core.BackendREST {
+			return fmt.Errorf("unknown mode %q (want %s or %s)", mode, core.BackendCLI, core.BackendREST)
+		}
+		return nil
+	}
 	if !strings.Contains(s, "=") {
 		bc.Slurmctld, bc.Slurmdbd = s, s
-		return bc, nil
+		return bc, checkMode(s)
 	}
 	for _, part := range strings.Split(s, ",") {
 		source, mode, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return bc, fmt.Errorf("malformed %q (want source=mode)", part)
+		}
+		if err := checkMode(mode); err != nil {
+			return bc, err
 		}
 		switch source {
 		case "slurmctld":

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -27,6 +28,15 @@ func TestParseBackend(t *testing.T) {
 	for _, in := range []string{"slurmctld=rest,cli", "slurmd=rest", "slurmctld=rest,,"} {
 		if got, err := parseBackend(in); err == nil {
 			t.Errorf("parseBackend(%q) = %+v, want an error", in, got)
+		}
+	}
+	// An unknown mode is refused at flag parsing, naming it and the valid
+	// ones.
+	for _, c := range []struct{ in, mode string }{{"slurmctld", "slurmctld"}, {"slurmdbd=restt", "restt"}} {
+		_, err := parseBackend(c.in)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", c.mode)) ||
+			!strings.Contains(err.Error(), "cli or rest") {
+			t.Errorf("parseBackend(%q) error = %v, want one naming %q, cli and rest", c.in, err, c.mode)
 		}
 	}
 }

@@ -356,6 +356,21 @@ func (c *Cache) Get(key string) (any, bool) {
 	return e.value, true
 }
 
+// Retained returns the value stored under key, fresh or expired, for as
+// long as FetchStale could still serve it as a stale fallback. A compute
+// reads it to build its new value from the one it replaces.
+func (c *Cache) Retained(key string) (any, bool) {
+	now := c.clock.Now()
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	e, ok := sh.entries[key]
+	sh.mu.Unlock()
+	if !ok || !now.Before(e.staleUntil) {
+		return nil, false
+	}
+	return e.value, true
+}
+
 // Set stores value under key with the given TTL, replacing any entry. Values
 // stored with Set have no stale grace window.
 func (c *Cache) Set(key string, value any, ttl time.Duration) {

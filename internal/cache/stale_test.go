@@ -137,13 +137,23 @@ func TestPurgeKeepsGracedEntries(t *testing.T) {
 	if removed := c.Purge(); removed != 1 {
 		t.Fatalf("purge removed %d, want only the plain entry", removed)
 	}
-	// The graced entry still serves as a degraded fallback.
+	// The graced entry still serves as a degraded fallback, and a compute
+	// can read it back.
 	res, err := c.FetchStale("graced", time.Minute, time.Hour, func() (any, error) { return nil, errDown })
 	if err != nil || !res.Degraded {
 		t.Fatalf("post-purge fetch = %+v %v", res, err)
 	}
+	if v, ok := c.Retained("graced"); !ok || v != "v" {
+		t.Fatalf("Retained(graced) = %v, %v; want the expired value", v, ok)
+	}
+	if _, ok := c.Retained("plain"); ok {
+		t.Fatal("Retained returned an entry with no grace left")
+	}
 
 	clock.Advance(2 * time.Hour)
+	if _, ok := c.Retained("graced"); ok {
+		t.Fatal("Retained returned an entry past its grace window")
+	}
 	if removed := c.Purge(); removed != 1 {
 		t.Fatalf("purge after grace removed %d, want 1", removed)
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ooddash/internal/auth"
@@ -14,15 +16,20 @@ import (
 
 // blockingRunner stalls every Slurm command until released, simulating a
 // slow upstream so concurrent fills pile up against the admission gate.
+// Until hold is set it passes commands straight through, so a test can
+// warm shared entries first.
 type blockingRunner struct {
 	inner   slurmcli.Runner
-	entered chan struct{} // one send per call that reached the upstream
+	hold    atomic.Bool
+	entered chan struct{} // one send per held call that reached the upstream
 	release chan struct{} // closed to let every stalled call proceed
 }
 
 func (r *blockingRunner) Run(name string, args ...string) (string, error) {
-	r.entered <- struct{}{}
-	<-r.release
+	if r.hold.Load() {
+		r.entered <- struct{}{}
+		<-r.release
+	}
 	return r.inner.Run(name, args...)
 }
 
@@ -32,7 +39,24 @@ func (r *blockingRunner) Run(name string, args ...string) (string, error) {
 // cannot collapse them and every request wants its own upstream fill. The
 // gate must admit exactly its cap, turn the rest away fast with 503 +
 // Retry-After (never a 500, never a queue), and drain back to zero.
+//
+// Every fill of the cohort's range class reads one shared day-count fill,
+// which takes no slot of its own. With the counts warm, each admitted fill
+// stalls in its own sacct. With them cold, the first admitted fill stalls
+// in the rollup query and the second waits on it, still holding its slot;
+// both finish 200 once the upstream is released.
 func TestDrillLoginRushFillAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		warmCounts bool
+	}{{"warm counts", true}, {"cold counts", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			loginRush(t, tc.warmCounts)
+		})
+	}
+}
+
+func loginRush(t *testing.T, warmCounts bool) {
 	const fillCap = 2
 	br := &blockingRunner{entered: make(chan struct{}, 64), release: make(chan struct{})}
 	e := newEnvWith(t, func(c *Config) {
@@ -50,6 +74,11 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 		users = append(users, name)
 	}
 	const rushPath = "/api/myjobs?range=7d"
+	if warmCounts {
+		// Another account set's view of the same class fills the counts.
+		e.wantStatus("alice", rushPath, http.StatusOK)
+	}
+	br.hold.Store(true)
 
 	// The first cap users get through the gate and stall on the upstream.
 	var wg sync.WaitGroup
@@ -63,8 +92,15 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 			admitted <- status
 		}()
 	}
-	for i := 0; i < fillCap; i++ {
+	stalled := fillCap
+	if !warmCounts {
+		stalled = 1 // the rollup query; the other fill waits on it
+	}
+	for i := 0; i < stalled; i++ {
 		<-br.entered // a fill now holds a gate slot inside the runner
+	}
+	for dbdFillStat(e.server).InFlight < fillCap {
+		runtime.Gosched() // the second fill takes its slot, then waits
 	}
 
 	// Every further cold user is rejected fast while the gate is full: a
@@ -91,12 +127,7 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 		}
 	}
 
-	var dbd FillStat
-	for _, st := range e.server.FillStats() {
-		if st.Source == srcDBD {
-			dbd = st
-		}
-	}
+	dbd := dbdFillStat(e.server)
 	if dbd.Cap != fillCap {
 		t.Fatalf("reported cap = %d, want %d", dbd.Cap, fillCap)
 	}
@@ -109,6 +140,16 @@ func TestDrillLoginRushFillAdmission(t *testing.T) {
 	if dbd.Rejected != int64(rejected) {
 		t.Fatalf("rejected counter = %d, want %d", dbd.Rejected, rejected)
 	}
+}
+
+// dbdFillStat returns the slurmdbd gate's admission counters.
+func dbdFillStat(s *Server) FillStat {
+	for _, st := range s.FillStats() {
+		if st.Source == srcDBD {
+			return st
+		}
+	}
+	return FillStat{}
 }
 
 // TestFillGateUnlimited confirms the negative knob disables the cap but the

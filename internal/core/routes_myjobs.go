@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/csv"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -253,19 +255,56 @@ func jobRowFromSacct(row *slurmcli.SacctRow, now time.Time, th efficiency.Thresh
 	return jr
 }
 
+// daySecs is the width of a history fill's days: UTC days, the rollup
+// store's day buckets.
+const daySecs = slurm.RollupDay
+
 // jobHistory is one history fill: the converted rows of an account set's
-// jobs over a fill class window ending at asOf, newest submission first.
-// Handlers only read it; each range derives its rows with a jobFilter.
+// jobs over a fill class window ending at asOf. Handlers only read it; each
+// range derives its rows with a jobFilter.
+//
+// rows is newest submission first, ties by ascending job ID and array task
+// (compareRows). A split fill (fillJobHistory) also stamps each UTC day
+// from firstDay through the last day it holds with slurmdbd's count of
+// terminal jobs for that day, so the next refill can carry over the days
+// whose count held. Each row is held once: rows points into one array per
+// end day and one for unfinished jobs, so a carried day pins no row of a
+// day fetched again.
 type jobHistory struct {
-	asOf time.Time
-	rows []JobRow
+	asOf     time.Time
+	rows     []*JobRow
+	firstDay int64   // unix start of the day stamps[0] counts
+	stamps   []int64 // empty for a fill that is not split
+}
+
+// stamp returns h's count stamp for the day starting at d, or -1 when h
+// holds no stamp for it.
+func (h *jobHistory) stamp(d int64) int64 {
+	if h == nil || d < h.firstDay {
+		return -1
+	}
+	if i := (d - h.firstDay) / daySecs; i < int64(len(h.stamps)) {
+		return h.stamps[i]
+	}
+	return -1
+}
+
+// historyScope is what one history fill covers: an account set, or a user
+// in no account.
+type historyScope struct {
+	key   string                // the fill's cache key
+	sacct slurmcli.SacctOptions // the selection, without its window
+	// rollup and names select the day counts that add up to the scope's:
+	// the account series of the set, or the user's own series.
+	rollup string
+	names  []string
 }
 
 // fetchJobHistory returns the history fill that serves tr for user: the
 // jobs of their accounts (their own jobs plus their groups', §2.4 Privacy)
 // over tr's fill class. The key names what the caller may see and the
 // class, never an instant, so every member of the same groups shares one
-// sacct per class per TTL, and a stale value stays findable while slurmdbd
+// fill per class per TTL, and a stale value stays findable while slurmdbd
 // is down. auth.Directory keeps each user's accounts sorted, so the joined
 // list names the set in whatever order it was registered. A user in no
 // account sees only their own jobs, under a key that names them: sacct -a
@@ -274,35 +313,283 @@ type jobHistory struct {
 // this route.
 func (s *Server) fetchJobHistory(r *http.Request, user *auth.User, tr timeRange) (*jobHistory, fetchMeta, error) {
 	class := tr.fillClass()
-	opts := slurmcli.SacctOptions{Accounts: user.Accounts, AllUsers: true}
-	key := "myjobs:" + strings.Join(user.Accounts, ",") + ":" + class.key()
-	if len(user.Accounts) == 0 {
-		opts = slurmcli.SacctOptions{User: user.Name}
-		key = "myjobs-user:" + user.Name + ":" + class.key()
+	sc := historyScope{
+		key:    "myjobs:" + strings.Join(user.Accounts, ",") + ":" + class.key(),
+		sacct:  slurmcli.SacctOptions{Accounts: user.Accounts, AllUsers: true},
+		rollup: slurm.RollupScopeAccount,
+		names:  user.Accounts,
 	}
-	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
-		asOf := s.historyAsOf()
-		o := opts
-		o.Start, o.End = class.window(asOf)
-		rows, err := s.dbdBk.Sacct(ctx, o)
-		if err != nil {
-			return nil, err
+	if len(user.Accounts) == 0 {
+		sc = historyScope{
+			key:    "myjobs-user:" + user.Name + ":" + class.key(),
+			sacct:  slurmcli.SacctOptions{User: user.Name},
+			rollup: slurm.RollupScopeUser,
+			names:  []string{user.Name},
 		}
-		th := efficiency.DefaultThresholds()
-		converted := make([]JobRow, len(rows))
-		for i := range rows {
-			converted[i] = jobRowFromSacct(&rows[i], asOf, th)
-		}
-		// Newest submissions first, the table's default sort.
-		sort.SliceStable(converted, func(i, j int) bool {
-			return converted[i].SubmitTime.After(converted[j].SubmitTime)
-		})
-		return &jobHistory{asOf: asOf, rows: converted}, nil
+	}
+	v, meta, err := s.fetchVia(r, srcDBD, sc.key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
+		return s.fillJobHistory(ctx, sc, class)
 	})
 	if err != nil {
 		return nil, fetchMeta{}, err
 	}
 	return v.(*jobHistory), meta, nil
+}
+
+// fillJobHistory runs one history fill of class for sc. A named class with
+// a start (30d, 90d, 1y) is split at UTC midnights. Its live part —
+// yesterday, today and every unfinished job — is fetched on every fill.
+// Each closed day before yesterday is carried over from the value the
+// cache still retains for the key, as long as its stamp equals slurmdbd's
+// count for the day in the day-count snapshot, which is read before the
+// sacct. One sacct then runs from the earliest day whose count moved
+// (normally yesterday's midnight) to asOf. A cold key, a failed count
+// fill, and the custom and all classes fetch the whole window in that one
+// sacct.
+//
+// The late-record contract: a record that reaches slurmdbd within a day of
+// its job's end lands in the live part. A later one moves its day's count,
+// so it appears from the first fill whose count snapshot postdates it, at
+// most one TTL later.
+func (s *Server) fillJobHistory(ctx context.Context, sc historyScope, class timeRange) (*jobHistory, error) {
+	asOf := s.historyAsOf()
+	start, end := class.window(asOf)
+	h := &jobHistory{asOf: asOf}
+	split := class.name != "custom" && !start.IsZero()
+	from := start
+	var prev *jobHistory
+	var counts *dayCounts
+	if split {
+		h.firstDay = alignDown(start.Unix(), daySecs)
+		counts = s.fetchDayCounts(ctx, sc.rollup, class)
+		if v, ok := s.cache.Retained(sc.key); ok {
+			prev = v.(*jobHistory)
+		}
+		yesterday := alignDown(asOf.Unix(), daySecs) - daySecs
+		if m := firstMovedDay(prev, counts, sc.names, h.firstDay, yesterday); m > start.Unix() {
+			from = time.Unix(m, 0).UTC()
+		}
+	}
+	o := sc.sacct
+	o.Start, o.End = from, end
+	rows, err := s.dbdBk.Sacct(ctx, o)
+	if err != nil {
+		return nil, err
+	}
+
+	// Convert into one array per end day, each sized before conversion, and
+	// a last one for the rest: unfinished jobs, or every row of a fill that
+	// is not split. The sacct starts at or after firstDay, so no row ended
+	// before it; one may end after asOf's day if the clock moved meanwhile.
+	days := 0
+	if split {
+		days = int((alignDown(asOf.Unix(), daySecs)-h.firstDay)/daySecs) + 1
+	}
+	dayOf := func(row *slurmcli.SacctRow) int {
+		if !split || row.EndTime.IsZero() {
+			return -1
+		}
+		return int((alignDown(row.EndTime.Unix(), daySecs) - h.firstDay) / daySecs)
+	}
+	for i := range rows {
+		days = max(days, dayOf(&rows[i])+1)
+	}
+	sizes := make([]int, days+1)
+	for i := range rows {
+		if d := dayOf(&rows[i]); d >= 0 {
+			sizes[d]++
+		} else {
+			sizes[days]++
+		}
+	}
+	th := efficiency.DefaultThresholds()
+	fetched := make([]*JobRow, 0, len(rows))
+	arrays := make([][]JobRow, days+1)
+	for i := range rows {
+		d := dayOf(&rows[i])
+		if d < 0 {
+			d = days
+		}
+		if arrays[d] == nil {
+			arrays[d] = make([]JobRow, 0, sizes[d])
+		}
+		arrays[d] = append(arrays[d], jobRowFromSacct(&rows[i], asOf, th))
+		fetched = append(fetched, &arrays[d][len(arrays[d])-1])
+	}
+	slices.SortFunc(fetched, compareRows)
+	h.stamps = make([]int64, days)
+	for i := range h.stamps {
+		h.stamps[i] = counts.count(h.firstDay+int64(i)*daySecs, sc.names)
+	}
+
+	fetchedDay := alignDown(from.Unix(), daySecs)
+	if prev == nil || fetchedDay <= h.firstDay {
+		h.rows = fetched
+		return h, nil
+	}
+	// Carry over the closed days' visible rows, minus every job the sacct
+	// returned again: a requeued job leaves its old day.
+	again := make(map[string]struct{}, len(fetched))
+	for _, row := range fetched {
+		again[row.JobID] = struct{}{}
+	}
+	carried := make([]*JobRow, 0, len(prev.rows))
+	for _, row := range prev.rows {
+		if row.EndTime.IsZero() {
+			continue
+		}
+		if d := alignDown(row.EndTime.Unix(), daySecs); d < h.firstDay || d >= fetchedDay {
+			continue
+		}
+		if _, dup := again[row.JobID]; !dup {
+			carried = append(carried, row)
+		}
+	}
+	h.rows = mergeRows(carried, fetched)
+	return h, nil
+}
+
+// firstMovedDay returns the first closed day, from first up to yesterday,
+// that prev holds no stamp for or whose stamp differs from its count in c,
+// or yesterday when every closed day held. With no retained fill or no
+// counts it returns first: nothing can be carried over.
+func firstMovedDay(prev *jobHistory, c *dayCounts, names []string, first, yesterday int64) int64 {
+	if prev == nil || c == nil {
+		return first
+	}
+	for d := first; d < yesterday; d += daySecs {
+		if st := prev.stamp(d); st < 0 || st != c.count(d, names) {
+			return d
+		}
+	}
+	return yesterday
+}
+
+// compareRows orders history rows newest submission first, ties by
+// ascending job ID and array task, the order of a whole-window sacct sorted
+// by submission. It is a total order, so rows from different fills merge
+// into the same sequence. IDs compare as numbers: "99" before "100", and
+// "7_2" before "7_10".
+func compareRows(a, b *JobRow) int {
+	if c := b.SubmitTime.Compare(a.SubmitTime); c != 0 {
+		return c
+	}
+	aj, at := splitJobID(a.JobID)
+	bj, bt := splitJobID(b.JobID)
+	if aj != bj {
+		return cmp.Compare(aj, bj)
+	}
+	return cmp.Compare(at, bt)
+}
+
+// splitJobID parses a display job ID, "1234" or "1234_7", into its job and
+// array task numbers; a job that is not an array task has task -1.
+func splitJobID(id string) (job, task int64) {
+	task = -1
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case c == '_':
+			task = 0
+		case task < 0:
+			job = job*10 + int64(c-'0')
+		default:
+			task = task*10 + int64(c-'0')
+		}
+	}
+	return job, task
+}
+
+// mergeRows merges two row lists, each in compareRows order, into one.
+func mergeRows(a, b []*JobRow) []*JobRow {
+	out := make([]*JobRow, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if compareRows(b[0], a[0]) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// dayCounts is one day-count fill: slurmdbd's day rollup of terminal jobs
+// for every series of one scope, over the UTC days from first through the
+// day it was read.
+type dayCounts struct {
+	first  int64
+	days   int
+	series map[string][]int64 // series name → count per day
+}
+
+// count returns the day's terminal-job count summed over the named series,
+// or -1 when c does not cover the day.
+func (c *dayCounts) count(day int64, names []string) int64 {
+	if c == nil || day < c.first || day >= c.first+int64(c.days)*daySecs {
+		return -1
+	}
+	i := (day - c.first) / daySecs
+	var n int64
+	for _, name := range names {
+		if per := c.series[name]; per != nil {
+			n += per[i]
+		}
+	}
+	return n
+}
+
+// fetchDayCounts returns the day-count fill for scope and class: one rollup
+// query per TTL at day resolution, for every series of the scope, shared
+// by every history fill of the class. It runs inside a history fill's
+// admission slot and resilience attempt, so it takes no slot of its own,
+// and it counts in slurmdbd's fetch-outcome counter. On failure it returns
+// nil, and the fill fetches its whole window.
+func (s *Server) fetchDayCounts(ctx context.Context, scope string, class timeRange) *dayCounts {
+	key := "myjobs-days:" + scope + ":" + class.key()
+	res, err := s.cache.FetchStaleCtx(ctx, key, s.cfg.TTLs.JobHistory, 0, func(ctx context.Context) (any, error) {
+		asOf := s.historyAsOf()
+		start, _ := class.window(asOf)
+		end := alignDown(asOf.Unix(), daySecs) + daySecs
+		c := &dayCounts{first: alignDown(start.Unix(), daySecs), series: make(map[string][]int64)}
+		c.days = int((end - c.first) / daySecs)
+		result, err := s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{
+			Scope: scope, Start: c.first, End: end, Resolution: slurm.RollupDay,
+		})
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range result.Rows {
+			i := (row.BucketStart - c.first) / daySecs
+			if i < 0 || i >= int64(c.days) {
+				continue
+			}
+			per := c.series[row.Name]
+			if per == nil {
+				per = make([]int64, c.days)
+				c.series[row.Name] = per
+			}
+			per[i] = row.Jobs
+		}
+		return c, nil
+	})
+	oc := s.obsm.fetchOutcome[srcDBD]
+	if err != nil {
+		oc.err.Inc()
+		return nil
+	}
+	oc.ok.Inc()
+	return res.Value.(*dayCounts)
+}
+
+// historyVariant is the render variant of the My Jobs table and charts:
+// the account set whose fill they show, so every member of the set shares
+// one encode and one ETag. A mine=1 table, or a user in no account, keeps
+// the user's name. The set variant starts with a control byte that no
+// X-Remote-User value carries, so it never equals a user name.
+func historyVariant(user *auth.User, q url.Values) string {
+	if len(user.Accounts) == 0 || q.Get("mine") == "1" {
+		return user.Name
+	}
+	return "\x1faccounts:" + strings.Join(user.Accounts, ",")
 }
 
 // jobFilter is the one row filter of the My Jobs table, its export and its
@@ -370,12 +657,11 @@ func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
-		q := r.URL.Query()
+	q := r.URL.Query()
+	s.serveRendered(w, r, meta, historyVariant(user, q), func() (any, error) {
 		f := newJobFilter(q, h, tr, user.Name)
 		var resp MyJobsResponse
-		for i := range h.rows {
-			row := &h.rows[i]
+		for _, row := range h.rows {
 			if !f.inWindow(row) {
 				continue
 			}
@@ -446,8 +732,7 @@ func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request) {
 		}
 		return strconv.FormatFloat(*v, 'f', 1, 64)
 	}
-	for i := range h.rows {
-		row := &h.rows[i]
+	for _, row := range h.rows {
 		if !f.inWindow(row) || !f.matches(row) {
 			continue
 		}
@@ -496,13 +781,12 @@ func (s *Server) handleMyJobsCharts(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	s.serveRendered(w, r, meta, historyVariant(user, r.URL.Query()), func() (any, error) {
 		since, _ := tr.window(h.asOf)
 		f := jobFilter{since: since}
 		states := make(map[string]*UserStateBar)
 		gpu := make(map[string]float64)
-		for i := range h.rows {
-			row := &h.rows[i]
+		for _, row := range h.rows {
 			if !f.inWindow(row) {
 				continue
 			}

@@ -295,8 +295,9 @@ func drainUntil(t *testing.T, events <-chan push.Event, name string, timeout tim
 
 // TestHistoryFillSharedAcrossReplicas: My Jobs at 7d and 30d, viewed by
 // two members of one account set through every replica inside one TTL,
-// costs one accounting call fleet-wide, and every replica serves each view
-// the same bytes.
+// costs two slurmdbd calls fleet-wide — one sacct and the day-count rollup
+// query the fill checks its closed days against — and every replica serves
+// each view the same bytes.
 func TestHistoryFillSharedAcrossReplicas(t *testing.T) {
 	env, fl := newTestFleet(t, 3, nil)
 	a, _ := env.Users.Lookup(env.UserNames[0])
@@ -311,6 +312,8 @@ func TestHistoryFillSharedAcrossReplicas(t *testing.T) {
 	}
 	viewers = viewers[:2]
 	before := fl.UpstreamCalls()["slurmdbd"]
+	dbd := env.Cluster.DBD.Stats()
+	sacct, rollup := dbd.Count(slurm.RPCSacct), dbd.Count(slurm.RPCRollup)
 	for _, path := range []string{"/api/myjobs?range=7d", "/api/myjobs?range=30d"} {
 		for _, user := range viewers {
 			var first string
@@ -327,8 +330,11 @@ func TestHistoryFillSharedAcrossReplicas(t *testing.T) {
 			}
 		}
 	}
-	if got := fl.UpstreamCalls()["slurmdbd"] - before; got != 1 {
-		t.Fatalf("two users x two ranges x 3 replicas cost %d accounting calls, want 1", got)
+	if got := fl.UpstreamCalls()["slurmdbd"] - before; got != 2 {
+		t.Fatalf("two users x two ranges x 3 replicas cost %d slurmdbd calls, want 2", got)
+	}
+	if s, r := dbd.Count(slurm.RPCSacct)-sacct, dbd.Count(slurm.RPCRollup)-rollup; s != 1 || r != 1 {
+		t.Fatalf("slurmdbd served %d sacct and %d rollup calls, want 1 and 1", s, r)
 	}
 }
 

@@ -144,6 +144,12 @@ func Validate(objs []Objective) error {
 			if r.Short <= 0 || r.Long <= 0 || r.Short > r.Long {
 				return fmt.Errorf("slo: %s/%s: need 0 < short <= long window", o.Name, r.Name)
 			}
+			if r.Long > BudgetWindow {
+				// The burn-rate ring holds one slot per step of the longest
+				// window, and every status read walks all of them.
+				return fmt.Errorf("slo: %s/%s: long window %v exceeds the %v budget window",
+					o.Name, r.Name, r.Long, BudgetWindow)
+			}
 			if r.For < 0 || r.KeepFor < 0 {
 				return fmt.Errorf("slo: %s/%s: negative for/keep_for", o.Name, r.Name)
 			}

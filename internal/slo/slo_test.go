@@ -358,6 +358,8 @@ var configBad = []string{
 	  "rules": [{"name": "r", "burn": 1, "short": "oops", "long": "5m"}]}]}`,
 	`{"objectives": [{"name": "x", "kind": "latency", "target": 0.9,
 	  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "5m"}]}]}`,
+	`{"objectives": [{"name": "x", "kind": "availability", "target": 0.9,
+	  "rules": [{"name": "r", "burn": 1, "short": "1m", "long": "10000h"}]}]}`,
 }
 
 func TestSLOConfigParse(t *testing.T) {
@@ -385,6 +387,11 @@ func TestSLOConfigParse(t *testing.T) {
 			t.Errorf("bad config %d parsed without error", i)
 		}
 	}
+	// A window past the budget window names the objective and the rule.
+	_, err = ParseConfig([]byte(configBad[len(configBad)-1]))
+	if err == nil || !strings.Contains(err.Error(), "x/r") || !strings.Contains(err.Error(), "long window") {
+		t.Errorf("over-long window error = %v, want one naming x/r and its long window", err)
+	}
 }
 
 func TestSLODefaultObjectivesValid(t *testing.T) {
@@ -394,7 +401,8 @@ func TestSLODefaultObjectivesValid(t *testing.T) {
 }
 
 // FuzzParseConfig: no input panics ParseConfig, and every objective set it
-// accepts passes Validate. Seeds are TestSLOConfigParse's inputs.
+// accepts passes Validate and has no rule window longer than the budget
+// window. Seeds are TestSLOConfigParse's inputs.
 func FuzzParseConfig(f *testing.F) {
 	f.Add([]byte(configGood))
 	for _, src := range configBad {
@@ -407,6 +415,14 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if err := Validate(objs); err != nil {
 			t.Fatalf("ParseConfig accepted %q, which fails Validate: %v", data, err)
+		}
+		for _, o := range objs {
+			for _, r := range o.Rules {
+				if r.Long > BudgetWindow {
+					t.Fatalf("ParseConfig accepted %q: %s/%s long window %v > %v",
+						data, o.Name, r.Name, r.Long, BudgetWindow)
+				}
+			}
 		}
 	})
 }

@@ -432,7 +432,8 @@ func (f *LiveJobFilter) matches(j *Job) bool {
 }
 
 // Jobs returns live queue entries matching the filter, newest submissions
-// first. Counted as a squeue RPC against the controller.
+// first. Counted as a squeue RPC against the controller and as that many
+// records.
 func (c *Controller) Jobs(f LiveJobFilter) []*Job {
 	c.stats.Record(RPCSqueue)
 	c.mu.Lock()
@@ -448,6 +449,7 @@ func (c *Controller) Jobs(f LiveJobFilter) []*Job {
 			break
 		}
 	}
+	c.stats.AddRecords(len(out))
 	return out
 }
 

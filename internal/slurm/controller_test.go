@@ -636,6 +636,55 @@ func TestRPCCountersTrackQueries(t *testing.T) {
 	}
 }
 
+// TestRecordCountersTrackRows: the listing RPCs charge each daemon one
+// record per row they return (job records, associations, rollup rows),
+// while Total, Count and Snapshot keep counting RPCs only.
+func TestRecordCountersTrackRows(t *testing.T) {
+	cl, clock := testCluster(t)
+	for i := 0; i < 3; i++ {
+		submitOne(t, cl, SubmitRequest{
+			User: "alice", Account: "lab-a", Partition: "cpu",
+			ReqTRES: TRES{CPUs: 1, MemMB: 512},
+			Profile: UsageProfile{ActualDuration: time.Minute, CPUUtilization: 1, MemUtilization: 0.5},
+		})
+	}
+	cl.Ctl.Tick() // start them
+	clock.Advance(5 * time.Minute)
+	cl.Ctl.Tick() // finish them
+
+	ctl, dbd := cl.Ctl.Stats(), cl.DBD.Stats()
+	ctlRecords, dbdRecords, dbdRPCs := ctl.Records(), dbd.Records(), dbd.Total()
+	queue := cl.Ctl.Jobs(LiveJobFilter{})
+	if got := ctl.Records() - ctlRecords; got != int64(len(queue)) || got == 0 {
+		t.Fatalf("controller records = %d, want the %d queue rows", got, len(queue))
+	}
+	jobs := cl.DBD.Jobs(JobFilter{}, cl.Ctl.Now())
+	assocs := cl.DBD.Associations()
+	now := cl.Ctl.Now().Unix()
+	rollup := cl.DBD.RollupQuery(RollupScopeAccount, "", rollupFloor(now, RollupDay)-RollupDay,
+		rollupFloor(now, RollupDay)+RollupDay, RollupDay)
+	if len(jobs) != 3 || len(assocs) == 0 || len(rollup) == 0 {
+		t.Fatalf("fixture: %d jobs, %d associations, %d rollup rows", len(jobs), len(assocs), len(rollup))
+	}
+	if got, want := dbd.Records()-dbdRecords, int64(len(jobs)+len(assocs)+len(rollup)); got != want {
+		t.Fatalf("dbd records = %d, want %d", got, want)
+	}
+	if got := dbd.Total() - dbdRPCs; got != 3 {
+		t.Fatalf("dbd RPCs = %d, want 3: records are not RPCs", got)
+	}
+	var snap int64
+	for _, n := range dbd.Snapshot() {
+		snap += n
+	}
+	if snap != dbd.Total() {
+		t.Fatalf("snapshot sums to %d, want the %d RPCs", snap, dbd.Total())
+	}
+	dbd.Reset()
+	if dbd.Records() != 0 {
+		t.Fatalf("records after Reset = %d", dbd.Records())
+	}
+}
+
 func TestQueryResultsAreCopies(t *testing.T) {
 	cl, _ := testCluster(t)
 	id := submitOne(t, cl, SubmitRequest{

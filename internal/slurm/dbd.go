@@ -108,7 +108,8 @@ func (d *DBD) Association(key AssocKey) *Association {
 }
 
 // Associations returns copies of all associations, account-level first,
-// sorted by (account, user). Counted as a DBD usage RPC.
+// sorted by (account, user). Counted as a DBD usage RPC and as that many
+// records.
 func (d *DBD) Associations() []*Association {
 	d.stats.Record(RPCUsageRollup)
 	d.mu.RLock()
@@ -123,6 +124,7 @@ func (d *DBD) Associations() []*Association {
 		}
 		return out[i].User < out[j].User
 	})
+	d.stats.AddRecords(len(out))
 	return out
 }
 
@@ -207,7 +209,8 @@ func containsString(haystack []string, needle string) bool {
 
 // Jobs returns accounting records matching the filter, ordered by submit
 // time ascending (or most-recent-first truncated to Limit when Limit > 0).
-// Counted as a DBD_GET_JOBS RPC — the sacct path.
+// Counted as a DBD_GET_JOBS RPC — the sacct path — and as that many
+// records.
 func (d *DBD) Jobs(f JobFilter, now time.Time) []*Job {
 	d.stats.Record(RPCSacct)
 	d.mu.RLock()
@@ -221,6 +224,7 @@ func (d *DBD) Jobs(f JobFilter, now time.Time) []*Job {
 				out = append(out, j.Clone())
 			}
 		}
+		d.stats.AddRecords(len(out))
 		return out
 	}
 	for _, id := range d.order {
@@ -229,6 +233,7 @@ func (d *DBD) Jobs(f JobFilter, now time.Time) []*Job {
 			out = append(out, j.Clone())
 		}
 	}
+	d.stats.AddRecords(len(out))
 	return out
 }
 

@@ -487,7 +487,7 @@ func (s *rollupStore) snapshot() RollupStats {
 
 // RollupQuery serves one rollup read from the accounting daemon. start/end
 // are unix seconds aligned to res (callers align; unaligned bounds are
-// floored). Counted as a rollup-usage RPC.
+// floored). Counted as a rollup-usage RPC and as one record per row.
 func (d *DBD) RollupQuery(scope, name string, start, end, res int64) []RollupRow {
 	d.stats.Record(RPCRollup)
 	d.mu.RLock()
@@ -495,7 +495,9 @@ func (d *DBD) RollupQuery(scope, name string, start, end, res int64) []RollupRow
 	if res != RollupMinute && res != RollupHour && res != RollupDay {
 		return nil
 	}
-	return d.rollups.query(scope, name, rollupFloor(start, res), rollupFloor(end+res-1, res), res)
+	rows := d.rollups.query(scope, name, rollupFloor(start, res), rollupFloor(end+res-1, res), res)
+	d.stats.AddRecords(len(rows))
+	return rows
 }
 
 // RollupBounds reports the earliest and latest terminal end times the store

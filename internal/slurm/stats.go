@@ -22,13 +22,15 @@ const (
 	RPCRollup      RPCKind = "DBD_GET_ROLLUP_USAGE"     // pre-aggregated rollup query
 )
 
-// DaemonStats counts RPCs served by one daemon. All methods are safe for
-// concurrent use.
+// DaemonStats counts RPCs served by one daemon, and separately the records
+// its listing RPCs return, so fewer RPCs can be checked not to ship more
+// rows. All methods are safe for concurrent use.
 type DaemonStats struct {
-	mu     sync.Mutex
-	name   string
-	counts map[RPCKind]int64
-	total  int64
+	mu      sync.Mutex
+	name    string
+	counts  map[RPCKind]int64
+	total   int64
+	records int64
 }
 
 // NewDaemonStats returns a stats counter labelled with the daemon name.
@@ -45,6 +47,22 @@ func (s *DaemonStats) Record(kind RPCKind) {
 	s.counts[kind]++
 	s.total++
 	s.mu.Unlock()
+}
+
+// AddRecords counts n records returned by one RPC. Record, Total, Count
+// and Snapshot count RPCs only.
+func (s *DaemonStats) AddRecords(n int) {
+	s.mu.Lock()
+	s.records += int64(n)
+	s.mu.Unlock()
+}
+
+// Records returns the number of records the daemon's listing RPCs have
+// returned: job records, associations and rollup rows.
+func (s *DaemonStats) Records() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.records
 }
 
 // Total returns the total number of RPCs served.
@@ -78,4 +96,5 @@ func (s *DaemonStats) Reset() {
 	defer s.mu.Unlock()
 	s.counts = make(map[RPCKind]int64)
 	s.total = 0
+	s.records = 0
 }

@@ -107,3 +107,100 @@ func FuzzParseAssocs(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSacctOutput: the sacct parser never panics on any input, and a
+// record the emulator formats in the typed client's format parses back to
+// the same fields. A job with no end time formats End as "Unknown" and
+// parses to a zero EndTime, the field the My Jobs fill splits its rows
+// into days and unfinished jobs by. Seeds are the emulator's own output
+// for pending, running, finished, array and GPU jobs.
+func FuzzParseSacctOutput(f *testing.F) {
+	_, cl, clk := newTestRunner(f)
+	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 2, MemMB: 2048}, Profile: slurm.UsageProfile{ActualDuration: time.Minute}})
+	mustSubmit(f, cl, slurm.SubmitRequest{Name: "long run", User: "carol", Account: "lab-b", Partition: "gpu",
+		ReqTRES: slurm.TRES{CPUs: 4, MemMB: 8192, GPUs: 1}, InteractiveApp: "jupyter", SessionID: "s-1",
+		Profile: slurm.UsageProfile{ActualDuration: 5 * time.Hour, GPUUtilization: 0.42}})
+	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu", ArraySize: 3,
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}, Profile: slurm.UsageProfile{ActualDuration: 2 * time.Minute}})
+	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu", Hold: true,
+		ReqTRES: slurm.TRES{CPUs: 64, MemMB: 1024}})
+	cl.Ctl.Tick()
+	clk.Advance(10 * time.Minute)
+	cl.Ctl.Tick()
+	out, err := runSacct(cl, []string{"-P", "-n", "-X", "-a", "--format", sacctQueryFields})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(out, "job", "/home/alice", uint16(2), uint32(60), uint8(4), uint8(0), false)
+	for i, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		f.Add(line, fmt.Sprintf("job-%d", i), "", uint16(i), uint32(i*90), uint8(i), uint8(i%3), i%2 == 0)
+	}
+
+	base := time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC)
+	now := base.Add(48 * time.Hour)
+	fields := strings.Split(sacctQueryFields, ",")
+	f.Fuzz(func(t *testing.T, out, name, workDir string, cpus uint16, minutes uint32, state, gpus uint8, array bool) {
+		_, _ = parseSacctOutput(out)
+
+		if strings.ContainsAny(name+workDir, "|\n") {
+			return // sacct's pipe-separated rows cannot carry these
+		}
+		st := slurm.AllJobStates[int(state)%len(slurm.AllJobStates)]
+		tres := slurm.TRES{CPUs: int(cpus), MemMB: int64(cpus) * 512, Nodes: 1, GPUs: int(gpus % 3)}
+		run := time.Duration(minutes%(1<<20)) * time.Minute
+		j := &slurm.Job{ID: 4242, Name: name, WorkDir: workDir, User: "alice", Account: "lab-a",
+			Partition: "gpu", QOS: "normal", State: st, SubmitTime: base, TimeLimit: run + time.Hour,
+			ReqTRES: tres, Profile: slurm.UsageProfile{CPUUtilization: 0.5, MemUtilization: 0.4, GPUUtilization: 0.6}}
+		if array {
+			j.ArrayJobID, j.ArrayTaskID = 4240, 2
+		}
+		switch {
+		case st == slurm.StatePending:
+			j.Reason = slurm.ReasonPriority
+		case st.Terminal():
+			j.StartTime, j.EndTime = base.Add(time.Minute), base.Add(time.Minute+run)
+			j.Nodes, j.AllocTRES = []string{"g001"}, tres
+		default:
+			j.StartTime, j.Nodes, j.AllocTRES = base.Add(time.Minute), []string{"g001"}, tres
+		}
+		values := make([]string, len(fields))
+		for i, name := range fields {
+			v, err := sacctField(name, j, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values[i] = v
+		}
+		line := strings.Join(values, "|")
+		if end := values[11]; (end == "Unknown") != j.EndTime.IsZero() {
+			t.Fatalf("End field %q for end time %v", end, j.EndTime)
+		}
+		rows, err := parseSacctOutput(line + "\n")
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("emulator row %q: %d rows, %v", line, len(rows), err)
+		}
+		r := rows[0]
+		want := SacctRow{
+			RawID: j.ID, JobID: j.DisplayID(), Name: name, User: j.User, Account: j.Account,
+			Partition: j.Partition, QOS: j.QOS, State: st, Reason: j.Reason,
+			SubmitTime: j.SubmitTime, StartTime: j.StartTime, EndTime: j.EndTime,
+			Elapsed: r.Elapsed, TimeLimit: j.TimeLimit, ReqCPUs: tres.CPUs, AllocCPUs: j.AllocTRES.CPUs,
+			ReqMemMB: tres.MemMB, AllocTRES: j.AllocTRES, NodeList: values[18], ExitCode: j.ExitCode,
+			TotalCPU: r.TotalCPU, GPUUtilPercent: r.GPUUtilPercent, WorkDir: workDir,
+		}
+		if !j.StartTime.IsZero() {
+			want.MaxRSSMB = j.MaxRSSMB()
+		}
+		if r != want || FormatDuration(r.Elapsed) != FormatDuration(j.Elapsed(now)) ||
+			FormatDuration(r.TotalCPU) != FormatDuration(j.CPUTimeUsed(now)) {
+			t.Fatalf("emulator row %q parsed to\n%+v\nwant\n%+v", line, r, want)
+		}
+		if r.EndTime.IsZero() != j.EndTime.IsZero() {
+			t.Fatalf("End %q parsed to %v", values[11], r.EndTime)
+		}
+		if hasUtil := j.AllocTRES.GPUs > 0 && !j.StartTime.IsZero(); hasUtil != (r.GPUUtilPercent >= 0) {
+			t.Fatalf("GPU utilization %v for %d GPUs", r.GPUUtilPercent, j.AllocTRES.GPUs)
+		}
+	})
+}
