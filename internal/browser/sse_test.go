@@ -123,7 +123,7 @@ func TestEventStreamKeepsCacheHot(t *testing.T) {
 }
 
 func TestEventStreamResumesFromLastID(t *testing.T) {
-	env, _, url := sseStack(t)
+	env, server, url := sseStack(t)
 	b := New(env.UserNames[0], url, nil, env.Clock)
 
 	widgets := []WidgetRequest{{Name: "system_status", Path: "/api/system_status", TTL: 60 * time.Second}}
@@ -148,16 +148,37 @@ func TestEventStreamResumesFromLastID(t *testing.T) {
 		t.Fatalf("browser lastEventID = %d, want %d", b.lastEventID, first)
 	}
 
-	// Reconnecting resumes from the remembered version: an unchanged snapshot
-	// is not replayed a second time.
-	st2, err := b.OpenEventStream(widgets, nil)
+	// Reconnecting resumes from the remembered version, before the source
+	// comes due: the unchanged snapshot is not replayed. The widget then
+	// changes, and that change is the first event the resumed stream
+	// delivers.
+	events := make(chan push.Event, 8)
+	st2, err := b.OpenEventStream(widgets, func(ev push.Event) { events <- ev })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	time.Sleep(50 * time.Millisecond)
-	if n := st2.Stats().Events; n != 0 {
-		t.Fatalf("resume replayed %d events, want 0", n)
+	if _, err := env.Cluster.Ctl.Submit(slurm.SubmitRequest{
+		User: env.UserNames[0], Account: "grp01", Partition: "cpu", QOS: "normal",
+		TimeLimit: time.Hour, ReqTRES: slurm.TRES{CPUs: 2, MemMB: 1024},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	env.Clock.Advance(2 * time.Minute) // past system_status's TTL and jitter
+	env.Cluster.Ctl.Tick()
+	if n := server.TickPush(); n == 0 {
+		t.Fatal("TickPush refreshed nothing")
+	}
+	select {
+	case ev := <-events:
+		if ev.Name != "system_status" || ev.ID <= first {
+			t.Fatalf("resumed stream's first event = %s #%d, want the change after #%d", ev.Name, ev.ID, first)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the change never reached the resumed stream")
+	}
+	if n := st2.Stats().Events; n != 1 {
+		t.Fatalf("resumed stream delivered %d events, want 1 (no replay)", n)
 	}
 }
 

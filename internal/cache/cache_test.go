@@ -103,14 +103,22 @@ func TestFetchSingleflightCollapsesConcurrentMisses(t *testing.T) {
 			})
 		}(i)
 	}
-	// Give the waiters a moment to attach to the in-flight call; they either
-	// collapse onto it or (rarely, if scheduled after completion) hit cache.
-	time.Sleep(20 * time.Millisecond)
+	// Release the fill only once every waiter has attached to it: Fetch
+	// counts a collapse before it waits.
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Collapsed != waiters-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("collapsed = %d after 5 s, want %d", c.Stats().Collapsed, waiters-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	wg.Wait()
 
 	if got := atomic.LoadInt32(&computes); got != 1 {
 		t.Fatalf("computes = %d, want 1 (singleflight)", got)
+	}
+	if st := c.Stats(); st.Collapsed != waiters-1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want %d collapsed waiters and 1 miss", st, waiters-1)
 	}
 	for i, r := range results {
 		if r != "value" {

@@ -96,8 +96,9 @@ type PushConfig struct {
 	// not refresh in lockstep (thundering refresh). Zero means 0.25;
 	// negative disables.
 	Jitter float64
-	// DisableIdlePause keeps refreshing sources that have no subscribers
-	// (by default an idle source's schedule pauses until a client returns).
+	// DisableIdlePause keeps refreshing sources that have no subscribers.
+	// By default a source with no subscriber is released, with its
+	// snapshot, when it next comes due; a later stream registers it afresh.
 	DisableIdlePause bool
 }
 

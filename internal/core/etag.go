@@ -21,8 +21,9 @@ import (
 // Per-user responses carry strong ETags, so without cache-scoping headers
 // a shared intermediary cache (a fronting proxy keyed only on the URL)
 // could store user A's body — or validate A's ETag with a 304 — and hand
-// it to user B, violating the §2.4 privacy model. Every identity-variant
-// response therefore declares:
+// it to user B, violating the §2.4 privacy model. Every response of a
+// widget outside the public visibility class, and every HTML page,
+// therefore declares (visibility.go, renderPage):
 //
 //   - Vary: X-Remote-User — the response depends on the identity header,
 //     so a cache that stores it must key on that header too;

@@ -201,7 +201,7 @@ func (s *Server) writeWidgetJSON(w http.ResponseWriter, r *http.Request, meta fe
 			writeError(w, fmt.Errorf("core: encoding response: %v", err))
 			return
 		}
-		s.serveBody(w, r, widgetFromContext(r.Context()), etag.New(buf.Bytes()))
+		s.serveBody(w, r, etag.New(buf.Bytes()))
 		return
 	}
 	w.Header().Set(degradedHeader, "stale")

@@ -425,15 +425,22 @@ func (s *Server) observeCommand(command, daemon string, d time.Duration, err err
 	s.obsm.slurmLatency.With(daemon).Observe(d.Seconds())
 }
 
-// widgetCtxKey carries the instrumented widget name through the request
-// context, so shared helpers (the 304 counter) can label by widget.
+// widgetCtxKey carries the instrumented widget through the request
+// context, so shared helpers can read its class (serveRendered) and label
+// by its name (the 304 counter).
 type widgetCtxKey struct{}
 
-// widgetFromContext returns the widget name the instrument middleware
-// attached, or "unknown" outside an instrumented request.
-func widgetFromContext(ctx context.Context) string {
-	if w, ok := ctx.Value(widgetCtxKey{}).(string); ok {
-		return w
+// requestWidget returns the widget the instrument middleware attached, or
+// nil outside an instrumented request.
+func requestWidget(ctx context.Context) *Widget {
+	w, _ := ctx.Value(widgetCtxKey{}).(*Widget)
+	return w
+}
+
+// widgetName returns the instrumented widget's name, or "unknown".
+func widgetName(ctx context.Context) string {
+	if w := requestWidget(ctx); w != nil {
+		return w.Name
 	}
 	return "unknown"
 }
@@ -531,7 +538,7 @@ func (s *Server) instrument(wd *Widget, h http.HandlerFunc) http.HandlerFunc {
 			traceID = obs.NewTraceID()
 		}
 		w.Header()[traceHeaderKey] = []string{traceID}
-		ctx := context.WithValue(obs.WithTrace(r.Context(), traceID), widgetCtxKey{}, widget)
+		ctx := context.WithValue(obs.WithTrace(r.Context(), traceID), widgetCtxKey{}, wd)
 
 		var sp *trace.Span
 		if spannable {

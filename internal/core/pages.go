@@ -157,11 +157,11 @@ var pageTemplates = map[string]string{
 </section>
 {{end}}`,
 
-	// The admin traces page is staff-only (the /admin route checks the
-	// Admin flag before rendering): a filterable listing of the tail-sampled
-	// trace store and a per-trace waterfall. Its widget sections are driven
-	// by traces.js rather than widgets.js — trace payloads are admin-scoped
-	// and must not land in the shared IndexedDB client cache.
+	// The admin traces page is staff-only (pageRoutes marks it): a
+	// filterable listing of the tail-sampled trace store and a per-trace
+	// waterfall. Its widget sections are driven by traces.js rather than
+	// widgets.js — trace payloads are admin-scoped and must not land in the
+	// shared IndexedDB client cache.
 	"admin": `{{define "content"}}
 <h1>Request Traces</h1>
 <div class="controls">
@@ -235,12 +235,37 @@ type pageData struct {
 	Push map[string]string
 }
 
-// renderPage executes a page template; authentication failures render a 401
-// page rather than JSON since these are browser navigations.
-func (s *Server) renderPage(w http.ResponseWriter, r *http.Request, page, title, subject string) {
-	user, err := s.currentUser(r)
+// pageRoutes are the HTML pages: the route, its template and title, the
+// path value the page is about, and whether only staff may open it.
+var pageRoutes = []struct {
+	route, page, title, subject string
+	staff                       bool
+}{
+	{"GET /{$}", "home", "Home", "", false},
+	{"GET /myjobs", "myjobs", "My Jobs", "", false},
+	{"GET /jobperf", "jobperf", "Job Performance Metrics", "", false},
+	{"GET /clusterstatus", "clusterstatus", "Cluster Status", "", false},
+	{"GET /node/{name}", "node", "Node Overview", "name", false},
+	{"GET /job/{id}", "job", "Job Overview", "id", false},
+	{"GET /news", "news", "All News", "", false},
+	{"GET /insights", "insights", "Job Insights", "", false},
+	{"GET /admin", "admin", "Request Traces", "", true},
+	{"GET /admin/slo", "slo", "Service Objectives", "", true},
+}
+
+// renderPage executes a page template. Every page prints its viewer's name,
+// so every response is private to the caller. Authentication failures
+// render plain-text errors rather than JSON since these are browser
+// navigations.
+func (s *Server) renderPage(w http.ResponseWriter, r *http.Request, page, title, subject string, staff bool) {
+	setPrivateCache(w.Header())
+	user, err := s.users.FromRequest(r)
 	if err != nil {
 		http.Error(w, "authentication required", http.StatusUnauthorized)
+		return
+	}
+	if staff && !user.Admin {
+		http.Error(w, "admin access required", http.StatusForbidden)
 		return
 	}
 	t, ok := pages[page]
@@ -270,58 +295,19 @@ func (s *Server) registerPages(mux *http.ServeMux) {
 	s.pagePush = make(map[string]string)
 	for _, w := range s.widgets {
 		s.pageTTLs[w.Name] = int64(w.TTL / time.Second)
-		if w.push != pushNone {
+		if w.push {
 			s.pagePush[w.Name] = w.Name
 		}
 	}
-	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "home", "Home", "")
-	})
-	mux.HandleFunc("GET /myjobs", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "myjobs", "My Jobs", "")
-	})
-	mux.HandleFunc("GET /jobperf", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "jobperf", "Job Performance Metrics", "")
-	})
-	mux.HandleFunc("GET /clusterstatus", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "clusterstatus", "Cluster Status", "")
-	})
-	mux.HandleFunc("GET /node/{name}", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "node", "Node Overview", r.PathValue("name"))
-	})
-	mux.HandleFunc("GET /job/{id}", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "job", "Job Overview", r.PathValue("id"))
-	})
-	mux.HandleFunc("GET /news", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "news", "All News", "")
-	})
-	mux.HandleFunc("GET /insights", func(w http.ResponseWriter, r *http.Request) {
-		s.renderPage(w, r, "insights", "Job Insights", "")
-	})
-	mux.HandleFunc("GET /admin", func(w http.ResponseWriter, r *http.Request) {
-		user, err := s.currentUser(r)
-		if err != nil {
-			http.Error(w, "authentication required", http.StatusUnauthorized)
-			return
-		}
-		if !user.Admin {
-			http.Error(w, "admin access required", http.StatusForbidden)
-			return
-		}
-		s.renderPage(w, r, "admin", "Request Traces", "")
-	})
-	mux.HandleFunc("GET /admin/slo", func(w http.ResponseWriter, r *http.Request) {
-		user, err := s.currentUser(r)
-		if err != nil {
-			http.Error(w, "authentication required", http.StatusUnauthorized)
-			return
-		}
-		if !user.Admin {
-			http.Error(w, "admin access required", http.StatusForbidden)
-			return
-		}
-		s.renderPage(w, r, "slo", "Service Objectives", "")
-	})
+	for _, p := range pageRoutes {
+		mux.HandleFunc(p.route, func(w http.ResponseWriter, r *http.Request) {
+			subject := ""
+			if p.subject != "" {
+				subject = r.PathValue(p.subject)
+			}
+			s.renderPage(w, r, p.page, p.title, subject, p.staff)
+		})
+	}
 	mux.HandleFunc("GET /assets/dashboard.css", serveAsset("text/css", assetCSS))
 	mux.HandleFunc("GET /assets/cache.js", serveAsset("application/javascript", assetCacheJS))
 	mux.HandleFunc("GET /assets/widgets.js", serveAsset("application/javascript", assetWidgetsJS))

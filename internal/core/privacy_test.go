@@ -13,56 +13,171 @@ import (
 	"ooddash/internal/slurm"
 )
 
-// TestPerUserCacheScopingHeaders asserts that identity-variant responses
-// declare Vary: X-Remote-User + Cache-Control: private so a shared cache
-// in front of the dashboard can never mix users — and that global widgets
-// stay cacheable (no such headers), on both the first build and the
-// materialized hit path.
-func TestPerUserCacheScopingHeaders(t *testing.T) {
-	e := newEnv(t)
-	defer e.server.Close()
+// widgetSamples seeds e with one job of each kind a widget route needs —
+// alice's history, a job with logs, a job array — and returns, for every
+// widget in the table, a path that serves it: the route with its path
+// values filled in and the query its page sends.
+func widgetSamples(e *env) map[string]string {
+	e.t.Helper()
 	seedMixedHistory(e)
+	loggy := e.submit(slurm.SubmitRequest{
+		Name: "loggy", User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}, StdoutPath: "/home/alice/loggy.out",
+		Profile: slurm.UsageProfile{ActualDuration: time.Hour},
+	})
+	e.logs.Write("/home/alice/loggy.out", "step 1\n")
+	array := e.submit(slurm.SubmitRequest{
+		Name: "sweep", User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}, ArraySize: 3,
+		Profile: slurm.UsageProfile{ActualDuration: 10 * time.Minute},
+	})
+	e.advance(15 * time.Minute)
+	samples := map[string]string{
+		"announcements":        "/api/announcements",
+		"recent_jobs":          "/api/recent_jobs",
+		"system_status":        "/api/system_status",
+		"accounts":             "/api/accounts",
+		"accounts_export":      "/api/accounts/lab-a/export.csv",
+		"accounts_export_xlsx": "/api/accounts/lab-a/export.xlsx",
+		"storage":              "/api/storage",
+		"my_jobs":              "/api/myjobs?range=24h",
+		"my_jobs_export":       "/api/myjobs/export.csv?range=24h",
+		"my_jobs_charts":       "/api/myjobs/charts?range=24h",
+		"job_perf":             "/api/jobperf?range=24h",
+		"cluster_status":       "/api/cluster_status",
+		"node_overview":        "/api/node/c001",
+		"node_jobs":            "/api/node/c001/jobs",
+		"job_overview":         "/api/job/" + jobIDStr(loggy),
+		"job_logs":             "/api/job/" + jobIDStr(loggy) + "/logs",
+		"job_array":            "/api/job/" + jobIDStr(array) + "/array",
+		"events":               "/api/events?since=0",
+		"insights":             "/api/insights?range=30d",
+		"admin_overview":       "/api/admin/overview?range=7d",
+		"jobperf_timeseries":   "/api/jobperf/timeseries?range=24h",
+		"usage_cluster":        "/api/usage/cluster",
+		"usage_accounts":       "/api/usage/accounts",
+		"usage_efficiency":     "/api/usage/efficiency",
+		"admin_health":         "/api/admin/health",
+		"metrics":              "/metrics",
+		"admin_slo":            "/api/admin/slo",
+		"admin_traces":         "/api/admin/traces",
+	}
+	// A retained trace for the single-trace route: with every trace kept
+	// (tracedEnv), one request leaves one in the store.
+	e.wantStatus("alice", "/api/system_status", http.StatusOK)
+	var list TraceListResponse
+	e.getJSON("staff", "/api/admin/traces", &list)
+	if len(list.Traces) == 0 {
+		e.t.Fatal("no retained trace to sample admin_trace with")
+	}
+	samples["admin_trace"] = "/api/admin/traces/" + list.Traces[0].ID
+	for _, w := range e.server.widgets {
+		if samples[w.Name] == "" {
+			e.t.Fatalf("widget %s has no sample path", w.Name)
+		}
+	}
+	return samples
+}
 
-	assertPrivate := func(path string) {
+// TestPerUserCacheScopingHeaders walks the widget table: every widget
+// whose class is not public declares Vary: X-Remote-User and a
+// Cache-Control holding private — on its miss, on its render hit and on a
+// 4xx — so a shared cache in front of the dashboard can never mix callers;
+// public widgets declare neither and stay shareable. The event stream and
+// every HTML page (each prints its viewer's name) are private too.
+func TestPerUserCacheScopingHeaders(t *testing.T) {
+	e := tracedEnv(t) // retains a trace for admin_trace's sample
+	defer e.server.Close()
+	samples := widgetSamples(e)
+
+	check := func(what string, private bool, h http.Header) {
 		t.Helper()
-		for pass := 0; pass < 2; pass++ { // miss then rendered hit
-			status, h, _ := e.getFull("alice", path)
+		vary, cc := h.Get("Vary"), h.Get("Cache-Control")
+		if private && (vary != auth.UserHeader || !strings.Contains(cc, "private")) {
+			t.Errorf("%s: Vary %q, Cache-Control %q; want Vary %s and private", what, vary, cc, auth.UserHeader)
+		}
+		if !private && (strings.Contains(vary, auth.UserHeader) || cc != "") {
+			t.Errorf("%s: a public response declares Vary %q, Cache-Control %q", what, vary, cc)
+		}
+	}
+	for _, w := range e.server.widgets {
+		path, viewer := samples[w.Name], "alice"
+		if w.vis == visStaff {
+			viewer = "staff"
+		}
+		private := w.vis != visPublic
+		for _, pass := range []string{"miss", "hit"} {
+			status, h, body := e.getFull(viewer, path)
 			if status != http.StatusOK {
-				t.Fatalf("%s pass %d: status %d", path, pass, status)
+				t.Fatalf("%s %s as %s: status %d: %s", w.Name, pass, viewer, status, body)
 			}
-			if got := h.Get("Vary"); got != auth.UserHeader {
-				t.Errorf("%s pass %d: Vary = %q, want %q", path, pass, got, auth.UserHeader)
-			}
-			if got := h.Get("Cache-Control"); got != "private" {
-				t.Errorf("%s pass %d: Cache-Control = %q, want private", path, pass, got)
-			}
+			check(w.Name+" "+pass, private, h)
 		}
-	}
-	assertShared := func(path string) {
-		t.Helper()
-		status, h, _ := e.getFull("alice", path)
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d", path, status)
+		status, h, _ := e.getFull("", path)
+		if status != http.StatusUnauthorized {
+			t.Fatalf("%s without identity: status %d, want 401", w.Name, status)
 		}
-		if got := h.Get("Vary"); strings.Contains(got, auth.UserHeader) {
-			t.Errorf("%s: global widget declares Vary = %q", path, got)
-		}
-		if got := h.Get("Cache-Control"); got != "" {
-			t.Errorf("%s: global widget declares Cache-Control = %q", path, got)
-		}
+		check(w.Name+" 401", private, h)
 	}
 
-	// Per-user JSON variants (rendered-cache routes).
-	assertPrivate("/api/myjobs?range=24h")
-	assertPrivate("/api/myjobs/charts?range=24h")
-	assertPrivate("/api/jobperf?range=24h")
-	assertPrivate("/api/recent_jobs")
-	// Per-user non-JSON exports.
-	assertPrivate("/api/myjobs/export.csv?range=24h")
-	// Global, identity-independent widgets must stay shared-cacheable.
-	assertShared("/api/system_status")
-	assertShared("/api/cluster_status")
-	assertShared("/api/announcements")
+	st := e.openSSE("alice", "widgets=system_status")
+	check("event stream", true, st.resp.Header)
+
+	for _, p := range pageRoutes {
+		path := strings.NewReplacer("{$}", "", "{name}", "c001", "{id}", "1").Replace(strings.TrimPrefix(p.route, "GET "))
+		viewer := "alice"
+		if p.staff {
+			viewer = "staff"
+			status, h, _ := e.getFull("alice", path)
+			if status != http.StatusForbidden {
+				t.Fatalf("page %s as alice: status %d, want 403", path, status)
+			}
+			check("page "+path+" 403", true, h)
+		}
+		status, h, _ := e.getFull(viewer, path)
+		if status != http.StatusOK {
+			t.Fatalf("page %s as %s: status %d", path, viewer, status)
+		}
+		check("page "+path, true, h)
+		status, h, _ = e.getFull("", path)
+		if status != http.StatusUnauthorized {
+			t.Fatalf("page %s without identity: status %d, want 401", path, status)
+		}
+		check("page "+path+" 401", true, h)
+	}
+}
+
+// TestStaffGateFollowsClass: every staff widget answers 401 without an
+// identity and 403 to a user who is not staff, with the error bodies the
+// routes have always sent, before its handler runs.
+func TestStaffGateFollowsClass(t *testing.T) {
+	e := tracedEnv(t)
+	defer e.server.Close()
+	samples := widgetSamples(e)
+	staff := 0
+	for _, w := range e.server.widgets {
+		if w.vis != visStaff {
+			continue
+		}
+		staff++
+		for _, c := range []struct {
+			user   string
+			status int
+			body   string
+		}{
+			{"", http.StatusUnauthorized, `{"error":"auth: request is not authenticated"}` + "\n"},
+			{"alice", http.StatusForbidden, `{"error":"forbidden: admin access required"}` + "\n"},
+		} {
+			status, body := e.get(c.user, samples[w.Name])
+			if status != c.status || string(body) != c.body {
+				t.Errorf("%s as %q: %d %q, want %d %q", w.Name, c.user, status, body, c.status, c.body)
+			}
+		}
+		e.wantStatus("staff", samples[w.Name], http.StatusOK)
+	}
+	if staff != 6 {
+		t.Fatalf("%d staff widgets, want 6", staff)
+	}
 }
 
 // varyAwareCache is a minimal correct shared HTTP cache: it stores one

@@ -39,8 +39,8 @@ func TestDrillPushBackoffUnderNodeFailureStorm(t *testing.T) {
 	wd := e.server.widget("system_status")
 	ttl := wd.TTL
 	if _, err := sched.Register(push.Source{
-		Widget: wd.Name, Key: wd.sourceKey("alice"), TTL: ttl,
-		Fetch: e.server.pushFetch(wd.Name, wd.path(), "alice"),
+		Widget: wd.Name, Key: wd.sourceKey(""), TTL: ttl,
+		Fetch: e.server.pushFetch(wd.Name, wd.sourceKey(""), wd.path(), "alice"),
 	}); err != nil {
 		t.Fatal(err)
 	}

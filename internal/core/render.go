@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/etag"
 )
 
@@ -21,8 +22,8 @@ import (
 //
 // serveRendered materializes each widget payload once per cache fill: the
 // final JSON bytes (trailing newline included) and their strong ETag, as
-// one etag.Body, are stored in a second cache keyed by (widget, user
-// variant, request URI) and guarded by the source data's revision number
+// one etag.Body, are stored in a second cache keyed by (widget, variant,
+// request URI) and guarded by the source data's revision number
 // (fetchMeta.rev, from cache.Result.Rev). A hit costs an If-None-Match
 // compare → 304, or a single w.Write of the stored bytes. A revision
 // mismatch — the source cache refilled — rebuilds and re-stores. Degraded
@@ -30,8 +31,10 @@ import (
 // encode-per-request path: their bodies change per request (age_seconds) or
 // per compute, so there is nothing to materialize.
 //
-// Per-user routes pass the user name as the variant, so one user's bytes are
-// never served to another; authorization always runs before serveRendered.
+// The variant comes from the widget's visibility class (visibility.go): ""
+// for a body every admitted caller shares, the account-set key, or the
+// user's name. So one caller's bytes are served only to callers the class
+// says see the same body; authorization always runs before serveRendered.
 
 // renderEntry is one render-cache entry: the served body beside the
 // fetchMeta.rev it was built from.
@@ -47,9 +50,9 @@ var jsonContentType = []string{"application/json"}
 
 // serveBody writes a rendered widget body through the one conditional
 // writer, counting 304s under the widget's name.
-func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, widget string, b etag.Body) {
+func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, b etag.Body) {
 	if b.Serve(w, r, jsonContentType) {
-		s.obsm.notModified.With(widget).Inc()
+		s.obsm.notModified.With(widgetName(r.Context())).Inc()
 	}
 }
 
@@ -86,30 +89,36 @@ func (s *Server) RenderStats() (hits, misses int64) {
 // uses it to measure the re-encode baseline on the same process.
 func (s *Server) SetRenderCacheDisabled(off bool) { s.renderOff.Store(off) }
 
-// renderKey builds the rendered-cache key: widget, user variant, and the
-// full request URI (path values and query parameters both shape the body).
-// The NUL separators cannot appear in any component, so distinct triples
-// never collide.
+// renderKey builds the rendered-cache key: widget, variant, and the full
+// request URI (path values and query parameters both shape the body). The
+// NUL separators cannot appear in any component, so distinct triples never
+// collide.
 func renderKey(widget, variant, uri string) string {
 	return widget + "\x00" + variant + "\x00" + uri
 }
 
 // serveRendered serves a widget payload through the rendered-response cache.
 // meta must come from the fetchVia/absorb chain that produced the data;
-// variant is the user name for per-user routes, "" for shared ones; build
-// constructs the view model (it runs only on a render miss).
+// user is the caller, whom the widget's class maps to a render variant;
+// build constructs the view model (it runs only on a render miss).
 //
-// Ineligible responses — degraded, uncacheable (rev 0), or with the layer
-// toggled off — build and encode per request via writeWidgetJSON, exactly as
-// before this layer existed.
-func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetchMeta, variant string, build func() (any, error)) {
-	if variant != "" {
-		// Identity-variant payload: scope any fronting cache to the user
-		// before either serving path (materialized bytes, 304, or the
-		// per-request fallback) writes headers. See setPrivateCache.
-		setPrivateCache(w.Header())
+// Ineligible responses — degraded, uncacheable (rev 0), outside an
+// instrumented request, or with the layer toggled off — build and encode
+// per request via writeWidgetJSON, exactly as before this layer existed.
+func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetchMeta, user *auth.User, build func() (any, error)) {
+	wd := requestWidget(r.Context())
+	var variant string
+	if wd != nil {
+		variant = wd.shareKey(user, namesViewer(r))
+		// A push refresh publishes to every subscriber of its source, so it
+		// may only build the body that source's key names. A public body is
+		// every caller's, whatever key its source carries.
+		if key, ok := r.Context().Value(pushSourceCtxKey{}).(string); ok && wd.vis != visPublic && key != wd.sourceKey(variant) {
+			writeError(w, fmt.Errorf("%w: push source %q does not serve share key %q", errForbidden, key, variant))
+			return
+		}
 	}
-	if meta.Degraded || meta.rev == 0 || meta.ttl <= 0 || s.renderOff.Load() {
+	if wd == nil || meta.Degraded || meta.rev == 0 || meta.ttl <= 0 || s.renderOff.Load() {
 		v, err := build()
 		if err != nil {
 			writeError(w, err)
@@ -118,12 +127,11 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 		s.writeWidgetJSON(w, r, meta, v)
 		return
 	}
-	widget := widgetFromContext(r.Context())
-	key := renderKey(widget, variant, r.URL.RequestURI())
+	key := renderKey(wd.Name, variant, r.URL.RequestURI())
 	if cached, ok := s.rendered.Get(key); ok {
 		if re, ok := cached.(*renderEntry); ok && re.rev == meta.rev {
 			s.renderHits.Add(1)
-			s.serveBody(w, r, widget, re.body)
+			s.serveBody(w, r, re.body)
 			return
 		}
 	}
@@ -142,7 +150,7 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 	// The body stays valid as long as the source entry it was built from, so
 	// it shares the source's TTL; a source refill bumps rev and overwrites.
 	s.rendered.Set(key, re, meta.ttl)
-	s.serveBody(w, r, widget, re.body)
+	s.serveBody(w, r, re.body)
 }
 
 // renderCounters groups the rendered-layer atomics embedded in Server.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
 )
@@ -111,17 +112,13 @@ func (c *NodeCell) matchesSearch(q string) bool {
 	return false
 }
 
-func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	details, meta, err := s.fetchAllNodes(r)
 	if err != nil {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		q := r.URL.Query()
 		search := q.Get("search")
 		sortKey := q.Get("sort")
@@ -224,11 +221,7 @@ type NodeOverviewResponse struct {
 	Partitions []string `json:"partitions"`
 }
 
-func (s *Server) handleNodeOverview(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleNodeOverview(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	name := r.PathValue("name")
 	key := "node:" + name
 	v, meta, err := s.fetchVia(r, srcCtld, key, s.cfg.TTLs.NodeDetail, func(ctx context.Context) (any, error) {
@@ -244,7 +237,7 @@ func (s *Server) handleNodeOverview(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		d := v.(*slurmcli.NodeDetail)
 		resp := NodeOverviewResponse{
 			Name:     d.Name,
@@ -298,11 +291,7 @@ type NodeJobsResponse struct {
 	Jobs []NodeJobRow `json:"jobs"`
 }
 
-func (s *Server) handleNodeJobs(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleNodeJobs(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	name := r.PathValue("name")
 	// The live-queue fill serves every node's running-jobs tab: its RUNNING
 	// rows on this node, what squeue -t R lists for it.
@@ -311,7 +300,7 @@ func (s *Server) handleNodeJobs(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		resp := NodeJobsResponse{Node: name}
 		for i := range queue {
 			e := &queue[i]

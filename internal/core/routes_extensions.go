@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/insights"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -47,16 +48,12 @@ type EventsResponse struct {
 
 // handleEventsPoll is the legacy delta-poll feed; SSE requests are routed
 // to handleEventStream by the handleEvents dispatcher in routes_push.go.
-func (s *Server) handleEventsPoll(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleEventsPoll(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	if s.events == nil {
 		writeError(w, fmt.Errorf("%w: no event source configured", errNotFound))
 		return
 	}
+	var err error
 	since := int64(0)
 	if v := r.URL.Query().Get("since"); v != "" {
 		since, err = strconv.ParseInt(v, 10, 64)
@@ -116,12 +113,7 @@ type InsightsResponse struct {
 	JobCount int                `json:"job_count"`
 }
 
-func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
@@ -151,7 +143,7 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		return v.(*InsightsResponse), nil
 	})
 }
@@ -178,16 +170,7 @@ type AdminOverviewResponse struct {
 	TopUsers      []AdminUserRow `json:"top_users"`
 }
 
-func (s *Server) handleAdminOverview(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !user.Admin {
-		writeError(w, fmt.Errorf("%w: admin access required", errForbidden))
-		return
-	}
+func (s *Server) handleAdminOverview(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
@@ -210,8 +193,8 @@ func (s *Server) handleAdminOverview(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	// Admin-gated above; the payload itself is the same for every admin.
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	// Staff-gated by the widget's class; one body serves every admin.
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		return v.(*AdminOverviewResponse), nil
 	})
 }

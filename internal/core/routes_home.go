@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/newsfeed"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -37,11 +38,7 @@ type AnnouncementsResponse struct {
 	AllNewsURL    string         `json:"all_news_url"`
 }
 
-func (s *Server) handleAnnouncements(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleAnnouncements(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	if s.news == nil {
 		writeError(w, fmt.Errorf("%w: no news source configured", errNotFound))
 		return
@@ -53,7 +50,7 @@ func (s *Server) handleAnnouncements(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		articles := v.([]newsfeed.Article)
 		now := s.clock.Now()
 		resp := AnnouncementsResponse{
@@ -97,18 +94,13 @@ type RecentJobsResponse struct {
 	Jobs []RecentJob `json:"jobs"`
 }
 
-func (s *Server) handleRecentJobs(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleRecentJobs(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	queue, meta, err := s.fetchLiveQueue(r)
 	if err != nil {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		// The viewer's rows in the queue's newest-first order, then the
 		// first RecentJobsLimit of them: squeue -u <user> -t all --limit N.
 		resp := RecentJobsResponse{Jobs: make([]RecentJob, 0)}
@@ -219,11 +211,7 @@ func utilizationColor(percent float64) string {
 	}
 }
 
-func (s *Server) handleSystemStatus(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleSystemStatus(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	type statusData struct {
 		Parts        []slurmcli.PartitionStatus
 		Reservations []slurmcli.ReservationDetail
@@ -243,7 +231,7 @@ func (s *Server) handleSystemStatus(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		data := v.(statusData)
 		parts := data.Parts
 		resp := SystemStatusResponse{
@@ -423,18 +411,13 @@ func sortAccountUsers(users []accountUserUsage) {
 	}
 }
 
-func (s *Server) handleAccounts(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleAccounts(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	queue, assocs, meta, err := s.fetchAccountData(r)
 	if err != nil {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		resp := AccountsResponse{
 			Accounts:     make([]AccountRow, 0, len(user.Accounts)),
 			UserGuideURL: s.cfg.UserGuideURL,
@@ -461,12 +444,7 @@ func (s *Server) handleAccounts(w http.ResponseWriter, r *http.Request) {
 
 // resolveAccountExport authorizes and loads the per-user breakdown behind
 // both export formats (§3.4 offers Excel or CSV).
-func (s *Server) resolveAccountExport(w http.ResponseWriter, r *http.Request) (*accountUsage, bool) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return nil, false
-	}
+func (s *Server) resolveAccountExport(w http.ResponseWriter, r *http.Request, user *auth.User) (*accountUsage, bool) {
 	account := r.PathValue("account")
 	if !user.MemberOf(account) {
 		writeError(w, fmt.Errorf("%w: %s is not a member of account %s", errForbidden, user.Name, account))
@@ -479,9 +457,6 @@ func (s *Server) resolveAccountExport(w http.ResponseWriter, r *http.Request) (*
 	}
 	// Exports are not JSON, so stale data is flagged via the header alone.
 	setDegradedHeader(w, meta)
-	// Account membership gates the export, so the response is per-identity
-	// as far as any fronting cache is concerned.
-	setPrivateCache(w.Header())
 	return accountUsageFrom(account, assocs, queue), true
 }
 
@@ -491,8 +466,8 @@ var accountExportHeader = []string{"user", "cpus_in_use", "cpus_queued",
 
 // handleAccountExport streams the per-user usage breakdown of one account
 // as CSV — half of the Accounts widget's export dropdown (§3.4).
-func (s *Server) handleAccountExport(w http.ResponseWriter, r *http.Request) {
-	u, ok := s.resolveAccountExport(w, r)
+func (s *Server) handleAccountExport(w http.ResponseWriter, r *http.Request, user *auth.User) {
+	u, ok := s.resolveAccountExport(w, r, user)
 	if !ok {
 		return
 	}
@@ -517,8 +492,8 @@ func (s *Server) handleAccountExport(w http.ResponseWriter, r *http.Request) {
 
 // handleAccountExportXLSX streams the same breakdown as an Excel workbook —
 // the other half of the §3.4 export dropdown.
-func (s *Server) handleAccountExportXLSX(w http.ResponseWriter, r *http.Request) {
-	u, ok := s.resolveAccountExport(w, r)
+func (s *Server) handleAccountExportXLSX(w http.ResponseWriter, r *http.Request, user *auth.User) {
+	u, ok := s.resolveAccountExport(w, r, user)
 	if !ok {
 		return
 	}
@@ -566,12 +541,7 @@ type StorageResponse struct {
 	Directories []StorageRow `json:"directories"`
 }
 
-func (s *Server) handleStorage(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleStorage(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	if s.storage == nil {
 		writeError(w, fmt.Errorf("%w: no storage database configured", errNotFound))
 		return
@@ -584,7 +554,7 @@ func (s *Server) handleStorage(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		dirs := v.([]storagedb.Directory)
 		resp := StorageResponse{Directories: make([]StorageRow, 0, len(dirs))}
 		for i := range dirs {

@@ -160,12 +160,7 @@ func (s *Server) resolveJobForViewer(user *auth.User, r *http.Request, rawID str
 	return d, meta, nil
 }
 
-func (s *Server) handleJobOverview(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleJobOverview(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	d, meta, err := s.resolveJobForViewer(user, r, r.PathValue("id"))
 	if err != nil {
 		writeFetchError(w, err)
@@ -182,9 +177,9 @@ func (s *Server) handleJobOverview(w http.ResponseWriter, r *http.Request) {
 		meta.absorb(m)
 	}
 
-	// The payload embeds owner-only log URLs, so the rendered variant is the
-	// viewing user, not the job owner.
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	// The payload embeds owner-only log URLs, so it renders per viewing
+	// user, not per job owner.
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		return s.buildJobOverview(user, d, acct, now), nil
 	})
 }
@@ -288,12 +283,7 @@ type JobLogsResponse struct {
 	FullFileURL string    `json:"full_file_url"`
 }
 
-func (s *Server) handleJobLogs(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleJobLogs(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	id, err := parseJobID(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -308,13 +298,11 @@ func (s *Server) handleJobLogs(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// Logs inherit filesystem permissions: owner only (§7) — and therefore
-	// strictly per-identity for any cache in front.
+	// Logs inherit filesystem permissions: owner only (§7).
 	if !auth.CanViewLogs(user, d.User) {
 		writeError(w, fmt.Errorf("%w: logs of job %d are not readable by %s", errForbidden, id, user.Name))
 		return
 	}
-	setPrivateCache(w.Header())
 	stream := r.URL.Query().Get("stream")
 	var path string
 	switch stream {
@@ -369,12 +357,7 @@ type JobArrayResponse struct {
 	StateCounts map[string]int `json:"state_counts"`
 }
 
-func (s *Server) handleJobArray(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleJobArray(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	rawID := r.PathValue("id")
 	id, err := parseJobID(rawID)
 	if err != nil {
@@ -401,11 +384,8 @@ func (s *Server) handleJobArray(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The payload is the same for every authorized viewer (authz already
-	// ran above), so the rendered variant is shared — but whether a viewer
-	// is authorized varies per identity, so a fronting cache must not hand
-	// this 200 to a user who would have gotten the 403 above.
-	setPrivateCache(w.Header())
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	// ran above), so one render serves them all.
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		resp := JobArrayResponse{
 			ArrayJobID:  rawID,
 			Tasks:       make([]ArrayTaskRow, 0, len(rows)),

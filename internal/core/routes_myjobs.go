@@ -302,30 +302,25 @@ type historyScope struct {
 
 // fetchJobHistory returns the history fill that serves tr for user: the
 // jobs of their accounts (their own jobs plus their groups', §2.4 Privacy)
-// over tr's fill class. The key names what the caller may see and the
+// over tr's fill class. The key names what the caller may see (shareKey,
+// the same key the account-set renders and push sources go by) and the
 // class, never an instant, so every member of the same groups shares one
 // fill per class per TTL, and a stale value stays findable while slurmdbd
-// is down. auth.Directory keeps each user's accounts sorted, so the joined
-// list names the set in whatever order it was registered. A user in no
-// account sees only their own jobs, under a key that names them: sacct -a
-// without -A would list the whole cluster. The cache holds fully converted
-// rows: efficiency metrics and warning strings are the expensive part of
-// this route.
+// is down. A user in no account sees only their own jobs, under a key that
+// names them: sacct -a without -A would list the whole cluster. The cache
+// holds fully converted rows: efficiency metrics and warning strings are
+// the expensive part of this route.
 func (s *Server) fetchJobHistory(r *http.Request, user *auth.User, tr timeRange) (*jobHistory, fetchMeta, error) {
 	class := tr.fillClass()
 	sc := historyScope{
-		key:    "myjobs:" + strings.Join(user.Accounts, ",") + ":" + class.key(),
+		key:    "myjobs:" + shareKey(user) + ":" + class.key(),
 		sacct:  slurmcli.SacctOptions{Accounts: user.Accounts, AllUsers: true},
 		rollup: slurm.RollupScopeAccount,
 		names:  user.Accounts,
 	}
 	if len(user.Accounts) == 0 {
-		sc = historyScope{
-			key:    "myjobs-user:" + user.Name + ":" + class.key(),
-			sacct:  slurmcli.SacctOptions{User: user.Name},
-			rollup: slurm.RollupScopeUser,
-			names:  []string{user.Name},
-		}
+		sc.sacct = slurmcli.SacctOptions{User: user.Name}
+		sc.rollup, sc.names = slurm.RollupScopeUser, []string{user.Name}
 	}
 	v, meta, err := s.fetchVia(r, srcDBD, sc.key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
 		return s.fillJobHistory(ctx, sc, class)
@@ -580,18 +575,6 @@ func (s *Server) fetchDayCounts(ctx context.Context, scope string, class timeRan
 	return res.Value.(*dayCounts)
 }
 
-// historyVariant is the render variant of the My Jobs table and charts:
-// the account set whose fill they show, so every member of the set shares
-// one encode and one ETag. A mine=1 table, or a user in no account, keeps
-// the user's name. The set variant starts with a control byte that no
-// X-Remote-User value carries, so it never equals a user name.
-func historyVariant(user *auth.User, q url.Values) string {
-	if len(user.Accounts) == 0 || q.Get("mine") == "1" {
-		return user.Name
-	}
-	return "\x1faccounts:" + strings.Join(user.Accounts, ",")
-}
-
 // jobFilter is the one row filter of the My Jobs table, its export and its
 // charts. since is the window part: sacct keeps a job whose [submit, end or
 // now] overlaps the window, and every row of a fill was submitted by its
@@ -632,15 +615,11 @@ func (f *jobFilter) matches(row *JobRow) bool {
 		(f.state == "" || row.State == f.state)
 }
 
-// loadJobHistory is the shared head of the My Jobs routes: the viewer, the
-// parsed range and the fill serving it. It writes the error response and
-// returns ok=false on failure.
-func (s *Server) loadJobHistory(w http.ResponseWriter, r *http.Request) (user *auth.User, tr timeRange, h *jobHistory, meta fetchMeta, ok bool) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+// loadJobHistory is the shared head of the My Jobs routes: the parsed range
+// and the fill serving it to user. It writes the error response and returns
+// ok=false on failure.
+func (s *Server) loadJobHistory(w http.ResponseWriter, r *http.Request, user *auth.User) (tr timeRange, h *jobHistory, meta fetchMeta, ok bool) {
+	var err error
 	if tr, err = parseTimeRange(r); err != nil {
 		writeError(w, err)
 		return
@@ -649,16 +628,16 @@ func (s *Server) loadJobHistory(w http.ResponseWriter, r *http.Request) (user *a
 		writeFetchError(w, err)
 		return
 	}
-	return user, tr, h, meta, true
+	return tr, h, meta, true
 }
 
-func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
-	user, tr, h, meta, ok := s.loadJobHistory(w, r)
+func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request, user *auth.User) {
+	tr, h, meta, ok := s.loadJobHistory(w, r, user)
 	if !ok {
 		return
 	}
 	q := r.URL.Query()
-	s.serveRendered(w, r, meta, historyVariant(user, q), func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		f := newJobFilter(q, h, tr, user.Name)
 		var resp MyJobsResponse
 		for _, row := range h.rows {
@@ -703,15 +682,14 @@ func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
 // handleMyJobsExport streams the (filtered) My Jobs table as CSV — the
 // DataTables-style export next to the §3.4 account export, with the same
 // scope and filters as the JSON route.
-func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request) {
-	user, tr, h, meta, ok := s.loadJobHistory(w, r)
+func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request, user *auth.User) {
+	tr, h, meta, ok := s.loadJobHistory(w, r, user)
 	if !ok {
 		return
 	}
 	f := newJobFilter(r.URL.Query(), h, tr, user.Name)
 
 	setDegradedHeader(w, meta)
-	setPrivateCache(w.Header())
 	w.Header().Set("Content-Type", "text/csv")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%s-jobs-%s.csv", s.cfg.ClusterName, user.Name))
@@ -776,12 +754,12 @@ type ChartsResponse struct {
 	GPUHours          []UserGPUHours `json:"gpu_hours"`
 }
 
-func (s *Server) handleMyJobsCharts(w http.ResponseWriter, r *http.Request) {
-	user, tr, h, meta, ok := s.loadJobHistory(w, r)
+func (s *Server) handleMyJobsCharts(w http.ResponseWriter, r *http.Request, user *auth.User) {
+	tr, h, meta, ok := s.loadJobHistory(w, r, user)
 	if !ok {
 		return
 	}
-	s.serveRendered(w, r, meta, historyVariant(user, r.URL.Query()), func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		since, _ := tr.window(h.asOf)
 		f := jobFilter{since: since}
 		states := make(map[string]*UserStateBar)
@@ -846,12 +824,7 @@ type JobPerfResponse struct {
 	AvgMemoryEfficiency float64 `json:"avg_memory_efficiency"`
 }
 
-func (s *Server) handleJobPerf(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleJobPerf(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
@@ -881,7 +854,7 @@ func (s *Server) handleJobPerf(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		return aggregateJobPerf(start, end, series), nil
 	})
 }

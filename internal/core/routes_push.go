@@ -20,8 +20,9 @@ import (
 // This file wires the live-update push subsystem (internal/push) into the
 // dashboard: the SSE fan-out on GET /api/events, the per-widget refresh
 // sources the background scheduler re-fetches on their cache TTL cadence
-// (the widgets whose table entry has a push mode), and the server lifecycle
-// hooks (StartPush / TickPush / Close).
+// (the widgets the table puts on the stream, one source per share key; see
+// visibility.go), and the server lifecycle hooks (StartPush / TickPush /
+// Close).
 //
 // A refresh is a loopback request through the server's own mux, so it takes
 // exactly the route's normal path — auth, cache fill, resilience policy,
@@ -67,13 +68,20 @@ func (l *loopbackRecorder) WriteHeader(code int)        { l.status = code }
 func (l *loopbackRecorder) Write(p []byte) (int, error) { return l.body.Write(p) }
 func (l *loopbackRecorder) Flush()                      {}
 
+// pushSourceCtxKey carries a push refresh's source key into its loopback
+// request, so serveRendered can refuse to build a body its source's
+// subscribers do not share.
+type pushSourceCtxKey struct{}
+
 // pushFetch builds the scheduler fetch for one widget source: a loopback
-// GET of path through the server's own mux as the given user. Cluster-wide
-// widgets capture the first subscriber's identity; their payloads are
-// user-independent, the credential is only needed to pass the route's auth
-// check.
-func (s *Server) pushFetch(widget, path, user string) push.FetchFunc {
+// GET of path through the server's own mux as the given user, the source's
+// first subscriber. Every subscriber of the source shares its key, so the
+// body built for that user is the body each of them would be served —
+// unless the user's account set changed since: serveRendered then answers
+// 403 and the refresh fails rather than publishing.
+func (s *Server) pushFetch(widget, key, path, user string) push.FetchFunc {
 	return func(ctx context.Context) (etag.Body, bool, error) {
+		ctx = context.WithValue(ctx, pushSourceCtxKey{}, key)
 		// Root the refresh in its own trace, origin "push": the loopback
 		// request carries the minted ID in the trace header so the instrument
 		// middleware joins this trace as a child "http" span instead of
@@ -115,21 +123,10 @@ func (s *Server) pushFetch(widget, path, user string) push.FetchFunc {
 // scheduler needs to re-fetch a widget for one subscriber identity.
 type PushSource struct {
 	Widget string        // event/widget name ("system_status", ...)
-	Key    string        // scheduler/hub key (Widget, or "widget:user")
+	Key    string        // scheduler/hub key (Widget, or "widget:<share key>")
 	Path   string        // polling route the loopback refresh fetches
 	User   string        // identity the refresh runs as
 	TTL    time.Duration // refresh cadence = the widget's cache TTL
-}
-
-// pushSource builds the PushSource for a push widget and user.
-func pushSource(w *Widget, user string) PushSource {
-	return PushSource{
-		Widget: w.Name,
-		Key:    w.sourceKey(user),
-		Path:   w.path(),
-		User:   user,
-		TTL:    w.TTL,
-	}
 }
 
 // RegisterPushSource registers src with the background refresh scheduler
@@ -139,7 +136,7 @@ func (s *Server) RegisterPushSource(src PushSource) error {
 		Widget: src.Widget,
 		Key:    src.Key,
 		TTL:    src.TTL,
-		Fetch:  s.pushFetch(src.Widget, src.Path, src.User),
+		Fetch:  s.pushFetch(src.Widget, src.Key, src.Path, src.User),
 	})
 	return err
 }
@@ -147,14 +144,14 @@ func (s *Server) RegisterPushSource(src PushSource) error {
 // handleEvents dispatches /api/events: an SSE request (Accept:
 // text/event-stream or an explicit ?widgets= subscription) gets the
 // live-update stream; anything else gets the legacy delta-poll feed.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	wantsSSE := strings.Contains(r.Header.Get("Accept"), "text/event-stream") ||
 		r.URL.Query().Get("widgets") != ""
 	if wantsSSE && !s.cfg.Push.Disabled {
-		s.handleEventStream(w, r)
+		s.handleEventStream(w, r, user)
 		return
 	}
-	s.handleEventsPoll(w, r)
+	s.handleEventsPoll(w, r, user)
 }
 
 // parseSubscription resolves the requested widget set (every push widget
@@ -164,7 +161,7 @@ func (s *Server) parseSubscription(r *http.Request) ([]*Widget, error) {
 	var subs []*Widget
 	if raw := r.URL.Query().Get("widgets"); raw == "" {
 		for i := range s.widgets {
-			if s.widgets[i].push != pushNone {
+			if s.widgets[i].push {
 				subs = append(subs, &s.widgets[i])
 			}
 		}
@@ -177,7 +174,7 @@ func (s *Server) parseSubscription(r *http.Request) ([]*Widget, error) {
 			}
 			seen[n] = true
 			w := s.widget(n)
-			if w == nil || w.push == pushNone {
+			if w == nil || !w.push {
 				return nil, fmt.Errorf("%w: widget %q is not push-enabled", errBadRequest, n)
 			}
 			subs = append(subs, w)
@@ -209,12 +206,7 @@ func lastEventID(r *http.Request) int64 {
 // the subscribed widgets, replays current snapshots newer than the
 // client's Last-Event-ID, then streams every new version until the client
 // disconnects or the server shuts down.
-func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, fmt.Errorf("core: event stream: response writer cannot flush"))
@@ -226,41 +218,50 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	keys := make([]string, len(subs))
+	for i, wd := range subs {
+		keys[i] = wd.sourceKey(wd.shareKey(user, false))
+	}
+	// Subscribe before registering: the scheduler never releases a source
+	// with a subscriber, so a tick between the two steps cannot take a
+	// source away from this stream.
+	sub := s.pushHub.Subscribe(keys)
+	defer sub.Close()
+
 	// Register each source (idempotent) and make sure a current snapshot
 	// exists, so a fresh client paints immediately. The synchronous refresh
 	// rides the server cache: when another subscriber already keeps the
 	// source warm this costs no upstream call. A failed refresh (cold
 	// source during an outage) leaves the stream open; events begin when
 	// the source recovers.
-	keys := make([]string, 0, len(subs))
-	for _, wd := range subs {
-		src := pushSource(wd, user.Name)
-		keys = append(keys, src.Key)
-		if err := s.RegisterPushSource(src); err != nil {
+	for i, wd := range subs {
+		if err := s.RegisterPushSource(PushSource{
+			Widget: wd.Name, Key: keys[i], Path: wd.path(), User: user.Name, TTL: wd.TTL,
+		}); err != nil {
 			writeError(w, err)
 			return
 		}
-		if _, held := s.pushHub.Latest(src.Key); !held {
-			_, _ = s.pushSched.Refresh(r.Context(), src.Key)
+		if _, held := s.pushHub.Latest(keys[i]); !held {
+			_, _ = s.pushSched.Refresh(r.Context(), keys[i])
 		}
 	}
 
-	sub := s.pushHub.Subscribe(keys)
-	defer sub.Close()
-
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	enc := push.NewEncoder(w)
 
 	// Resume/initial replay: every subscribed widget's current snapshot
-	// the client has not seen yet, in version order.
+	// the client has not seen yet, in version order. The subscription may
+	// hold the same versions (a refresh above published them), so the
+	// stream skips what the replay sent.
+	replayed := make(map[string]int64, len(keys))
 	for _, snap := range s.pushHub.Since(lastEventID(r), keys) {
 		if err := enc.WriteEvent(snap.Widget, snap.Version, snap.Body.Bytes); err != nil {
 			return
 		}
+		replayed[snap.Key] = snap.Version
 	}
 	flusher.Flush()
 
@@ -297,6 +298,9 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 				snap, ok := sub.Pop()
 				if !ok {
 					break
+				}
+				if snap.Version <= replayed[snap.Key] {
+					continue
 				}
 				if err := enc.WriteEvent(snap.Widget, snap.Version, snap.Body.Bytes); err != nil {
 					return

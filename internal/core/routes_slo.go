@@ -1,8 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"net/http"
+
+	"ooddash/internal/auth"
 )
 
 // handleAdminSLO serves the live SLO view: every objective's 28-day error
@@ -11,15 +12,6 @@ import (
 // like /metrics and /api/admin/health. The snapshot is self-evaluating —
 // reading it advances the alert state machines to the current clock, so a
 // wall-clock deployment needs no background ticker for alert freshness.
-func (s *Server) handleAdminSLO(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !user.Admin {
-		writeError(w, fmt.Errorf("%w: admin access required", errForbidden))
-		return
-	}
+func (s *Server) handleAdminSLO(w http.ResponseWriter, r *http.Request, _ *auth.User) {
 	writeJSON(w, http.StatusOK, s.sloEng.Status())
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"log"
 	"net/http"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/slurm"
 )
 
@@ -41,12 +41,7 @@ type TimeseriesResponse struct {
 // the chart under ~400 points). Scope is the user's own jobs, matching the
 // Job Performance Metrics app. The series reads slurmdbd's incremental
 // rollups, so cost is O(buckets in the window), not O(jobs in accounting).
-func (s *Server) handleJobPerfTimeseries(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleJobPerfTimeseries(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	tr, err := parseTimeRange(r)
 	if err != nil {
 		writeError(w, err)
@@ -75,7 +70,7 @@ func (s *Server) handleJobPerfTimeseries(w http.ResponseWriter, r *http.Request)
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, user.Name, func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		return buildTimeseries(user.Name, series), nil
 	})
 }
@@ -160,16 +155,7 @@ func (s *Server) breakerViews() []BreakerView {
 	return out
 }
 
-func (s *Server) handleAdminHealth(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !user.Admin {
-		writeError(w, fmt.Errorf("%w: admin access required", errForbidden))
-		return
-	}
+func (s *Server) handleAdminHealth(w http.ResponseWriter, r *http.Request, _ *auth.User) {
 	st := s.cache.Stats()
 	resp := HealthResponse{
 		Time:             s.clock.Now(),
@@ -201,16 +187,7 @@ func (s *Server) handleAdminHealth(w http.ResponseWriter, r *http.Request) {
 // sdiag RPC counters — with exposition-correct label escaping (the old
 // hand-rolled %q formatting emitted \u escapes that are invalid in the text
 // format). Admin-only, like /api/admin/health.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !user.Admin {
-		writeError(w, fmt.Errorf("%w: admin access required", errForbidden))
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ *auth.User) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.obsm.reg.WritePrometheus(w); err != nil {
 		log.Printf("core: rendering /metrics: %v", err)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/trace"
 )
 
@@ -25,16 +26,7 @@ type TraceListResponse struct {
 // ?degraded=1 (error/degraded only), ?limit=. Never cached (TTL 0 in the
 // widget table) and excluded from the instrument middleware's own tracing —
 // observing the observer must not perturb or recurse into it.
-func (s *Server) handleAdminTraces(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !user.Admin {
-		writeError(w, fmt.Errorf("%w: admin access required", errForbidden))
-		return
-	}
+func (s *Server) handleAdminTraces(w http.ResponseWriter, r *http.Request, _ *auth.User) {
 	q := r.URL.Query()
 	f := trace.Filter{Widget: q.Get("widget")}
 	if v := q.Get("min_ms"); v != "" {
@@ -68,16 +60,7 @@ func (s *Server) handleAdminTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleAdminTrace serves GET /api/admin/traces/{id} — one retained trace as
 // a span tree with microsecond offsets, the payload behind the waterfall view.
-func (s *Server) handleAdminTrace(w http.ResponseWriter, r *http.Request) {
-	user, err := s.currentUser(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !user.Admin {
-		writeError(w, fmt.Errorf("%w: admin access required", errForbidden))
-		return
-	}
+func (s *Server) handleAdminTrace(w http.ResponseWriter, r *http.Request, _ *auth.User) {
 	id := r.PathValue("id")
 	tr, ok := s.tracer.Store().Get(id)
 	if !ok {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/efficiency/effmath"
 	"ooddash/internal/slurm"
 )
@@ -30,11 +31,7 @@ type ClusterUsageResponse struct {
 
 // handleUsageCluster serves /api/usage/cluster?range=&bucket= — total
 // cluster consumption over time (default range 1y).
-func (s *Server) handleUsageCluster(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleUsageCluster(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	tr, err := parseTimeRangeDefault(r, "1y")
 	if err != nil {
 		writeError(w, err)
@@ -61,7 +58,7 @@ func (s *Server) handleUsageCluster(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		resp := &ClusterUsageResponse{
 			BucketSecs: series.Res, Resolution: resolutionName(series.Res),
 			PartialStart: series.PartialStart, PartialEnd: series.PartialEnd,
@@ -101,11 +98,7 @@ type TopAccountsResponse struct {
 
 // handleUsageAccounts serves /api/usage/accounts?range=&top= — the heaviest
 // accounts in the window (default range 90d, top 10), ordered by CPU-hours.
-func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	tr, err := parseTimeRangeDefault(r, "90d")
 	if err != nil {
 		writeError(w, err)
@@ -141,7 +134,7 @@ func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		byAccount := make(map[string]*AccountUsage)
 		for i := range series.Rows {
 			row := &series.Rows[i]
@@ -199,11 +192,7 @@ type EfficiencyTrendResponse struct {
 // handleUsageEfficiency serves /api/usage/efficiency?range=&bucket= — mean
 // time/CPU/memory/GPU efficiency per bucket across the whole cluster
 // (default range 30d), from the rollup store's exact fixed-point sums.
-func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.currentUser(r); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	tr, err := parseTimeRangeDefault(r, "30d")
 	if err != nil {
 		writeError(w, err)
@@ -230,7 +219,7 @@ func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
-	s.serveRendered(w, r, meta, "", func() (any, error) {
+	s.serveRendered(w, r, meta, user, func() (any, error) {
 		resp := &EfficiencyTrendResponse{
 			BucketSecs: series.Res, Resolution: resolutionName(series.Res),
 			PartialStart: series.PartialStart, PartialEnd: series.PartialEnd,

@@ -191,10 +191,10 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	s.pushHub = push.NewHub(deps.Clock)
 	s.pushDone = make(chan struct{})
 	s.pushSched = push.NewScheduler(push.SchedulerOptions{
-		Clock:         deps.Clock,
-		Hub:           s.pushHub,
-		Jitter:        s.cfg.Push.Jitter,
-		PauseWhenIdle: !s.cfg.Push.DisableIdlePause,
+		Clock:       deps.Clock,
+		Hub:         s.pushHub,
+		Jitter:      s.cfg.Push.Jitter,
+		ReleaseIdle: !s.cfg.Push.DisableIdlePause,
 		OnRefresh: func(widget string, d time.Duration, published bool, err error) {
 			s.observeRefresh(widget, d, published, err)
 		},
@@ -319,40 +319,24 @@ type Widget struct {
 	TTL time.Duration
 	// DataSource documents Table 1's mapping for the widget.
 	DataSource string
-	// Handler serves the route.
+	// Handler serves the route: serve behind what the widget's visibility
+	// class requires of every request and response (guard, visibility.go).
 	Handler http.HandlerFunc
 
-	// push is the widget's background refresh source (routes_push.go): a
-	// widget with one is on the /api/events stream, and in the default
-	// subscription when a client names none.
-	push pushMode
+	// serve is the widget's own handler, given the authenticated caller.
+	serve func(http.ResponseWriter, *http.Request, *auth.User)
+	// vis says who may see the widget's bytes and who may share them.
+	vis visibility
+	// push puts the widget on the /api/events stream, and in the default
+	// subscription when a client names none (routes_push.go).
+	push bool
 	// selfObserving widgets get no span and no SLI record from the
 	// instrument middleware (observe.go).
 	selfObserving bool
 }
 
-// pushMode says whether and how a widget's payload is refreshed in the
-// background: not at all, once for every subscriber (a cluster-wide
-// payload), or once per subscribed user.
-type pushMode uint8
-
-const (
-	pushNone pushMode = iota
-	pushShared
-	pushPerUser
-)
-
 // path is the URL path of the widget's route ("GET /api/x" → "/api/x").
 func (w *Widget) path() string { return w.Route[strings.IndexByte(w.Route, ' ')+1:] }
-
-// sourceKey is the scheduler/hub key of the widget's push source for user:
-// the widget name for a shared source, "widget:user" for a per-user one.
-func (w *Widget) sourceKey(user string) string {
-	if w.push == pushPerUser {
-		return w.Name + ":" + user
-	}
-	return w.Name
-}
 
 // widget returns the table entry named name, or nil.
 func (s *Server) widget(name string) *Widget {
@@ -364,99 +348,103 @@ func (s *Server) widget(name string) *Widget {
 	return nil
 }
 
-// registerWidgets builds the widget table. Order matches Table 1. The five
-// homepage widgets are the §2.4 set whose polling the SSE stream replaces.
+// registerWidgets builds the widget table and puts each handler behind its
+// visibility class (guard). Order matches Table 1. The five homepage widgets are
+// the §2.4 set whose polling the SSE stream replaces.
 func (s *Server) registerWidgets() {
 	s.widgets = []Widget{
 		{Name: "announcements", Route: "GET /api/announcements",
 			TTL: s.cfg.TTLs.Announcements, DataSource: "API call to center news page",
-			Handler: s.handleAnnouncements, push: pushShared},
+			serve: s.handleAnnouncements, vis: visPublic, push: true},
 		{Name: "recent_jobs", Route: "GET /api/recent_jobs",
 			TTL: s.cfg.TTLs.RecentJobs, DataSource: "squeue (Slurm)",
-			Handler: s.handleRecentJobs, push: pushPerUser},
+			serve: s.handleRecentJobs, vis: visUser, push: true},
 		{Name: "system_status", Route: "GET /api/system_status",
 			TTL: s.cfg.TTLs.SystemStatus, DataSource: "sinfo (Slurm)",
-			Handler: s.handleSystemStatus, push: pushShared},
+			serve: s.handleSystemStatus, vis: visPublic, push: true},
 		{Name: "accounts", Route: "GET /api/accounts",
 			TTL: s.cfg.TTLs.Accounts, DataSource: "scontrol show assoc (Slurm)",
-			Handler: s.handleAccounts, push: pushPerUser},
+			serve: s.handleAccounts, vis: visAccountSet, push: true},
 		{Name: "accounts_export", Route: "GET /api/accounts/{account}/export.csv",
 			TTL: s.cfg.TTLs.Accounts, DataSource: "scontrol show assoc (Slurm)",
-			Handler: s.handleAccountExport},
+			serve: s.handleAccountExport, vis: visGated},
 		{Name: "accounts_export_xlsx", Route: "GET /api/accounts/{account}/export.xlsx",
 			TTL: s.cfg.TTLs.Accounts, DataSource: "scontrol show assoc (Slurm)",
-			Handler: s.handleAccountExportXLSX},
+			serve: s.handleAccountExportXLSX, vis: visGated},
 		{Name: "storage", Route: "GET /api/storage",
 			TTL: s.cfg.TTLs.Storage, DataSource: "ZFS and GPFS storage database",
-			Handler: s.handleStorage, push: pushPerUser},
+			serve: s.handleStorage, vis: visUser, push: true},
 		{Name: "my_jobs", Route: "GET /api/myjobs",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleMyJobs},
+			serve: s.handleMyJobs, vis: visAccountSet},
 		{Name: "my_jobs_export", Route: "GET /api/myjobs/export.csv",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleMyJobsExport},
+			serve: s.handleMyJobsExport, vis: visAccountSet},
 		{Name: "my_jobs_charts", Route: "GET /api/myjobs/charts",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleMyJobsCharts},
+			serve: s.handleMyJobsCharts, vis: visAccountSet},
 		{Name: "job_perf", Route: "GET /api/jobperf",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sreport rollup (slurmdbd)",
-			Handler: s.handleJobPerf},
+			serve: s.handleJobPerf, vis: visUser},
 		{Name: "cluster_status", Route: "GET /api/cluster_status",
 			TTL: s.cfg.TTLs.ClusterNodes, DataSource: "scontrol show node (Slurm)",
-			Handler: s.handleClusterStatus},
+			serve: s.handleClusterStatus, vis: visPublic},
 		{Name: "node_overview", Route: "GET /api/node/{name}",
 			TTL: s.cfg.TTLs.NodeDetail, DataSource: "scontrol show node (Slurm)",
-			Handler: s.handleNodeOverview},
+			serve: s.handleNodeOverview, vis: visPublic},
 		{Name: "node_jobs", Route: "GET /api/node/{name}/jobs",
 			TTL: s.cfg.TTLs.RecentJobs, DataSource: "squeue (Slurm)",
-			Handler: s.handleNodeJobs},
+			serve: s.handleNodeJobs, vis: visPublic},
 		{Name: "job_overview", Route: "GET /api/job/{id}",
 			TTL: s.cfg.TTLs.JobDetail, DataSource: "scontrol show job (Slurm)",
-			Handler: s.handleJobOverview},
+			serve: s.handleJobOverview, vis: visUser},
 		{Name: "job_logs", Route: "GET /api/job/{id}/logs",
 			TTL: 0, DataSource: "job stdout/stderr files",
-			Handler: s.handleJobLogs},
+			serve: s.handleJobLogs, vis: visUser},
 		{Name: "job_array", Route: "GET /api/job/{id}/array",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleJobArray},
+			serve: s.handleJobArray, vis: visGated},
 		// §9 extensions: real-time monitoring, job analysis, admin accounting.
 		{Name: "events", Route: "GET /api/events",
 			TTL: 0, DataSource: "controller event feed (extension)",
-			Handler: s.handleEvents, selfObserving: true},
+			serve: s.handleEvents, vis: visUser, selfObserving: true},
 		{Name: "insights", Route: "GET /api/insights",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleInsights},
+			serve: s.handleInsights, vis: visUser},
 		{Name: "admin_overview", Route: "GET /api/admin/overview",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sacct (Slurm)",
-			Handler: s.handleAdminOverview},
+			serve: s.handleAdminOverview, vis: visStaff},
 		{Name: "jobperf_timeseries", Route: "GET /api/jobperf/timeseries",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sreport rollup (slurmdbd)",
-			Handler: s.handleJobPerfTimeseries},
+			serve: s.handleJobPerfTimeseries, vis: visUser},
 		// Long-range usage views, affordable only through the rollup pipeline.
 		{Name: "usage_cluster", Route: "GET /api/usage/cluster",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sreport rollup (slurmdbd)",
-			Handler: s.handleUsageCluster},
+			serve: s.handleUsageCluster, vis: visPublic},
 		{Name: "usage_accounts", Route: "GET /api/usage/accounts",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sreport rollup (slurmdbd)",
-			Handler: s.handleUsageAccounts},
+			serve: s.handleUsageAccounts, vis: visPublic},
 		{Name: "usage_efficiency", Route: "GET /api/usage/efficiency",
 			TTL: s.cfg.TTLs.JobHistory, DataSource: "sreport rollup (slurmdbd)",
-			Handler: s.handleUsageEfficiency},
+			serve: s.handleUsageEfficiency, vis: visPublic},
 		{Name: "admin_health", Route: "GET /api/admin/health",
 			TTL: 0, DataSource: "backend cache stats + sdiag (Slurm)",
-			Handler: s.handleAdminHealth},
+			serve: s.handleAdminHealth, vis: visStaff},
 		{Name: "metrics", Route: "GET /metrics",
 			TTL: 0, DataSource: "backend cache stats + sdiag (Slurm)",
-			Handler: s.handleMetrics, selfObserving: true},
+			serve: s.handleMetrics, vis: visStaff, selfObserving: true},
 		{Name: "admin_slo", Route: "GET /api/admin/slo",
 			TTL: 0, DataSource: "SLO engine (error budgets + burn-rate alerts)",
-			Handler: s.handleAdminSLO, selfObserving: true},
+			serve: s.handleAdminSLO, vis: visStaff, selfObserving: true},
 		{Name: "admin_traces", Route: "GET /api/admin/traces",
 			TTL: 0, DataSource: "trace store (tail-sampled request spans)",
-			Handler: s.handleAdminTraces, selfObserving: true},
+			serve: s.handleAdminTraces, vis: visStaff, selfObserving: true},
 		{Name: "admin_trace", Route: "GET /api/admin/traces/{id}",
 			TTL: 0, DataSource: "trace store (tail-sampled request spans)",
-			Handler: s.handleAdminTrace, selfObserving: true},
+			serve: s.handleAdminTrace, vis: visStaff, selfObserving: true},
+	}
+	for i := range s.widgets {
+		s.widgets[i].Handler = s.guard(&s.widgets[i])
 	}
 }
 
@@ -500,9 +488,4 @@ func (s *Server) Mount(mux *http.ServeMux, names ...string) error {
 		return fmt.Errorf("core: Mount: no widgets mounted")
 	}
 	return nil
-}
-
-// currentUser resolves the authenticated user for a request.
-func (s *Server) currentUser(r *http.Request) (*auth.User, error) {
-	return s.users.FromRequest(r)
 }

@@ -242,10 +242,10 @@ func TestPushRefreshTraceOrigin(t *testing.T) {
 	s := e.server
 
 	wd := s.widget("recent_jobs")
-	if wd.push == pushNone {
+	if !wd.push {
 		t.Fatal("recent_jobs is not push-enabled")
 	}
-	if _, _, err := s.pushFetch(wd.Name, wd.path(), "alice")(context.Background()); err != nil {
+	if _, _, err := s.pushFetch(wd.Name, "recent_jobs:alice", wd.path(), "alice")(context.Background()); err != nil {
 		t.Fatalf("push refresh: %v", err)
 	}
 

@@ -18,21 +18,35 @@ import (
 	"ooddash/internal/push"
 )
 
-// TestWidgetTableDerivedSets pins the sets derived from the widget table:
-// the push sources, which are the SSE subscription set, and the
-// self-observing widgets.
+// TestWidgetTableDerivedSets pins what the widget table decides: every
+// widget's visibility class, the push sources, which are the SSE
+// subscription set, their source keys, and the self-observing widgets.
 func TestWidgetTableDerivedSets(t *testing.T) {
 	e := newEnv(t)
-	var shared, perUser, pushed, self []string
+	e.users.AddUser(auth.User{Name: "dave", Accounts: []string{"lab-a"}})
+	wantClass := map[string]visibility{
+		"announcements": visPublic, "system_status": visPublic, "cluster_status": visPublic,
+		"node_overview": visPublic, "node_jobs": visPublic, "usage_cluster": visPublic,
+		"usage_accounts": visPublic, "usage_efficiency": visPublic,
+
+		"admin_overview": visStaff, "admin_health": visStaff, "metrics": visStaff,
+		"admin_slo": visStaff, "admin_traces": visStaff, "admin_trace": visStaff,
+
+		"job_array": visGated, "accounts_export": visGated, "accounts_export_xlsx": visGated,
+
+		"accounts": visAccountSet, "my_jobs": visAccountSet, "my_jobs_charts": visAccountSet,
+		"my_jobs_export": visAccountSet,
+
+		"recent_jobs": visUser, "storage": visUser, "job_perf": visUser,
+		"jobperf_timeseries": visUser, "insights": visUser, "job_overview": visUser,
+		"job_logs": visUser, "events": visUser,
+	}
+	gotClass := map[string]visibility{}
+	var pushed, self []string
 	paths := map[string]string{}
 	for _, w := range e.server.widgets {
-		switch w.push {
-		case pushShared:
-			shared = append(shared, w.Name)
-		case pushPerUser:
-			perUser = append(perUser, w.Name)
-		}
-		if w.push != pushNone {
+		gotClass[w.Name] = w.vis
+		if w.push {
 			pushed = append(pushed, w.Name)
 			paths[w.Name] = w.path()
 		}
@@ -40,12 +54,14 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 			self = append(self, w.Name)
 		}
 	}
+	if len(wantClass) != 29 || !reflect.DeepEqual(gotClass, wantClass) {
+		t.Errorf("widget classes = %v, want %v", gotClass, wantClass)
+	}
 	for _, c := range []struct {
 		what      string
 		got, want []string
 	}{
-		{"shared push sources", shared, []string{"announcements", "system_status"}},
-		{"per-user push sources", perUser, []string{"accounts", "recent_jobs", "storage"}},
+		{"push sources", pushed, []string{"accounts", "announcements", "recent_jobs", "storage", "system_status"}},
 		{"self-observing widgets", self, []string{"admin_slo", "admin_trace", "admin_traces", "events", "metrics"}},
 	} {
 		sort.Strings(c.got)
@@ -53,7 +69,6 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.what, c.got, c.want)
 		}
 	}
-	sort.Strings(pushed)
 	wantPaths := map[string]string{
 		"announcements": "/api/announcements",
 		"system_status": "/api/system_status",
@@ -64,11 +79,33 @@ func TestWidgetTableDerivedSets(t *testing.T) {
 	if !reflect.DeepEqual(paths, wantPaths) {
 		t.Errorf("push source paths = %v, want %v", paths, wantPaths)
 	}
-	if got := e.server.widget("recent_jobs").sourceKey("alice"); got != "recent_jobs:alice" {
-		t.Errorf("per-user source key = %q", got)
+	user := func(name string) *auth.User {
+		u, ok := e.users.Lookup(name)
+		if !ok {
+			t.Fatalf("no user %s", name)
+		}
+		return u
 	}
-	if got := e.server.widget("system_status").sourceKey("alice"); got != "system_status" {
-		t.Errorf("shared source key = %q", got)
+	alice, bob, dave := user("alice"), user("bob"), user("dave")
+	for _, c := range []struct {
+		widget string
+		u      *auth.User
+		want   string
+	}{
+		{"recent_jobs", alice, "recent_jobs:alice"},
+		{"storage", bob, "storage:bob"},
+		{"system_status", alice, "system_status"},
+		{"announcements", bob, "announcements"},
+		// The accounts source is keyed by account set: alice and dave share
+		// lab-a's, bob's two accounts make another.
+		{"accounts", alice, "accounts:\x1f5:lab-a"},
+		{"accounts", dave, "accounts:\x1f5:lab-a"},
+		{"accounts", bob, "accounts:\x1f5:lab-a5:lab-b"},
+	} {
+		wd := e.server.widget(c.widget)
+		if got := wd.sourceKey(wd.shareKey(c.u, false)); got != c.want {
+			t.Errorf("%s source key for %s = %q, want %q", c.widget, c.u.Name, got, c.want)
+		}
 	}
 
 	// The default subscription (no ?widgets=) is every push widget in name
@@ -162,7 +199,7 @@ func TestPagePushSetsFollowWidgetTable(t *testing.T) {
 			}
 			_, pattern := e.server.mux.Handler(httptest.NewRequest(http.MethodGet, api, nil))
 			for _, w := range e.server.widgets {
-				if w.Route == pattern && w.push != pushNone {
+				if w.Route == pattern && w.push {
 					want = append(want, w.Name)
 				}
 			}

@@ -10,7 +10,7 @@
 // the shared caches, so every replica serves the same bytes and ETags and
 // a fill one replica ran serves them all; upstream cost stays one fill per
 // key per TTL however many replicas there are. An SSE stream registers its
-// sources on its own replica's scheduler, whose pause-when-idle sees that
+// sources on its own replica's scheduler, whose idle release sees that
 // replica's subscribers. A killed replica holds no state anyone needs: the
 // load balancer fails over to the next live one, which finds the same
 // cache. Since replicas are interchangeable, the load balancer is plain

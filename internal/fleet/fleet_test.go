@@ -214,7 +214,7 @@ func TestPeerServesOwnerBytesWithMatchingETag(t *testing.T) {
 // TestSSEStreamsOnTwoReplicasShareOneFill: streams held on two replicas
 // each register the source on their own replica's scheduler and both see
 // every change, while the shared cache keeps upstream cost at one fill per
-// TTL. Closing one stream pauses that replica's source (pause-when-idle
+// TTL. Closing one stream releases that replica's source (each replica
 // sees its own subscribers) while the other keeps refreshing.
 func TestSSEStreamsOnTwoReplicasShareOneFill(t *testing.T) {
 	env, fl := newTestFleet(t, 2, nil)
@@ -255,8 +255,9 @@ func TestSSEStreamsOnTwoReplicasShareOneFill(t *testing.T) {
 		}
 	}
 
-	// The second replica's stream goes away: its scheduler pauses the
-	// source; the first replica's keeps refreshing.
+	// The second replica's stream goes away: at its next due tick that
+	// replica's scheduler releases the source and its snapshot; the first
+	// replica's keeps refreshing.
 	streams[1].Close()
 	key := "recent_jobs:" + user
 	hub1 := fl.Server(fl.Replicas()[1]).PushHub()
@@ -266,15 +267,20 @@ func TestSSEStreamsOnTwoReplicasShareOneFill(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	refreshes := func(i int) int64 {
-		return fl.Server(fl.Replicas()[i]).PushScheduler().SourceRefreshes()[key]
+	refreshes := func(i int) map[string]int64 {
+		return fl.Server(fl.Replicas()[i]).PushScheduler().SourceRefreshes()
 	}
-	r0, r1 := refreshes(0), refreshes(1)
+	r0 := refreshes(0)[key]
 	env.Clock.Advance(40 * time.Second)
 	fl.Tick()
-	if refreshes(0) != r0+1 || refreshes(1) != r1 {
-		t.Fatalf("after the second stream closed: refreshes %d -> %d and %d -> %d, want one more on the first replica only",
-			r0, refreshes(0), r1, refreshes(1))
+	if got := refreshes(0)[key]; got != r0+1 {
+		t.Fatalf("after the second stream closed: first replica refreshes %d -> %d, want one more", r0, got)
+	}
+	if _, held := refreshes(1)[key]; held {
+		t.Fatal("second replica still holds the source no stream subscribes")
+	}
+	if _, held := hub1.Latest(key); held {
+		t.Fatal("second replica still holds the released source's snapshot")
 	}
 }
 

@@ -31,7 +31,7 @@ type Snapshot struct {
 	// Widget is the event name clients subscribe to ("system_status", ...).
 	Widget string
 	// Key identifies the concrete source instance: equal to Widget for
-	// cluster-wide sources, "widget:user" for per-user ones.
+	// cluster-wide sources, "widget:<who shares it>" for the others.
 	Key string
 	// Version is the hub-wide sequence number assigned at publish.
 	Version int64
@@ -67,7 +67,9 @@ type Hub struct {
 	version int64
 	latest  map[string]Snapshot
 	subs    map[*Subscription]struct{}
-	closed  bool
+	// watchers counts the open subscriptions that include each key.
+	watchers map[string]int
+	closed   bool
 
 	published  int64
 	suppressed int64
@@ -83,9 +85,10 @@ func NewHub(clk clock.Clock) *Hub {
 		clk = clock.Real{}
 	}
 	return &Hub{
-		clock:  clk,
-		latest: make(map[string]Snapshot),
-		subs:   make(map[*Subscription]struct{}),
+		clock:    clk,
+		latest:   make(map[string]Snapshot),
+		subs:     make(map[*Subscription]struct{}),
+		watchers: make(map[string]int),
 	}
 }
 
@@ -134,6 +137,14 @@ func (h *Hub) Latest(key string) (Snapshot, bool) {
 	defer h.mu.Unlock()
 	s, ok := h.latest[key]
 	return s, ok
+}
+
+// Forget drops the stored snapshot for key: the scheduler released its
+// source. A later publish under key mints a new version.
+func (h *Hub) Forget(key string) {
+	h.mu.Lock()
+	delete(h.latest, key)
+	h.mu.Unlock()
 }
 
 // Since returns the stored snapshots for the given keys whose version is
@@ -192,6 +203,9 @@ func (h *Hub) Subscribe(keys []string) *Subscription {
 		return sub
 	}
 	h.subs[sub] = struct{}{}
+	for k := range sub.keys {
+		h.watchers[k]++
+	}
 	h.mu.Unlock()
 	return sub
 }
@@ -204,17 +218,11 @@ func (h *Hub) SubscriberCount() int {
 }
 
 // SubscribersFor returns how many open client subscriptions include key —
-// the scheduler's pause-when-idle signal.
+// the scheduler's release-when-idle signal.
 func (h *Hub) SubscribersFor(key string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for sub := range h.subs {
-		if sub.keys[key] {
-			n++
-		}
-	}
-	return n
+	return h.watchers[key]
 }
 
 // Stats returns the hub's counters, aggregating per-subscription delivery
@@ -262,6 +270,11 @@ func (h *Hub) unsubscribe(sub *Subscription) {
 	h.mu.Lock()
 	if _, ok := h.subs[sub]; ok {
 		delete(h.subs, sub)
+		for k := range sub.keys {
+			if h.watchers[k]--; h.watchers[k] == 0 {
+				delete(h.watchers, k)
+			}
+		}
 		h.deliveredTotal += d
 		h.droppedTotal += dr
 	}

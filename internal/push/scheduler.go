@@ -24,7 +24,7 @@ type Source struct {
 	// Widget is the event name clients subscribe to.
 	Widget string
 	// Key uniquely identifies this instance (equal to Widget for
-	// cluster-wide sources, "widget:user" for per-user ones).
+	// cluster-wide sources, "widget:<who shares it>" for the others).
 	Key string
 	// TTL is the refresh cadence — the same value as the widget's server
 	// cache TTL, so the scheduler re-fetches right as the entry expires.
@@ -43,9 +43,10 @@ type SchedulerOptions struct {
 	// fraction of its TTL in [0, Jitter), so sources registered together do
 	// not refresh in lockstep forever (thundering refresh). 0 disables.
 	Jitter float64
-	// PauseWhenIdle skips refreshing a source that currently has zero hub
-	// subscribers; its schedule resumes when a client subscribes again.
-	PauseWhenIdle bool
+	// ReleaseIdle deletes a due source that has no hub subscriber, and its
+	// hub snapshot, instead of refreshing it: a source lives as long as a
+	// subscription names it. Registering the key again starts it afresh.
+	ReleaseIdle bool
 	// OnRefresh observes every attempted refresh with its duration measured
 	// on Clock — the same (possibly simulated) clock that drives due times,
 	// so chaos drills on a warped clock record the latencies the fetch path
@@ -59,7 +60,7 @@ type SchedulerStats struct {
 	Sources   int
 	Refreshes int64 // fetches attempted
 	Errors    int64 // fetches that produced no payload
-	Paused    int64 // refreshes skipped because no subscriber wanted the source
+	Released  int64 // due sources deleted because no subscriber wanted them
 	Skipped   int64 // cycles stretched because the source was degraded
 }
 
@@ -161,7 +162,9 @@ func (s *Scheduler) Refresh(ctx context.Context, key string) (Snapshot, error) {
 }
 
 // Tick runs every due refresh synchronously and returns how many sources
-// were fetched. Deterministic: sources are refreshed in sorted key order.
+// were fetched; with ReleaseIdle, a due source nobody subscribes is
+// released instead. Deterministic: sources are refreshed in sorted key
+// order.
 func (s *Scheduler) Tick() int {
 	now := s.opts.Clock.Now()
 	s.mu.Lock()
@@ -182,31 +185,26 @@ func (s *Scheduler) Tick() int {
 			due[j-1], due[j] = due[j], due[j-1]
 		}
 	}
-	type job struct {
-		src  Source
-		skip bool
-	}
-	jobs := make([]job, 0, len(due))
+	jobs := make([]Source, 0, len(due))
 	for _, src := range due {
-		src.nextDue = now.Add(src.TTL)
-		j := job{src: src.Source}
-		if s.opts.PauseWhenIdle && s.opts.Hub.SubscribersFor(src.Key) == 0 {
-			s.stats.Paused++
-			j.skip = true
+		if s.opts.ReleaseIdle && s.opts.Hub.SubscribersFor(src.Key) == 0 {
+			// Released under s.mu: a stream subscribes before it registers,
+			// so a Register after this sees neither source nor snapshot and
+			// refreshes afresh.
+			delete(s.sources, src.Key)
+			s.opts.Hub.Forget(src.Key)
+			s.stats.Released++
+			continue
 		}
-		jobs = append(jobs, j)
+		src.nextDue = now.Add(src.TTL)
+		jobs = append(jobs, src.Source)
 	}
 	s.mu.Unlock()
 
-	ran := 0
-	for _, j := range jobs {
-		if j.skip {
-			continue
-		}
-		s.refreshOne(context.Background(), j.src)
-		ran++
+	for _, src := range jobs {
+		s.refreshOne(context.Background(), src)
 	}
-	return ran
+	return len(jobs)
 }
 
 // refreshOne fetches one source and publishes the result. Duration is

@@ -140,33 +140,72 @@ func TestSchedulerRefreshNow(t *testing.T) {
 	}
 }
 
-func TestSchedulerPauseWhenIdle(t *testing.T) {
+// TestSchedulerReleasesIdleSources: a due source with no subscriber is
+// deleted, with its hub snapshot, instead of refreshed; registering the key
+// again starts it afresh. A source with a subscriber keeps refreshing, and
+// without ReleaseIdle nothing is released.
+func TestSchedulerReleasesIdleSources(t *testing.T) {
 	clock := testClock()
 	hub := NewHub(clock)
 	var calls atomic.Int64
-	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub, PauseWhenIdle: true})
+	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub, ReleaseIdle: true})
 	defer sched.Close()
 	sched.Register(countingSource("w", "w", 30*time.Second, &calls))
-
-	// No subscribers: TTL cycles pass without a single fetch.
-	for i := 0; i < 3; i++ {
-		clock.Advance(30 * time.Second)
-		sched.Tick()
+	if _, err := sched.Refresh(context.Background(), "w"); err != nil {
+		t.Fatal(err)
 	}
-	if calls.Load() != 0 {
-		t.Fatalf("idle source fetched %d times", calls.Load())
-	}
-	if st := sched.Stats(); st.Paused != 3 {
-		t.Fatalf("paused = %d, want 3", st.Paused)
-	}
-
-	// A subscriber appears: refreshing resumes on the next due cycle.
 	sub := hub.Subscribe([]string{"w"})
-	defer sub.Close()
+
+	// Subscribed: every due cycle refreshes.
 	clock.Advance(30 * time.Second)
 	sched.Tick()
-	if calls.Load() != 1 {
-		t.Fatalf("subscribed source fetched %d times, want 1", calls.Load())
+	if calls.Load() != 2 || sched.Stats().Sources != 1 {
+		t.Fatalf("subscribed source: fetches %d sources %d, want 2 and 1", calls.Load(), sched.Stats().Sources)
+	}
+
+	// The last subscriber leaves: nothing changes before the source comes
+	// due, then the due tick releases it without a fetch.
+	sub.Close()
+	clock.Advance(20 * time.Second)
+	sched.Tick()
+	if _, held := hub.Latest("w"); !held || sched.Stats().Sources != 1 {
+		t.Fatal("source released before it came due")
+	}
+	clock.Advance(10 * time.Second)
+	if n := sched.Tick(); n != 0 || calls.Load() != 2 {
+		t.Fatalf("idle due tick fetched: ran %d, fetches %d", n, calls.Load())
+	}
+	if st := sched.Stats(); st.Sources != 0 || st.Released != 1 {
+		t.Fatalf("after release: sources %d released %d, want 0 and 1", st.Sources, st.Released)
+	}
+	if _, held := hub.Latest("w"); held || len(hub.Snapshots()) != 0 {
+		t.Fatal("released source's snapshot still held")
+	}
+	if _, err := sched.Refresh(context.Background(), "w"); err == nil {
+		t.Fatal("Refresh of a released source succeeded")
+	}
+
+	// Registering again starts afresh: a new source, a new version.
+	if added, _ := sched.Register(countingSource("w", "w", 30*time.Second, &calls)); !added {
+		t.Fatal("released key not registered afresh")
+	}
+	snap, err := sched.Refresh(context.Background(), "w")
+	if err != nil || snap.Version != 3 {
+		t.Fatalf("refresh after re-register: version %d err %v, want 3", snap.Version, err)
+	}
+
+	// Without ReleaseIdle an idle source stays and keeps refreshing.
+	keep := NewScheduler(SchedulerOptions{Clock: clock, Hub: NewHub(clock)})
+	defer keep.Close()
+	var kept atomic.Int64
+	keep.Register(countingSource("k", "k", 30*time.Second, &kept))
+	for i := 0; i < 3; i++ {
+		clock.Advance(30 * time.Second)
+		keep.Tick()
+	}
+	if kept.Load() != 3 || keep.Stats().Sources != 1 || keep.Stats().Released != 0 {
+		t.Fatalf("without ReleaseIdle: fetches %d sources %d released %d, want 3, 1, 0",
+			kept.Load(), keep.Stats().Sources, keep.Stats().Released)
 	}
 }
 
