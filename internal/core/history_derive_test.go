@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,20 +228,59 @@ func seedHistoryEdges(t *testing.T, env *workload.Env) time.Time {
 // of asOf, newest submission first, unfiltered and unpaged.
 func myJobsBody(t *testing.T, rows []slurmcli.SacctRow, asOf time.Time) []byte {
 	t.Helper()
-	th := efficiency.DefaultThresholds()
+	return myJobsPage(t, directJobRows(rows, asOf), "", nil)
+}
+
+// myJobsPage is the My Jobs body for the converted rows of a direct sacct
+// (directJobRows), filtered and paged as the query q asks of viewer,
+// encoded by reflection from a MyJobsResponse: the body the table served
+// before its rows were stored encoded.
+func myJobsPage(t *testing.T, rows []core.JobRow, viewer string, q url.Values) []byte {
+	t.Helper()
 	var resp core.MyJobsResponse
-	for i := range rows {
-		resp.Jobs = append(resp.Jobs, core.JobRowFromSacct(&rows[i], asOf, th))
+	for _, jr := range rows {
+		resp.Total++
+		if keepJobRow(jr, viewer, q) {
+			resp.Jobs = append(resp.Jobs, jr)
+		}
 	}
-	sort.SliceStable(resp.Jobs, func(i, j int) bool {
-		return resp.Jobs[i].SubmitTime.After(resp.Jobs[j].SubmitTime)
-	})
-	resp.Total, resp.Matched = len(resp.Jobs), len(resp.Jobs)
+	resp.Matched = len(resp.Jobs)
+	offset, _ := strconv.Atoi(q.Get("offset"))
+	limit, _ := strconv.Atoi(q.Get("limit"))
+	resp.Offset = min(offset, len(resp.Jobs))
+	resp.Jobs = resp.Jobs[resp.Offset:]
+	if limit > 0 && len(resp.Jobs) > limit {
+		resp.Jobs = resp.Jobs[:limit]
+	}
 	b, err := json.Marshal(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return append(b, '\n')
+}
+
+// directJobRows converts the rows of a direct sacct as of asOf, newest
+// submission first.
+func directJobRows(rows []slurmcli.SacctRow, asOf time.Time) []core.JobRow {
+	th := efficiency.DefaultThresholds()
+	var out []core.JobRow
+	for i := range rows {
+		out = append(out, core.JobRowFromSacct(&rows[i], asOf, th))
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return out[i].SubmitTime.After(out[j].SubmitTime)
+	})
+	return out
+}
+
+// keepJobRow reports whether the table's filters in q keep jr for viewer:
+// state (any case), user, account and mine=1.
+func keepJobRow(jr core.JobRow, viewer string, q url.Values) bool {
+	state, user, account := q.Get("state"), q.Get("user"), q.Get("account")
+	return (q.Get("mine") != "1" || jr.User == viewer) &&
+		(user == "" || jr.User == user) &&
+		(account == "" || jr.Account == account) &&
+		(state == "" || jr.State == strings.ToUpper(state))
 }
 
 // serveBody runs one GET as user through the server and returns the 200

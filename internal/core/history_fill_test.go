@@ -3,9 +3,11 @@ package core
 import (
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ooddash/internal/auth"
 	"ooddash/internal/slurm"
@@ -228,5 +230,74 @@ func TestHistoryRenderSharedByAccountSet(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		t.Fatal("bob's account set's ETag validated for alice")
+	}
+}
+
+// outputRecorder keeps every sacct output the runner returned.
+type outputRecorder struct {
+	inner slurmcli.Runner
+	mu    sync.Mutex
+	outs  []string
+}
+
+func (o *outputRecorder) Run(name string, args ...string) (string, error) {
+	out, err := o.inner.Run(name, args...)
+	if name == "sacct" {
+		o.mu.Lock()
+		o.outs = append(o.outs, out)
+		o.mu.Unlock()
+	}
+	return out, err
+}
+
+// TestHistoryRowsPinNoCommandOutput: the CLI parser's fields are
+// substrings of the whole sacct output, so a kept row that held one would
+// keep the output alive as long as its day is carried over. No string of a
+// fill's rows, cold or carried over, points into any sacct output, and
+// each fill keeps one copy of each user, account and state.
+func TestHistoryRowsPinNoCommandOutput(t *testing.T) {
+	rec := &outputRecorder{}
+	e := newEnvWith(t, nil, func(r slurmcli.Runner) slurmcli.Runner {
+		rec.inner = r
+		return rec
+	})
+	backfillClosedDays(e, 5)
+	seedMixedHistory(e)
+	alice, _ := e.users.Lookup("alice")
+	key := "myjobs:" + shareKey(alice) + ":30d"
+	inOutput := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		for _, out := range rec.outs {
+			if lo := uintptr(unsafe.Pointer(unsafe.StringData(out))); p >= lo && p < lo+uintptr(len(out)) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, step := range []string{"cold", "carried over"} {
+		e.wantStatus("alice", "/api/myjobs?range=30d", http.StatusOK)
+		v, ok := e.server.cache.Retained(key)
+		if !ok {
+			t.Fatalf("%s: no fill under %q", step, key)
+		}
+		h := v.(*jobHistory)
+		copies := make(map[string]*byte)
+		for _, row := range h.rows {
+			for _, s := range []string{row.user, row.account, row.state} {
+				if inOutput(s) {
+					t.Fatalf("%s: row %d_%d holds %q from a sacct output", step, row.job, row.task, s)
+				}
+				if p, ok := copies[s]; step == "cold" && ok && p != unsafe.StringData(s) {
+					t.Fatalf("cold: two copies of %q in one fill", s)
+				}
+				copies[s] = unsafe.StringData(s)
+			}
+		}
+		if len(h.rows) == 0 || len(rec.outs) == 0 {
+			t.Fatalf("%s: fixture: %d rows from %d sacct outputs", step, len(h.rows), len(rec.outs))
+		}
+		e.advance(DefaultTTLs().JobHistory + time.Minute)
 	}
 }

@@ -59,17 +59,27 @@ func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, b etag.Body) 
 // marshalPayload is the single choke point for payload encoding; every
 // json.Marshal of a widget body goes through it, and the counter it bumps
 // is what lets the zero-Marshal-on-hit regression test (and /metrics) prove
-// the hit path never re-encodes.
+// the hit path never re-encodes. A body a handler already built as bytes
+// (json.RawMessage, the My Jobs table spliced from its stored rows) passes
+// through unchanged and counts as one encode.
 func (s *Server) marshalPayload(v any) ([]byte, error) {
 	s.renderEncodes.Add(1)
+	if raw, ok := v.(json.RawMessage); ok {
+		return raw, nil
+	}
 	return json.Marshal(v)
 }
 
 // encodePayload is marshalPayload's streaming twin for callers that encode
-// into a pooled scratch buffer: same counter, same output bytes as Marshal
-// plus the trailing newline writeJSON's Encoder always produced.
+// into a pooled scratch buffer: same counter, same pass-through, same
+// output bytes as Marshal plus the trailing newline writeJSON's Encoder
+// always produced.
 func (s *Server) encodePayload(buf *bytes.Buffer, v any) error {
 	s.renderEncodes.Add(1)
+	if raw, ok := v.(json.RawMessage); ok {
+		buf.Write(raw)
+		return buf.WriteByte('\n')
+	}
 	return json.NewEncoder(buf).Encode(v)
 }
 

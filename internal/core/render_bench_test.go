@@ -69,8 +69,9 @@ func BenchmarkWidgetServeEncodeOnce(b *testing.B) {
 	benchServe(b, "/api/myjobs", false, false)
 }
 
-// BenchmarkWidgetServeReencode is the pre-tentpole baseline: same cache hit,
-// but the payload is rebuilt and re-marshaled per request.
+// BenchmarkWidgetServeReencode is the rendered layer's ablation: same cache
+// hit, but the payload is rebuilt per request (for My Jobs, spliced again
+// from the fill's stored row bytes) and hashed again.
 func BenchmarkWidgetServeReencode(b *testing.B) {
 	benchServe(b, "/api/myjobs", true, false)
 }

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -193,7 +195,9 @@ type JobRow struct {
 	OverviewURL string `json:"overview_url"`
 }
 
-// MyJobsResponse is the My Jobs API payload.
+// MyJobsResponse is the My Jobs API payload. The table is not encoded
+// from it: jobHistory.table splices the same bytes from the rows' stored
+// encodings.
 type MyJobsResponse struct {
 	Jobs []JobRow `json:"jobs"`
 	// Total is the row count before any filtering, for the charts.
@@ -272,9 +276,46 @@ const daySecs = slurm.RollupDay
 // day fetched again.
 type jobHistory struct {
 	asOf     time.Time
-	rows     []*JobRow
+	rows     []*historyRow
 	firstDay int64   // unix start of the day stamps[0] counts
 	stamps   []int64 // empty for a fill that is not split
+}
+
+// historyRow is one row of a history fill: its JobRow encoded once, as the
+// table serves it, beside the fields the views order, filter and chart by.
+// Times are unix seconds, the precision both backends carry; end is 0 for
+// an unfinished job. The strings are the fill's own copies, so a kept row
+// pins no command output.
+type historyRow struct {
+	submit, end          int64
+	job, task            int64 // splitJobID of the display job ID
+	user, account, state string
+	gpuHours             float64
+	json                 []byte // json.Marshal of the row's JobRow
+}
+
+// newHistoryRow converts an accounting row as of asOf: jobRowFromSacct,
+// encoded, plus the view fields. intern returns the fill's copy of a
+// string.
+func newHistoryRow(row *slurmcli.SacctRow, asOf time.Time, th efficiency.Thresholds, intern func(string) string) (historyRow, error) {
+	jr := jobRowFromSacct(row, asOf, th)
+	b, err := json.Marshal(&jr)
+	if err != nil {
+		return historyRow{}, fmt.Errorf("core: encoding job %s: %v", row.JobID, err)
+	}
+	hr := historyRow{
+		submit:   row.SubmitTime.Unix(),
+		user:     intern(jr.User),
+		account:  intern(jr.Account),
+		state:    intern(jr.State),
+		gpuHours: jr.GPUHours,
+		json:     b,
+	}
+	if !row.EndTime.IsZero() {
+		hr.end = row.EndTime.Unix()
+	}
+	hr.job, hr.task = splitJobID(row.JobID)
+	return hr, nil
 }
 
 // stamp returns h's count stamp for the day starting at d, or -1 when h
@@ -398,17 +439,30 @@ func (s *Server) fillJobHistory(ctx context.Context, sc historyScope, class time
 		}
 	}
 	th := efficiency.DefaultThresholds()
-	fetched := make([]*JobRow, 0, len(rows))
-	arrays := make([][]JobRow, days+1)
+	interned := make(map[string]string)
+	intern := func(v string) string {
+		c, ok := interned[v]
+		if !ok {
+			c = strings.Clone(v)
+			interned[c] = c
+		}
+		return c
+	}
+	fetched := make([]*historyRow, 0, len(rows))
+	arrays := make([][]historyRow, days+1)
 	for i := range rows {
 		d := dayOf(&rows[i])
 		if d < 0 {
 			d = days
 		}
 		if arrays[d] == nil {
-			arrays[d] = make([]JobRow, 0, sizes[d])
+			arrays[d] = make([]historyRow, 0, sizes[d])
 		}
-		arrays[d] = append(arrays[d], jobRowFromSacct(&rows[i], asOf, th))
+		hr, err := newHistoryRow(&rows[i], asOf, th, intern)
+		if err != nil {
+			return nil, err
+		}
+		arrays[d] = append(arrays[d], hr)
 		fetched = append(fetched, &arrays[d][len(arrays[d])-1])
 	}
 	slices.SortFunc(fetched, compareRows)
@@ -424,19 +478,20 @@ func (s *Server) fillJobHistory(ctx context.Context, sc historyScope, class time
 	}
 	// Carry over the closed days' visible rows, minus every job the sacct
 	// returned again: a requeued job leaves its old day.
-	again := make(map[string]struct{}, len(fetched))
+	type jobTask struct{ job, task int64 }
+	again := make(map[jobTask]struct{}, len(fetched))
 	for _, row := range fetched {
-		again[row.JobID] = struct{}{}
+		again[jobTask{row.job, row.task}] = struct{}{}
 	}
-	carried := make([]*JobRow, 0, len(prev.rows))
+	carried := make([]*historyRow, 0, len(prev.rows))
 	for _, row := range prev.rows {
-		if row.EndTime.IsZero() {
+		if row.end == 0 {
 			continue
 		}
-		if d := alignDown(row.EndTime.Unix(), daySecs); d < h.firstDay || d >= fetchedDay {
+		if d := alignDown(row.end, daySecs); d < h.firstDay || d >= fetchedDay {
 			continue
 		}
-		if _, dup := again[row.JobID]; !dup {
+		if _, dup := again[jobTask{row.job, row.task}]; !dup {
 			carried = append(carried, row)
 		}
 	}
@@ -465,16 +520,14 @@ func firstMovedDay(prev *jobHistory, c *dayCounts, names []string, first, yester
 // by submission. It is a total order, so rows from different fills merge
 // into the same sequence. IDs compare as numbers: "99" before "100", and
 // "7_2" before "7_10".
-func compareRows(a, b *JobRow) int {
-	if c := b.SubmitTime.Compare(a.SubmitTime); c != 0 {
+func compareRows(a, b *historyRow) int {
+	if c := cmp.Compare(b.submit, a.submit); c != 0 {
 		return c
 	}
-	aj, at := splitJobID(a.JobID)
-	bj, bt := splitJobID(b.JobID)
-	if aj != bj {
-		return cmp.Compare(aj, bj)
+	if c := cmp.Compare(a.job, b.job); c != 0 {
+		return c
 	}
-	return cmp.Compare(at, bt)
+	return cmp.Compare(a.task, b.task)
 }
 
 // splitJobID parses a display job ID, "1234" or "1234_7", into its job and
@@ -495,8 +548,8 @@ func splitJobID(id string) (job, task int64) {
 }
 
 // mergeRows merges two row lists, each in compareRows order, into one.
-func mergeRows(a, b []*JobRow) []*JobRow {
-	out := make([]*JobRow, 0, len(a)+len(b))
+func mergeRows(a, b []*historyRow) []*historyRow {
+	out := make([]*historyRow, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
 		if compareRows(b[0], a[0]) < 0 {
 			out, b = append(out, b[0]), b[1:]
@@ -582,7 +635,7 @@ func (s *Server) fetchDayCounts(ctx context.Context, scope string, class timeRan
 // jobs that ended before the range's start. The other fields mirror the
 // table's controls; the charts use the window part alone.
 type jobFilter struct {
-	since                time.Time // zero: all time
+	since                int64 // unix; math.MinInt64: all time
 	state, user, account string
 	mine                 string // the viewer's name when mine=1
 }
@@ -591,28 +644,37 @@ type jobFilter struct {
 // filters.
 func newJobFilter(q url.Values, h *jobHistory, tr timeRange, viewer string) jobFilter {
 	f := jobFilter{
+		since:   windowSince(h, tr),
 		state:   strings.ToUpper(q.Get("state")),
 		user:    q.Get("user"),
 		account: q.Get("account"),
 	}
-	f.since, _ = tr.window(h.asOf)
 	if q.Get("mine") == "1" {
 		f.mine = viewer
 	}
 	return f
 }
 
+// windowSince is the unix start of tr's window over the fill h, or
+// math.MinInt64 for all time.
+func windowSince(h *jobHistory, tr timeRange) int64 {
+	if start, _ := tr.window(h.asOf); !start.IsZero() {
+		return start.Unix()
+	}
+	return math.MinInt64
+}
+
 // inWindow reports whether the row belongs to the filter's range.
-func (f *jobFilter) inWindow(row *JobRow) bool {
-	return f.since.IsZero() || row.EndTime.IsZero() || !row.EndTime.Before(f.since)
+func (f *jobFilter) inWindow(row *historyRow) bool {
+	return row.end == 0 || row.end >= f.since
 }
 
 // matches reports whether the row passes the query filters.
-func (f *jobFilter) matches(row *JobRow) bool {
-	return (f.mine == "" || row.User == f.mine) &&
-		(f.user == "" || row.User == f.user) &&
-		(f.account == "" || row.Account == f.account) &&
-		(f.state == "" || row.State == f.state)
+func (f *jobFilter) matches(row *historyRow) bool {
+	return (f.mine == "" || row.user == f.mine) &&
+		(f.user == "" || row.user == f.user) &&
+		(f.account == "" || row.account == f.account) &&
+		(f.state == "" || row.state == f.state)
 }
 
 // loadJobHistory is the shared head of the My Jobs routes: the parsed range
@@ -638,19 +700,6 @@ func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request, user *auth
 	}
 	q := r.URL.Query()
 	s.serveRendered(w, r, meta, user, func() (any, error) {
-		f := newJobFilter(q, h, tr, user.Name)
-		var resp MyJobsResponse
-		for _, row := range h.rows {
-			if !f.inWindow(row) {
-				continue
-			}
-			resp.Total++
-			if f.matches(row) {
-				resp.Jobs = append(resp.Jobs, *row)
-			}
-		}
-		resp.Matched = len(resp.Jobs)
-
 		// Pagination: DataTables-style limit/offset keeps large histories from
 		// shipping megabytes per request.
 		offset, limit := 0, 0
@@ -667,16 +716,64 @@ func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request, user *auth
 				return nil, fmt.Errorf("%w: bad limit %q", errBadRequest, v)
 			}
 		}
-		if offset > len(resp.Jobs) {
-			offset = len(resp.Jobs)
-		}
-		resp.Offset = offset
-		resp.Jobs = resp.Jobs[offset:]
-		if limit > 0 && len(resp.Jobs) > limit {
-			resp.Jobs = resp.Jobs[:limit]
-		}
-		return resp, nil
+		f := newJobFilter(q, h, tr, user.Name)
+		return h.table(&f, offset, limit), nil
 	})
+}
+
+// table returns the My Jobs body for the rows f selects, paged from offset
+// (clamped to the match count) to at most limit rows (0: no limit): the
+// bytes json.Marshal writes for a MyJobsResponse, spliced from each row's
+// stored encoding. encoding/json writes a slice as its elements joined by
+// commas, so the bytes are the same; Jobs is null when nothing matched, as
+// a nil slice is, and [] for a page past the last match.
+func (h *jobHistory) table(f *jobFilter, offset, limit int) json.RawMessage {
+	// The first pass counts and sizes the page and finds the span of rows
+	// holding it; the second copies the page's bytes.
+	var total, matched, size, lo, hi int
+	for i, row := range h.rows {
+		if !f.inWindow(row) {
+			continue
+		}
+		total++
+		if !f.matches(row) {
+			continue
+		}
+		if matched >= offset && (limit == 0 || matched < offset+limit) {
+			if size == 0 {
+				lo = i
+			}
+			hi = i + 1
+			size += len(row.json) + 1
+		}
+		matched++
+	}
+	offset = min(offset, matched)
+	// The spare capacity holds the counts and the newline a served body
+	// appends.
+	b := make([]byte, 0, size+80)
+	b = append(b, `{"jobs":`...)
+	if matched == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for _, row := range h.rows[lo:hi] {
+			if f.inWindow(row) && f.matches(row) {
+				if b[len(b)-1] != '[' {
+					b = append(b, ',')
+				}
+				b = append(b, row.json...)
+			}
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, `,"matched":`...)
+	b = strconv.AppendInt(b, int64(matched), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(offset), 10)
+	return append(b, '}')
 }
 
 // handleMyJobsExport streams the (filtered) My Jobs table as CSV — the
@@ -688,6 +785,20 @@ func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request, user
 		return
 	}
 	f := newJobFilter(r.URL.Query(), h, tr, user.Name)
+	// Each row's stored encoding decodes back to its JobRow exactly: JSON
+	// round-trips every field type the row holds.
+	var rows []JobRow
+	for _, hr := range h.rows {
+		if !f.inWindow(hr) || !f.matches(hr) {
+			continue
+		}
+		var row JobRow
+		if err := json.Unmarshal(hr.json, &row); err != nil {
+			writeError(w, fmt.Errorf("core: decoding job %d: %v", hr.job, err))
+			return
+		}
+		rows = append(rows, row)
+	}
 
 	setDegradedHeader(w, meta)
 	w.Header().Set("Content-Type", "text/csv")
@@ -710,10 +821,7 @@ func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request, user
 		}
 		return strconv.FormatFloat(*v, 'f', 1, 64)
 	}
-	for _, row := range h.rows {
-		if !f.inWindow(row) || !f.matches(row) {
-			continue
-		}
+	for _, row := range rows {
 		_ = cw.Write([]string{
 			row.JobID, row.Name, row.User, row.Account, row.Partition, row.QOS,
 			row.State, fmtTime(row.SubmitTime), fmtTime(row.StartTime), fmtTime(row.EndTime),
@@ -760,22 +868,21 @@ func (s *Server) handleMyJobsCharts(w http.ResponseWriter, r *http.Request, user
 		return
 	}
 	s.serveRendered(w, r, meta, user, func() (any, error) {
-		since, _ := tr.window(h.asOf)
-		f := jobFilter{since: since}
+		f := jobFilter{since: windowSince(h, tr)}
 		states := make(map[string]*UserStateBar)
 		gpu := make(map[string]float64)
 		for _, row := range h.rows {
 			if !f.inWindow(row) {
 				continue
 			}
-			bar := states[row.User]
+			bar := states[row.user]
 			if bar == nil {
-				bar = &UserStateBar{User: row.User, States: make(map[string]int)}
-				states[row.User] = bar
+				bar = &UserStateBar{User: row.user, States: make(map[string]int)}
+				states[row.user] = bar
 			}
-			bar.States[row.State]++
+			bar.States[row.state]++
 			bar.Total++
-			gpu[row.User] += row.GPUHours
+			gpu[row.user] += row.gpuHours
 		}
 		resp := ChartsResponse{}
 		for _, bar := range states {

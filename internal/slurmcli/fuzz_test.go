@@ -2,6 +2,8 @@ package slurmcli
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,23 +117,7 @@ func FuzzParseAssocs(f *testing.F) {
 // into days and unfinished jobs by. Seeds are the emulator's own output
 // for pending, running, finished, array and GPU jobs.
 func FuzzParseSacctOutput(f *testing.F) {
-	_, cl, clk := newTestRunner(f)
-	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu",
-		ReqTRES: slurm.TRES{CPUs: 2, MemMB: 2048}, Profile: slurm.UsageProfile{ActualDuration: time.Minute}})
-	mustSubmit(f, cl, slurm.SubmitRequest{Name: "long run", User: "carol", Account: "lab-b", Partition: "gpu",
-		ReqTRES: slurm.TRES{CPUs: 4, MemMB: 8192, GPUs: 1}, InteractiveApp: "jupyter", SessionID: "s-1",
-		Profile: slurm.UsageProfile{ActualDuration: 5 * time.Hour, GPUUtilization: 0.42}})
-	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu", ArraySize: 3,
-		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}, Profile: slurm.UsageProfile{ActualDuration: 2 * time.Minute}})
-	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu", Hold: true,
-		ReqTRES: slurm.TRES{CPUs: 64, MemMB: 1024}})
-	cl.Ctl.Tick()
-	clk.Advance(10 * time.Minute)
-	cl.Ctl.Tick()
-	out, err := runSacct(cl, []string{"-P", "-n", "-X", "-a", "--format", sacctQueryFields})
-	if err != nil {
-		f.Fatal(err)
-	}
+	out := emulatorSacct(f)
 	f.Add(out, "job", "/home/alice", uint16(2), uint32(60), uint8(4), uint8(0), false)
 	for i, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		f.Add(line, fmt.Sprintf("job-%d", i), "", uint16(i), uint32(i*90), uint8(i), uint8(i%3), i%2 == 0)
@@ -201,6 +187,109 @@ func FuzzParseSacctOutput(f *testing.F) {
 		}
 		if hasUtil := j.AllocTRES.GPUs > 0 && !j.StartTime.IsZero(); hasUtil != (r.GPUUtilPercent >= 0) {
 			t.Fatalf("GPU utilization %v for %d GPUs", r.GPUUtilPercent, j.AllocTRES.GPUs)
+		}
+	})
+}
+
+// emulatorSacct returns the emulator's sacct output, in the typed client's
+// format, for pending, running, finished, array and GPU jobs.
+func emulatorSacct(f *testing.F) string {
+	_, cl, clk := newTestRunner(f)
+	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 2, MemMB: 2048}, Profile: slurm.UsageProfile{ActualDuration: time.Minute}})
+	mustSubmit(f, cl, slurm.SubmitRequest{Name: "long run", User: "carol", Account: "lab-b", Partition: "gpu",
+		ReqTRES: slurm.TRES{CPUs: 4, MemMB: 8192, GPUs: 1}, InteractiveApp: "jupyter", SessionID: "s-1",
+		Profile: slurm.UsageProfile{ActualDuration: 5 * time.Hour, GPUUtilization: 0.42}})
+	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu", ArraySize: 3,
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}, Profile: slurm.UsageProfile{ActualDuration: 2 * time.Minute}})
+	mustSubmit(f, cl, slurm.SubmitRequest{User: "alice", Account: "lab-a", Partition: "cpu", Hold: true,
+		ReqTRES: slurm.TRES{CPUs: 64, MemMB: 1024}})
+	cl.Ctl.Tick()
+	clk.Advance(10 * time.Minute)
+	cl.Ctl.Tick()
+	out, err := runSacct(cl, []string{"-P", "-n", "-X", "-a", "--format", sacctQueryFields})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return out
+}
+
+// addEmulatorFields seeds f with every value the emulator's sacct output
+// holds in the named fields, each with extra.
+func addEmulatorFields(f *testing.F, extra int64, names ...string) {
+	fields := strings.Split(sacctQueryFields, ",")
+	for _, line := range strings.Split(strings.TrimSpace(emulatorSacct(f)), "\n") {
+		values := strings.Split(line, "|")
+		for i, field := range fields {
+			if slices.Contains(names, field) {
+				f.Add(values[i], extra)
+			}
+		}
+	}
+}
+
+// FuzzParseDuration: ParseDuration never panics, accepts no negative
+// duration, and parses every string FormatDuration emits back to the
+// whole seconds of its (clamped) input. Seeds are the emulator's Elapsed,
+// Timelimit and TotalCPU fields and the wrapping inputs the parser used
+// to accept.
+func FuzzParseDuration(f *testing.F) {
+	addEmulatorFields(f, int64(90*time.Minute), "Elapsed", "Timelimit", "TotalCPU")
+	for _, s := range []string{"1-00:-5:00", "1--1:00:00", "106751991167-00:00:00", "UNLIMITED", "05:30"} {
+		f.Add(s, int64(math.MaxInt64))
+	}
+	f.Fuzz(func(t *testing.T, s string, ns int64) {
+		if d, err := ParseDuration(s); err == nil && d < 0 {
+			t.Fatalf("ParseDuration(%q) = %v, negative", s, d)
+		}
+		in := time.Duration(ns)
+		out := FormatDuration(in)
+		got, err := ParseDuration(out)
+		if want := max(in, 0).Truncate(time.Second); err != nil || got != want {
+			t.Fatalf("ParseDuration(FormatDuration(%d)) = ParseDuration(%q) = %v, %v; want %v", ns, out, got, err, want)
+		}
+	})
+}
+
+// FuzzParseMem: ParseMem never panics, accepts no negative size, and
+// parses every string FormatMem emits for a size of 0 or more back to it.
+// Seeds are the emulator's ReqMem fields and the wrapping inputs the parser
+// used to accept.
+func FuzzParseMem(f *testing.F) {
+	addEmulatorFields(f, 16*1024, "ReqMem")
+	for _, s := range []string{"-5M", "-1.5G", "9223372036854775807G", "9007199254740993T", "1.50G"} {
+		f.Add(s, int64(math.MaxInt64))
+	}
+	f.Fuzz(func(t *testing.T, s string, mb int64) {
+		if v, err := ParseMem(s); err == nil && v < 0 {
+			t.Fatalf("ParseMem(%q) = %d, negative", s, v)
+		}
+		if mb < 0 {
+			return
+		}
+		out := FormatMem(mb)
+		if got, err := ParseMem(out); err != nil || got != mb {
+			t.Fatalf("ParseMem(FormatMem(%d)) = ParseMem(%q) = %d, %v", mb, out, got, err)
+		}
+	})
+}
+
+// FuzzParseTime: ParseTime never panics, returns only UTC instants, and
+// parses every string FormatTime emits for a whole second in the years 1
+// to 9999 back to it ("Unknown" for the zero time). Seeds are the
+// emulator's Submit, Start and End fields.
+func FuzzParseTime(f *testing.F) {
+	addEmulatorFields(f, time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC).Unix(), "Submit", "Start", "End")
+	first := time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	span := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix() - first
+	f.Fuzz(func(t *testing.T, s string, secs int64) {
+		if got, err := ParseTime(s); err == nil && got.Location() != time.UTC {
+			t.Fatalf("ParseTime(%q) = %v, not UTC", s, got)
+		}
+		in := time.Unix(first+(secs%span+span)%span, 0).UTC()
+		out := FormatTime(in)
+		if got, err := ParseTime(out); err != nil || !got.Equal(in) {
+			t.Fatalf("ParseTime(FormatTime(%v)) = ParseTime(%q) = %v, %v", in, out, got, err)
 		}
 	})
 }

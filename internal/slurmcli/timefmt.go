@@ -1,7 +1,9 @@
 package slurmcli
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -62,43 +64,63 @@ func appendDuration(b []byte, d time.Duration) []byte {
 	return b
 }
 
+// maxDurationSecs is the longest time.Duration in whole seconds.
+const maxDurationSecs = math.MaxInt64 / int64(time.Second)
+
 // ParseDuration is the inverse of FormatDuration. It also accepts Slurm's
-// MM:SS short form and "UNLIMITED"/"INVALID" (both parse to zero).
+// MM:SS short form and "UNLIMITED"/"INVALID" (both parse to zero). A
+// negative field, or a total past the longest time.Duration, is an error.
 func ParseDuration(s string) (time.Duration, error) {
 	switch s {
 	case "", "UNLIMITED", "INVALID", "Partition_Limit", "NOT_SET":
 		return 0, nil
 	}
-	days := int64(0)
-	if d, rest, ok := strings.Cut(s, "-"); ok {
-		n, err := strconv.ParseInt(d, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("slurmcli: bad duration %q: %v", s, err)
-		}
-		days = n
-		s = rest
-	}
-	parts := strings.Split(s, ":")
-	var h, m, sec int64
-	var err error
-	switch len(parts) {
-	case 3:
-		if h, err = strconv.ParseInt(parts[0], 10, 64); err == nil {
-			if m, err = strconv.ParseInt(parts[1], 10, 64); err == nil {
-				sec, err = strconv.ParseInt(parts[2], 10, 64)
-			}
-		}
-	case 2:
-		if m, err = strconv.ParseInt(parts[0], 10, 64); err == nil {
-			sec, err = strconv.ParseInt(parts[1], 10, 64)
-		}
-	default:
-		return 0, fmt.Errorf("slurmcli: bad duration %q", s)
-	}
-	if err != nil {
+	bad := func(err error) (time.Duration, error) {
 		return 0, fmt.Errorf("slurmcli: bad duration %q: %v", s, err)
 	}
-	return time.Duration(days*86400+h*3600+m*60+sec) * time.Second, nil
+	var total int64
+	rest := s
+	if d, r, ok := strings.Cut(rest, "-"); ok {
+		n, err := durationField(d)
+		if err != nil {
+			return bad(err)
+		}
+		total, rest = n*86400, r
+	}
+	var parts [3]string
+	n := splitInto(rest, ':', parts[:])
+	if n < 2 || n > 3 {
+		return 0, fmt.Errorf("slurmcli: bad duration %q", s)
+	}
+	// Each field is at most maxDurationSecs, so no product or sum below
+	// overflows before the total is checked.
+	units := [3]int64{3600, 60, 1}
+	for i, p := range parts[:n] {
+		v, err := durationField(p)
+		if err != nil {
+			return bad(err)
+		}
+		total += v * units[3-n+i]
+	}
+	if total > maxDurationSecs {
+		return bad(errors.New("exceeds the longest duration"))
+	}
+	return time.Duration(total) * time.Second, nil
+}
+
+// durationField parses one field of a duration: a decimal from 0 to
+// maxDurationSecs.
+func durationField(f string) (int64, error) {
+	n, err := strconv.ParseInt(f, 10, 64)
+	switch {
+	case err != nil:
+		return 0, err
+	case n < 0:
+		return 0, fmt.Errorf("negative field %q", f)
+	case n > maxDurationSecs:
+		return 0, fmt.Errorf("field %q exceeds the longest duration", f)
+	}
+	return n, nil
 }
 
 // FormatMem renders a memory size in MiB the way Slurm prints ReqMem, using
@@ -113,11 +135,13 @@ func appendMem(b []byte, mb int64) []byte {
 	return append(strconv.AppendInt(b, mb, 10), 'M')
 }
 
-// ParseMem parses "8000M" / "16G" / bare MiB counts.
+// ParseMem parses "8000M" / "16G" / bare MiB counts. A negative size, or
+// one past the largest int64 MiB count, is an error.
 func ParseMem(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
 	}
+	in := s
 	mult := int64(1)
 	switch s[len(s)-1] {
 	case 'M', 'm':
@@ -132,14 +156,24 @@ func ParseMem(s string) (int64, error) {
 	// Slurm sometimes prints fractional gigabytes (e.g. "1.50G").
 	if strings.Contains(s, ".") {
 		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("slurmcli: bad memory %q: %v", s, err)
+		switch {
+		case err != nil:
+			return 0, fmt.Errorf("slurmcli: bad memory %q: %v", in, err)
+		case f < 0:
+			return 0, fmt.Errorf("slurmcli: bad memory %q: negative size", in)
+		case f*float64(mult) >= 0x1p63:
+			return 0, fmt.Errorf("slurmcli: bad memory %q: size out of range", in)
 		}
 		return int64(f * float64(mult)), nil
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("slurmcli: bad memory %q: %v", s, err)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("slurmcli: bad memory %q: %v", in, err)
+	case n < 0:
+		return 0, fmt.Errorf("slurmcli: bad memory %q: negative size", in)
+	case n > math.MaxInt64/mult:
+		return 0, fmt.Errorf("slurmcli: bad memory %q: size out of range", in)
 	}
 	return n * mult, nil
 }

@@ -1,7 +1,9 @@
 package slurmcli
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,5 +123,37 @@ func TestFormatParseMem(t *testing.T) {
 	}
 	if got, err := ParseMem(""); err != nil || got != 0 {
 		t.Errorf("ParseMem(\"\") = %d, %v", got, err)
+	}
+}
+
+// TestParseRejectsNegativeAndOverflow: a negative field or size, and a
+// value past the longest time.Duration or the largest int64 MiB count, is
+// an error naming the input, not a wrapped or negative value.
+func TestParseRejectsNegativeAndOverflow(t *testing.T) {
+	for _, in := range []string{
+		"1-00:-5:00", "1--1:00:00", "-1-00:00:00", "00:00:-1", "-5:00",
+		"106751991167-00:00:00", "00:00:9223372037", "106751-23:47:17",
+	} {
+		if d, err := ParseDuration(in); err == nil || !strings.Contains(err.Error(), in) {
+			t.Errorf("ParseDuration(%q) = %v, %v; want an error naming the input", in, d, err)
+		}
+	}
+	// The longest duration Slurm's format can carry still parses.
+	if d, err := ParseDuration("106751-23:47:16"); err != nil || d != 9223372036*time.Second {
+		t.Errorf("ParseDuration(106751-23:47:16) = %v, %v", d, err)
+	}
+	for _, in := range []string{
+		"-5M", "-1.5G", "-0.5", "9223372036854775807G", "9007199254740993T",
+		"9223372036854775808", "9007199254740992.5G",
+	} {
+		if mb, err := ParseMem(in); err == nil || !strings.Contains(err.Error(), in) {
+			t.Errorf("ParseMem(%q) = %d, %v; want an error naming the input", in, mb, err)
+		}
+	}
+	if mb, err := ParseMem("9223372036854775807M"); err != nil || mb != math.MaxInt64 {
+		t.Errorf("ParseMem(MaxInt64 M) = %d, %v", mb, err)
+	}
+	if mb, err := ParseMem("8796093022207T"); err != nil || mb != 8796093022207<<20 {
+		t.Errorf("ParseMem(8796093022207T) = %d, %v", mb, err)
 	}
 }
