@@ -112,21 +112,6 @@ func (s *Server) fetchVia(r *http.Request, source, key string, ttl time.Duration
 	return res.Value, fetchMeta{Degraded: res.Degraded, Age: res.Age, rev: res.Rev, ttl: ttl}, nil
 }
 
-// runResilient runs an uncached upstream call through the source's policy —
-// for the few routes that query outside the cache. The request context
-// propagates the trace ID and active span into the resilience layer; op
-// receives the attempt-scoped context.
-func (s *Server) runResilient(r *http.Request, source string, op func(context.Context) (any, error)) (any, error) {
-	v, err := s.res.Do(source, r.Context(), op)
-	oc := s.obsm.fetchOutcome[source]
-	if err != nil {
-		oc.err.Inc()
-	} else {
-		oc.ok.Inc()
-	}
-	return v, err
-}
-
 // isUnavailable reports whether err means the data source could not serve —
 // an injected or simulated outage, a timed-out attempt, or the resilience
 // layer's own wrappers — as opposed to a semantic error like an unknown job.

@@ -234,21 +234,27 @@ func rollupWindow(now time.Time, days, span int64) string {
 // 300,000 synthesized jobs. At each scale 40 cold 180-day reads cycle the
 // four rollup-backed shapes, each window shifted a day further back so no
 // cache key repeats, and five 600-day reads must be byte-identical between
-// the rollup path and the raw-scan ablation. The rollup p95 at 1000x stays
+// the rollup server and a second server whose runner folds raw sacct rows
+// (core.NewRollupFoldRunner). The rollup p95 at 1000x stays
 // within 1.5x of the 1x p95, floored at 5 ms: at 1x the windows are nearly
 // empty and the p95 is fixed per-request overhead, which would turn the
 // ratio into noise.
 func TestRollupP95FlatAcrossHistoryScales(t *testing.T) {
 	cfg := core.Config{}
-	// The raw ablation scans hundreds of thousands of rows per window at
-	// 1000x, past the production 2 s per-attempt timeout.
+	// The fold scans hundreds of thousands of rows per window at 1000x,
+	// past the production 2 s per-attempt timeout.
 	cfg.Resilience.Policy.Timeout = 60 * time.Second
 	env, s := gateServer(t, cfg)
+	fold, err := env.NewServerRunner("", cfg, core.NewRollupFoldRunner(env.Runner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fold.Close)
 	user := env.UserNames[0]
 	now := env.Clock.Now()
 	const baseJobs, requests = 300, 40
 	rec := &nullRecorder{header: make(http.Header)}
-	get := func(path string) []byte {
+	get := func(s *core.Server, path string) []byte {
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, userGet(t, user, path))
 		if w.Code != http.StatusOK {
@@ -290,12 +296,9 @@ func TestRollupP95FlatAcrossHistoryScales(t *testing.T) {
 			"/api/jobperf?" + window,
 			"/api/jobperf/timeseries?" + window + "&bucket=day",
 		} {
-			rolled := get(path)
-			s.SetRollupDisabled(true)
-			raw := get(path)
-			s.SetRollupDisabled(false)
+			rolled, raw := get(s, path), get(fold, path)
 			if string(rolled) != string(raw) {
-				t.Fatalf("%dx: rollup and raw bodies differ for %s\nrollup: %.200s\nraw:    %.200s",
+				t.Fatalf("%dx: rollup and raw fold bodies differ for %s\nrollup: %.200s\nraw:    %.200s",
 					scale, path, rolled, raw)
 			}
 		}

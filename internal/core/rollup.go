@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
 	"ooddash/internal/trace"
@@ -17,9 +17,11 @@ import (
 // year-scale cluster views) read slurmdbd's incremental rollups instead of
 // scanning raw accounting rows, so their cost is O(buckets in the window)
 // regardless of how many jobs the cluster has ever run. This file holds the
-// shared policy: resolution selection, bucket alignment, the cached fetch,
-// and the raw-recompute ablation the golden test and the rollup scaling
-// gate compare against.
+// shared policy: resolution selection, bucket alignment, the cached fetch
+// and the one head the rollup-backed routes share. The rollup≡raw reference
+// the golden test and the rollup scaling gate compare against lives in test
+// code: a Slurm runner double that answers the rollup report by folding raw
+// sacct rows (rollup_fold_test.go).
 
 // maxAutoBuckets caps how many points auto resolution selection will put in
 // a chart; past it the next coarser resolution takes over. maxExplicitBuckets
@@ -54,13 +56,14 @@ var rollupResolutions = []struct {
 	{slurm.RollupDay, "day", slurm.RollupDayRetention},
 }
 
+// resolutionName names a bucket width; an empty series (no window) has none.
 func resolutionName(res int64) string {
 	for _, r := range rollupResolutions {
 		if r.secs == res {
 			return r.name
 		}
 	}
-	return strconv.FormatInt(res, 10)
+	return ""
 }
 
 // pickResolution chooses the bucket width for a window. bucket "" selects
@@ -123,11 +126,57 @@ type rollupSeries struct {
 	PartialEnd   bool
 }
 
-// fetchRollup is the cached read every rollup-backed widget goes through.
-// The window is aligned outward to whole buckets before it becomes the
-// cache key, so requests that differ only inside one bucket share an entry.
-// With the ablation on (SetRollupDisabled) the same window is recomputed
-// from raw accounting rows under a ":raw"-suffixed key.
+// serveRollup is the head every rollup-backed route shares. It parses the
+// range (def when the request names none), evaluates the window on the
+// data clock, anchors range=all at the scope's earliest terminal end,
+// fetches the window and serves shape's body through the rendered layer.
+// The route keeps only its own parameters (q's series and bucket) and its
+// shape. A scope with no terminal job has no window to fetch: shape then
+// gets the zero start and an empty series, and what it builds from them
+// is the route's empty-history body.
+func (s *Server) serveRollup(w http.ResponseWriter, r *http.Request, user *auth.User, def string, q rollupQuery, shape func(start, end time.Time, sr rollupSeries) any) {
+	tr, err := parseTimeRangeDefault(r, def)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	q.start, q.end = tr.window(s.clock.Now())
+	var (
+		meta fetchMeta
+		sr   rollupSeries
+	)
+	if q.start.IsZero() {
+		// The bounds are a cached fill like any other: every all view of
+		// the series within one TTL shares one slurmdbd call, and a warm
+		// one serves stale through an outage.
+		v, bm, err := s.fetchVia(r, srcDBD, "rollup-bounds:"+q.scope+":"+q.name, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
+			return s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{Scope: q.scope, Name: q.name, Op: "bounds"})
+		})
+		if err != nil {
+			writeFetchError(w, err)
+			return
+		}
+		meta = bm
+		if b := v.(slurmcli.RollupResult); b.HasBounds {
+			q.start = time.Unix(b.MinEnd, 0).UTC()
+		}
+	}
+	if !q.start.IsZero() {
+		var sm fetchMeta
+		if sr, sm, err = s.fetchRollup(r, q); err != nil {
+			writeFetchError(w, err)
+			return
+		}
+		meta.absorb(sm)
+	}
+	s.serveRendered(w, r, meta, user, func() (any, error) {
+		return shape(q.start, q.end, sr), nil
+	})
+}
+
+// fetchRollup is the cached read of one window. The window is aligned
+// outward to whole buckets before it becomes the cache key, so requests
+// that differ only inside one bucket share an entry.
 func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetchMeta, error) {
 	now := s.clock.Now()
 	res, selection, err := pickResolution(now, q.start, q.end, q.bucket)
@@ -137,26 +186,16 @@ func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetc
 	s.obsm.rollupQueries.With(resolutionName(res), selection).Inc()
 	alignedStart := alignDown(q.start.Unix(), res)
 	alignedEnd := alignUp(q.end.Unix(), res)
-	raw := s.rollupOff.Load()
 	key := "rollup:" + q.scope + ":" + q.name + ":" +
 		strconv.FormatInt(alignedStart, 10) + ":" + strconv.FormatInt(alignedEnd, 10) + ":" +
 		strconv.FormatInt(res, 10)
-	if raw {
-		key += ":raw"
-	}
 	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
 		var sp *trace.Span
 		if trace.SpanFromContext(ctx) != nil {
 			ctx, sp = trace.StartSpan(ctx, "rollup.query")
 			sp.SetAttr("scope", q.scope)
 			sp.SetAttr("resolution", resolutionName(res))
-			if raw {
-				sp.SetAttr("ablation", "raw")
-			}
 			defer sp.End()
-		}
-		if raw {
-			return s.rawRollupRows(ctx, q.scope, q.name, alignedStart, alignedEnd, res)
 		}
 		result, err := s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{
 			Scope: q.scope, Name: q.name,
@@ -170,13 +209,6 @@ func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetc
 	if err != nil {
 		return rollupSeries{}, fetchMeta{}, err
 	}
-	if raw {
-		// The ablated recompute must not ride the rendered cache: its render
-		// key equals the rollup path's and cache revs can collide across
-		// entries, so materialized rollup bytes could answer a raw request.
-		// rev 0 forces encode-per-request — the bytes are identical either way.
-		meta.rev = 0
-	}
 	rows, _ := v.([]slurm.RollupRow)
 	return rollupSeries{
 		Rows: rows, Res: res,
@@ -185,135 +217,3 @@ func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetc
 		PartialEnd:   q.end.Unix() != alignedEnd,
 	}, meta, nil
 }
-
-// rollupBounds anchors "all history" ranges at the earliest/latest terminal
-// end times the accounting store has seen. Uncached, like the old Sacct
-// anchor, so the call still rides the slurmdbd policy. Under the ablation
-// the bounds are recomputed by scanning accounting, keeping the two paths
-// byte-identical end to end.
-func (s *Server) rollupBounds(r *http.Request, scope, name string) (minEnd, maxEnd int64, ok bool, err error) {
-	if s.rollupOff.Load() {
-		v, rerr := s.runResilient(r, srcDBD, func(ctx context.Context) (any, error) {
-			return s.dbdBk.Sacct(ctx, sacctScopeOptions(scope, name, time.Time{}, time.Time{}))
-		})
-		if rerr != nil {
-			return 0, 0, false, rerr
-		}
-		rows := v.([]slurmcli.SacctRow)
-		for i := range rows {
-			row := &rows[i]
-			if !row.State.Terminal() || row.EndTime.IsZero() {
-				continue
-			}
-			endSec := row.EndTime.Unix()
-			if !ok || endSec < minEnd {
-				minEnd = endSec
-			}
-			if !ok || endSec > maxEnd {
-				maxEnd = endSec
-			}
-			ok = true
-		}
-		return minEnd, maxEnd, ok, nil
-	}
-	v, rerr := s.runResilient(r, srcDBD, func(ctx context.Context) (any, error) {
-		return s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{Scope: scope, Name: name, Op: "bounds"})
-	})
-	if rerr != nil {
-		return 0, 0, false, rerr
-	}
-	result := v.(slurmcli.RollupResult)
-	return result.MinEnd, result.MaxEnd, result.HasBounds, nil
-}
-
-// sacctScopeOptions maps a rollup scope onto the accounting query covering
-// it. sacct's -S/-E select anything overlapping the window — a superset of
-// "ended inside it" — so the fold filters by end time afterwards.
-func sacctScopeOptions(scope, name string, start, end time.Time) slurmcli.SacctOptions {
-	opts := slurmcli.SacctOptions{Start: start, End: end, AllUsers: true}
-	switch scope {
-	case slurm.RollupScopeUser:
-		if name != "" {
-			opts.User, opts.AllUsers = name, false
-		}
-	case slurm.RollupScopeAccount:
-		if name != "" {
-			opts.Accounts = []string{name}
-		}
-	case slurm.RollupScopePartition:
-		opts.Partition = name
-	}
-	return opts
-}
-
-// rawRollupRows recomputes a rollup window from raw accounting rows — the
-// O(jobs) scan the pipeline replaces, kept as the golden reference: the
-// equivalence test and the rollup scaling gate flip SetRollupDisabled and
-// assert byte-identical responses. The fold feeds AddSample the same
-// wire-truncated inputs the daemon's ingest derives from the job record, so
-// the sums match bit for bit.
-func (s *Server) rawRollupRows(ctx context.Context, scope, name string, startSec, endSec, res int64) ([]slurm.RollupRow, error) {
-	opts := sacctScopeOptions(scope, name, time.Unix(startSec, 0).UTC(), time.Unix(endSec, 0).UTC())
-	rows, err := s.dbdBk.Sacct(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	type cell struct {
-		bucket int64
-		name   string
-	}
-	agg := make(map[cell]*slurm.RollupAgg)
-	for i := range rows {
-		row := &rows[i]
-		if !row.State.Terminal() || row.EndTime.IsZero() {
-			continue
-		}
-		endT := row.EndTime.Unix()
-		if endT < startSec || endT >= endSec {
-			continue
-		}
-		series := ""
-		switch scope {
-		case slurm.RollupScopeUser:
-			series = row.User
-		case slurm.RollupScopeAccount:
-			series = row.Account
-		case slurm.RollupScopePartition:
-			series = row.Partition
-		}
-		c := cell{alignDown(endT, res), series}
-		a := agg[c]
-		if a == nil {
-			a = &slurm.RollupAgg{}
-			agg[c] = a
-		}
-		started := !row.StartTime.IsZero()
-		var waitSec int64
-		if started {
-			waitSec = row.StartTime.Unix() - row.SubmitTime.Unix()
-		}
-		a.AddSample(row.State, started,
-			int64(row.Elapsed/time.Second), int64(row.TimeLimit/time.Second),
-			int64(row.TotalCPU/time.Second), waitSec,
-			row.AllocCPUs, row.AllocTRES.GPUs,
-			row.MaxRSSMB, row.ReqMemMB, row.GPUUtilPercent)
-	}
-	out := make([]slurm.RollupRow, 0, len(agg))
-	for c, a := range agg {
-		out = append(out, slurm.RollupRow{BucketStart: c.bucket, Scope: scope, Name: c.name, RollupAgg: *a})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].BucketStart != out[j].BucketStart {
-			return out[i].BucketStart < out[j].BucketStart
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out, nil
-}
-
-// SetRollupDisabled toggles the raw-recompute ablation: when true, every
-// rollup-backed widget recomputes its window by scanning raw accounting
-// rows instead of reading the pre-aggregated buckets. The rollup scaling
-// gate flips this to check that responses stay byte-identical across the
-// toggle.
-func (s *Server) SetRollupDisabled(off bool) { s.rollupOff.Store(off) }

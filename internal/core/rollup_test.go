@@ -2,51 +2,86 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"net/http"
+	"net/url"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"ooddash/internal/slurm"
+	"ooddash/internal/slurmcli"
 	"ooddash/internal/trace"
 )
 
-// TestRollupGoldenEquivalence is the ablation contract: every rollup-backed
-// route serves byte-identical JSON whether the window comes from the
-// incremental store or is recomputed by scanning raw accounting rows
-// (SetRollupDisabled). Any drift here means the ingest fold and the raw
-// fold disagree on some job.
-func TestRollupGoldenEquivalence(t *testing.T) {
-	e := newEnv(t)
-	seedMixedHistory(e)
-	paths := []struct{ user, path string }{
-		{"alice", "/api/jobperf/timeseries?range=24h&bucket=hour"},
-		{"alice", "/api/jobperf/timeseries?range=24h"},
-		{"alice", "/api/jobperf/timeseries?range=7d"},
-		{"alice", "/api/jobperf/timeseries?range=all"},
-		{"bob", "/api/jobperf/timeseries?range=custom&from=2026-07-01T08:30:00Z&to=2026-07-01T10:30:00Z&bucket=hour"},
-		{"alice", "/api/jobperf?range=24h"},
-		{"bob", "/api/jobperf?range=all"},
-		{"carol", "/api/jobperf?range=all"}, // no history: both paths agree on the empty shape
-		{"alice", "/api/usage/cluster?range=7d"},
-		{"alice", "/api/usage/cluster?range=1y"},
-		{"alice", "/api/usage/accounts?range=90d"},
-		{"alice", "/api/usage/efficiency?range=30d"},
+// boundsCounter counts the rollup bounds reads (sreport ... op=bounds) that
+// reach the runner it wraps.
+type boundsCounter struct {
+	inner slurmcli.Runner
+	n     atomic.Int64
+}
+
+func (c *boundsCounter) Run(name string, args ...string) (string, error) {
+	if name == "sreport" && slices.Contains(args, "op=bounds") {
+		c.n.Add(1)
 	}
-	for _, p := range paths {
-		e.server.SetRollupDisabled(false)
-		status, rolled := e.get(p.user, p.path)
-		if status != 200 {
-			t.Errorf("%s: rollup status %d: %s", p.path, status, rolled)
-			continue
+	return c.inner.Run(name, args...)
+}
+
+// TestRollupAllViewsShareCachedBounds: range=all anchors at the scope's
+// earliest terminal end, read as a cached fill like any other. Five rounds
+// of all views within one TTL cost one bounds read per scope and series,
+// and once warm the views serve stale through a slurmdbd outage past the
+// TTL instead of answering 503.
+func TestRollupAllViewsShareCachedBounds(t *testing.T) {
+	counter := &boundsCounter{}
+	e := newEnvWith(t, nil, func(r slurmcli.Runner) slurmcli.Runner {
+		counter.inner = r
+		return counter
+	})
+	seedMixedHistory(e)
+	// A record from 300 days ago: every all window then spans day buckets,
+	// whose cache keys hold for the rest of the day, so only the bounds
+	// read decides whether a warm view survives the outage.
+	end := e.clock.Now().Add(-300 * 24 * time.Hour)
+	tres := slurm.TRES{CPUs: 2, MemMB: 2048, Nodes: 1}
+	e.cluster.DBD.Backfill([]*slurm.Job{{
+		ID: 1 << 30, Name: "old", User: "alice", Account: "lab-a", Partition: "cpu", QOS: "normal",
+		State: slurm.StateCompleted, SubmitTime: end.Add(-2 * time.Hour), StartTime: end.Add(-time.Hour),
+		EndTime: end, TimeLimit: 2 * time.Hour, ReqTRES: tres, AllocTRES: tres,
+	}})
+	e.cluster.DBD.AdvanceRollups(e.clock.Now())
+
+	views := []struct{ user, path string }{
+		{"alice", "/api/jobperf?range=all"},
+		{"alice", "/api/jobperf/timeseries?range=all"},
+		{"alice", "/api/usage/cluster?range=all"},
+		{"bob", "/api/usage/efficiency?range=all"},
+	}
+	for round := 0; round < 5; round++ {
+		for _, v := range views {
+			e.wantStatus(v.user, v.path, 200)
 		}
-		e.server.SetRollupDisabled(true)
-		status, raw := e.get(p.user, p.path)
-		e.server.SetRollupDisabled(false)
+	}
+	// alice's user series and the total scope: one read each.
+	if got := counter.n.Load(); got != 2 {
+		t.Fatalf("%d all views issued %d bounds reads, want 2", 5*len(views), got)
+	}
+
+	e.cluster.DBD.SetHealth(slurm.HealthDown, "maintenance")
+	e.advance(3 * time.Minute)
+	for _, v := range views {
+		status, header, body := e.getFull(v.user, v.path)
 		if status != 200 {
-			t.Errorf("%s: raw status %d: %s", p.path, status, raw)
-			continue
+			t.Fatalf("%s during the outage: status %d: %s", v.path, status, body)
 		}
-		if !bytes.Equal(rolled, raw) {
-			t.Errorf("%s: rollup and raw recompute differ\nrollup: %s\nraw:    %s",
-				p.path, rolled, raw)
+		if got := header.Get("X-OODDash-Degraded"); got != "stale" {
+			t.Fatalf("%s: X-OODDash-Degraded = %q, want stale", v.path, got)
+		}
+		if !bytes.Contains(body, []byte(`"age_seconds":180`)) {
+			t.Fatalf("%s: body lacks the fill's age: %s", v.path, body)
 		}
 	}
 }
@@ -196,4 +231,60 @@ func TestRollupQueryTraceSpan(t *testing.T) {
 	if sp.Attrs["scope"] != "user" || sp.Attrs["resolution"] != "hour" {
 		t.Errorf("rollup.query attrs = %v, want scope=user resolution=hour", sp.Attrs)
 	}
+}
+
+// FuzzPickResolution: for every window a request can produce (a
+// FuzzParseTimeRange-style query, range=all anchored at a fuzzed earliest
+// end up to ten years back) and any bucket value, pickResolution never
+// panics and fails only as a bad request, and auto selection never fails.
+// An explicit pick is the named level, spans at most maxExplicitBuckets
+// buckets and starts inside that level's retention; an auto pick finer than
+// a day fits maxAutoBuckets and its level's retention.
+func FuzzPickResolution(f *testing.F) {
+	for _, query := range []string{
+		"", "range=24h", "range=7d", "range=30d", "range=90d", "range=1y", "range=all",
+		"range=custom&from=2026-07-01T05:17:33Z&to=2026-07-01T07:59:01Z",
+		"range=custom&from=2026-06-28T08:00:00Z&to=2026-06-28T09:00:00Z",
+		"range=custom&from=2024-01-01T00:00:00Z&to=2026-07-01T08:00:00Z",
+		"range=custom&from=2026-07-01T09:00:00Z&to=2026-07-03T00:00:01Z",
+	} {
+		for _, bucket := range []string{"", "minute", "hour", "day", "fortnight"} {
+			f.Add(query, bucket, int64(400*86400))
+		}
+	}
+	now := time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, query, bucket string, firstAgo int64) {
+		tr, err := parseTimeRange(&http.Request{URL: &url.URL{RawQuery: query}})
+		if err != nil {
+			return // FuzzParseTimeRange covers the parse
+		}
+		start, end := tr.window(now)
+		if start.IsZero() {
+			start = now.Add(-time.Duration(1+uint64(firstAgo)%(10*365*86400)) * time.Second)
+		}
+		res, selection, err := pickResolution(now, start, end, bucket)
+		if err != nil {
+			if !errors.Is(err, errBadRequest) || bucket == "" {
+				t.Fatalf("%q bucket %q: %v", query, bucket, err)
+			}
+			return
+		}
+		n := (alignUp(end.Unix(), res) - alignDown(start.Unix(), res)) / res
+		retained := false
+		for _, level := range rollupResolutions {
+			if level.secs == res {
+				retained = alignDown(start.Unix(), res) >= now.Unix()-level.retention
+			}
+		}
+		switch {
+		case bucket != "":
+			if selection != "explicit" || resolutionName(res) != bucket || n > maxExplicitBuckets || !retained {
+				t.Fatalf("%q bucket %q: picked %s (%s) over %d buckets, retained %v", query, bucket, resolutionName(res), selection, n, retained)
+			}
+		case selection != "auto":
+			t.Fatalf("%q: auto pick selected %q", query, selection)
+		case res < slurm.RollupDay && (n > maxAutoBuckets || !retained):
+			t.Fatalf("%q: auto picked %s over %d buckets, retained %v", query, resolutionName(res), n, retained)
+		}
+	})
 }

@@ -931,38 +931,14 @@ type JobPerfResponse struct {
 	AvgMemoryEfficiency float64 `json:"avg_memory_efficiency"`
 }
 
+// handleJobPerf serves /api/jobperf?range= — the user's own terminal jobs,
+// summed from the rollup pipeline over the bucket-aligned window. Queued and
+// running work has no end time yet and so no bucket; the queue views cover
+// it.
 func (s *Server) handleJobPerf(w http.ResponseWriter, r *http.Request, user *auth.User) {
-	tr, err := parseTimeRange(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	start, end := tr.window(s.clock.Now())
-	// Job Performance Metrics covers the user's own terminal jobs, summed
-	// from the rollup pipeline over the bucket-aligned window. Queued and
-	// running work has no end time yet and so no bucket; the queue views
-	// cover it.
-	if start.IsZero() {
-		minEnd, _, ok, berr := s.rollupBounds(r, slurm.RollupScopeUser, user.Name)
-		if berr != nil {
-			writeFetchError(w, berr)
-			return
-		}
-		if !ok {
-			writeJSON(w, http.StatusOK, JobPerfResponse{RangeStart: start, RangeEnd: end})
-			return
-		}
-		start = time.Unix(minEnd, 0).UTC()
-	}
-	series, meta, err := s.fetchRollup(r, rollupQuery{
-		scope: slurm.RollupScopeUser, name: user.Name, start: start, end: end,
-	})
-	if err != nil {
-		writeFetchError(w, err)
-		return
-	}
-	s.serveRendered(w, r, meta, user, func() (any, error) {
-		return aggregateJobPerf(start, end, series), nil
+	q := rollupQuery{scope: slurm.RollupScopeUser, name: user.Name}
+	s.serveRollup(w, r, user, "7d", q, func(start, end time.Time, sr rollupSeries) any {
+		return aggregateJobPerf(start, end, sr)
 	})
 }
 

@@ -22,6 +22,26 @@ type TimeBucket struct {
 	WallHours float64   `json:"wall_hours"`
 }
 
+// timeBuckets shapes a window's rows into chart points: the jobs and
+// consumption that ended in each bucket. Buckets are sparse — only buckets
+// with activity appear — and arrive ordered by start time.
+func timeBuckets(rows []slurm.RollupRow) []TimeBucket {
+	var out []TimeBucket
+	for i := range rows {
+		row := &rows[i]
+		out = append(out, TimeBucket{
+			Start:     time.Unix(row.BucketStart, 0).UTC(),
+			Jobs:      int(row.Jobs),
+			Completed: int(row.Completed),
+			Failed:    int(row.Failed),
+			CPUHours:  float64(row.CPUSec) / 3600,
+			GPUHours:  float64(row.GPUSec) / 3600,
+			WallHours: float64(row.WallSec) / 3600,
+		})
+	}
+	return out
+}
+
 // TimeseriesResponse is the jobperf chart payload: bucketed usage over the
 // selected range, the data behind a Chart.js line/bar chart. Resolution
 // names the bucket width actually served (auto selection may differ from
@@ -42,60 +62,14 @@ type TimeseriesResponse struct {
 // Job Performance Metrics app. The series reads slurmdbd's incremental
 // rollups, so cost is O(buckets in the window), not O(jobs in accounting).
 func (s *Server) handleJobPerfTimeseries(w http.ResponseWriter, r *http.Request, user *auth.User) {
-	tr, err := parseTimeRange(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	start, end := tr.window(s.clock.Now())
-	if start.IsZero() {
-		// "all" range: anchor at the earliest terminal record rather than
-		// the epoch.
-		minEnd, _, ok, err := s.rollupBounds(r, slurm.RollupScopeUser, user.Name)
-		if err != nil {
-			writeFetchError(w, err)
-			return
+	q := rollupQuery{scope: slurm.RollupScopeUser, name: user.Name, bucket: r.URL.Query().Get("bucket")}
+	s.serveRollup(w, r, user, "7d", q, func(_, _ time.Time, sr rollupSeries) any {
+		return &TimeseriesResponse{
+			User: user.Name, BucketSecs: sr.Res, Resolution: resolutionName(sr.Res),
+			PartialStart: sr.PartialStart, PartialEnd: sr.PartialEnd,
+			Buckets: timeBuckets(sr.Rows),
 		}
-		if !ok {
-			writeJSON(w, http.StatusOK, TimeseriesResponse{User: user.Name})
-			return
-		}
-		start = time.Unix(minEnd, 0).UTC()
-	}
-	series, meta, err := s.fetchRollup(r, rollupQuery{
-		scope: slurm.RollupScopeUser, name: user.Name,
-		start: start, end: end, bucket: r.URL.Query().Get("bucket"),
 	})
-	if err != nil {
-		writeFetchError(w, err)
-		return
-	}
-	s.serveRendered(w, r, meta, user, func() (any, error) {
-		return buildTimeseries(user.Name, series), nil
-	})
-}
-
-// buildTimeseries shapes a rollup window into the chart payload. Buckets
-// are sparse — only buckets with activity appear — and arrive ordered by
-// start time.
-func buildTimeseries(user string, sr rollupSeries) *TimeseriesResponse {
-	resp := &TimeseriesResponse{
-		User: user, BucketSecs: sr.Res, Resolution: resolutionName(sr.Res),
-		PartialStart: sr.PartialStart, PartialEnd: sr.PartialEnd,
-	}
-	for i := range sr.Rows {
-		row := &sr.Rows[i]
-		resp.Buckets = append(resp.Buckets, TimeBucket{
-			Start:     time.Unix(row.BucketStart, 0).UTC(),
-			Jobs:      int(row.Jobs),
-			Completed: int(row.Completed),
-			Failed:    int(row.Failed),
-			CPUHours:  float64(row.CPUSec) / 3600,
-			GPUHours:  float64(row.GPUSec) / 3600,
-			WallHours: float64(row.WallSec) / 3600,
-		})
-	}
-	return resp
 }
 
 // --- Admin health / observability -------------------------------------------------

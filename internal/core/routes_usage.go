@@ -32,50 +32,13 @@ type ClusterUsageResponse struct {
 // handleUsageCluster serves /api/usage/cluster?range=&bucket= — total
 // cluster consumption over time (default range 1y).
 func (s *Server) handleUsageCluster(w http.ResponseWriter, r *http.Request, user *auth.User) {
-	tr, err := parseTimeRangeDefault(r, "1y")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	start, end := tr.window(s.clock.Now())
-	if start.IsZero() {
-		minEnd, _, ok, berr := s.rollupBounds(r, slurm.RollupScopeTotal, "")
-		if berr != nil {
-			writeFetchError(w, berr)
-			return
+	q := rollupQuery{scope: slurm.RollupScopeTotal, bucket: r.URL.Query().Get("bucket")}
+	s.serveRollup(w, r, user, "1y", q, func(_, _ time.Time, sr rollupSeries) any {
+		return &ClusterUsageResponse{
+			BucketSecs: sr.Res, Resolution: resolutionName(sr.Res),
+			PartialStart: sr.PartialStart, PartialEnd: sr.PartialEnd,
+			Buckets: timeBuckets(sr.Rows),
 		}
-		if !ok {
-			writeJSON(w, http.StatusOK, ClusterUsageResponse{})
-			return
-		}
-		start = time.Unix(minEnd, 0).UTC()
-	}
-	series, meta, err := s.fetchRollup(r, rollupQuery{
-		scope: slurm.RollupScopeTotal,
-		start: start, end: end, bucket: r.URL.Query().Get("bucket"),
-	})
-	if err != nil {
-		writeFetchError(w, err)
-		return
-	}
-	s.serveRendered(w, r, meta, user, func() (any, error) {
-		resp := &ClusterUsageResponse{
-			BucketSecs: series.Res, Resolution: resolutionName(series.Res),
-			PartialStart: series.PartialStart, PartialEnd: series.PartialEnd,
-		}
-		for i := range series.Rows {
-			row := &series.Rows[i]
-			resp.Buckets = append(resp.Buckets, TimeBucket{
-				Start:     time.Unix(row.BucketStart, 0).UTC(),
-				Jobs:      int(row.Jobs),
-				Completed: int(row.Completed),
-				Failed:    int(row.Failed),
-				CPUHours:  float64(row.CPUSec) / 3600,
-				GPUHours:  float64(row.GPUSec) / 3600,
-				WallHours: float64(row.WallSec) / 3600,
-			})
-		}
-		return resp, nil
 	})
 }
 
@@ -99,45 +62,18 @@ type TopAccountsResponse struct {
 // handleUsageAccounts serves /api/usage/accounts?range=&top= — the heaviest
 // accounts in the window (default range 90d, top 10), ordered by CPU-hours.
 func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request, user *auth.User) {
-	tr, err := parseTimeRangeDefault(r, "90d")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	start, end := tr.window(s.clock.Now())
 	top := 10
 	if v := r.URL.Query().Get("top"); v != "" {
-		top, err = strconv.Atoi(v)
-		if err != nil || top < 1 {
+		var err error
+		if top, err = strconv.Atoi(v); err != nil || top < 1 {
 			writeError(w, fmt.Errorf("%w: bad top %q", errBadRequest, v))
 			return
 		}
 	}
-	if start.IsZero() {
-		minEnd, _, ok, berr := s.rollupBounds(r, slurm.RollupScopeAccount, "")
-		if berr != nil {
-			writeFetchError(w, berr)
-			return
-		}
-		if !ok {
-			writeJSON(w, http.StatusOK, TopAccountsResponse{
-				RangeStart: start, RangeEnd: end, Accounts: []AccountUsage{},
-			})
-			return
-		}
-		start = time.Unix(minEnd, 0).UTC()
-	}
-	series, meta, err := s.fetchRollup(r, rollupQuery{
-		scope: slurm.RollupScopeAccount, start: start, end: end,
-	})
-	if err != nil {
-		writeFetchError(w, err)
-		return
-	}
-	s.serveRendered(w, r, meta, user, func() (any, error) {
+	s.serveRollup(w, r, user, "90d", rollupQuery{scope: slurm.RollupScopeAccount}, func(start, end time.Time, sr rollupSeries) any {
 		byAccount := make(map[string]*AccountUsage)
-		for i := range series.Rows {
-			row := &series.Rows[i]
+		for i := range sr.Rows {
+			row := &sr.Rows[i]
 			a := byAccount[row.Name]
 			if a == nil {
 				a = &AccountUsage{Account: row.Name}
@@ -163,8 +99,8 @@ func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request, use
 		}
 		return &TopAccountsResponse{
 			RangeStart: start, RangeEnd: end,
-			Resolution: resolutionName(series.Res), Accounts: ranked,
-		}, nil
+			Resolution: resolutionName(sr.Res), Accounts: ranked,
+		}
 	})
 }
 
@@ -193,36 +129,11 @@ type EfficiencyTrendResponse struct {
 // time/CPU/memory/GPU efficiency per bucket across the whole cluster
 // (default range 30d), from the rollup store's exact fixed-point sums.
 func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request, user *auth.User) {
-	tr, err := parseTimeRangeDefault(r, "30d")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	start, end := tr.window(s.clock.Now())
-	if start.IsZero() {
-		minEnd, _, ok, berr := s.rollupBounds(r, slurm.RollupScopeTotal, "")
-		if berr != nil {
-			writeFetchError(w, berr)
-			return
-		}
-		if !ok {
-			writeJSON(w, http.StatusOK, EfficiencyTrendResponse{})
-			return
-		}
-		start = time.Unix(minEnd, 0).UTC()
-	}
-	series, meta, err := s.fetchRollup(r, rollupQuery{
-		scope: slurm.RollupScopeTotal,
-		start: start, end: end, bucket: r.URL.Query().Get("bucket"),
-	})
-	if err != nil {
-		writeFetchError(w, err)
-		return
-	}
-	s.serveRendered(w, r, meta, user, func() (any, error) {
+	q := rollupQuery{scope: slurm.RollupScopeTotal, bucket: r.URL.Query().Get("bucket")}
+	s.serveRollup(w, r, user, "30d", q, func(_, _ time.Time, sr rollupSeries) any {
 		resp := &EfficiencyTrendResponse{
-			BucketSecs: series.Res, Resolution: resolutionName(series.Res),
-			PartialStart: series.PartialStart, PartialEnd: series.PartialEnd,
+			BucketSecs: sr.Res, Resolution: resolutionName(sr.Res),
+			PartialStart: sr.PartialStart, PartialEnd: sr.PartialEnd,
 		}
 		conv := func(sumMicro, n int64) *float64 {
 			v := effmath.FromMicro(sumMicro, n)
@@ -231,8 +142,8 @@ func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request, u
 			}
 			return &v
 		}
-		for i := range series.Rows {
-			row := &series.Rows[i]
+		for i := range sr.Rows {
+			row := &sr.Rows[i]
 			resp.Points = append(resp.Points, EfficiencyPoint{
 				Start:         time.Unix(row.BucketStart, 0).UTC(),
 				Jobs:          row.Jobs,
@@ -242,6 +153,6 @@ func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request, u
 				GPUPercent:    conv(row.GPUEffMicro, row.GPUEffN),
 			})
 		}
-		return resp, nil
+		return resp
 	})
 }

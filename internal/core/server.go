@@ -122,11 +122,8 @@ type Server struct {
 	tickLoop  sync.WaitGroup
 	closeOnce sync.Once
 
-	// rollupStats feeds the rollup store gauges on /metrics (may be nil);
-	// rollupOff switches the historical widgets to the raw-recompute
-	// ablation (see rollup.go).
+	// rollupStats feeds the rollup store gauges on /metrics (may be nil).
 	rollupStats func() slurm.RollupStats
-	rollupOff   atomic.Bool
 
 	// sloEng is the live SLO engine: the instrument middleware records
 	// every response into it, TickPush advances its alert state machines,

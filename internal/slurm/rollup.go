@@ -18,9 +18,10 @@ import (
 // percentages in fixed-point micro-percent), which makes folding
 // order-independent and exact: a bucket assembled minute-by-minute equals the
 // same bucket recomputed from raw rows in one pass, bit for bit. Floats
-// appear only when a response builder divides the sums — and both the rollup
-// path and the raw-recompute ablation share that builder, which is what the
-// golden equivalence test pins.
+// appear only when a response builder divides the sums. The golden
+// equivalence test pins this: it serves every rollup-backed route from the
+// daemon's rows and from a test-side runner that folds raw sacct rows
+// through AddSample, and both go through the same builders.
 
 // Rollup resolutions, in seconds. Buckets are half-open [start, start+res)
 // aligned to multiples of the resolution in UTC.
@@ -100,10 +101,10 @@ func (a *RollupAgg) IsZero() bool { return a.Jobs == 0 }
 
 // AddSample folds one terminal job's scalar record into the aggregate. It is
 // the single fold implementation: the daemon's ingest path feeds it values
-// derived from the live Job, and the raw-recompute ablation feeds it the
-// identical values parsed back off the accounting wire — whole seconds, MB,
-// counts, and the one-decimal GPU percentage — so both paths produce
-// bit-identical sums. The efficiency gates mirror efficiency.Compute exactly.
+// derived from the live Job, and the tests' raw fold feeds it the identical
+// values parsed back off the accounting wire — whole seconds, MB, counts,
+// and the one-decimal GPU percentage — so both produce bit-identical sums.
+// The efficiency gates mirror efficiency.Compute exactly.
 func (a *RollupAgg) AddSample(state JobState, started bool,
 	elapsedSec, limitSec, cpuSec, waitSec int64, cpus, gpus int,
 	maxRSSMB, reqMemMB int64, gpuUtilPct float64) {

@@ -274,22 +274,75 @@ func FuzzParseMem(f *testing.F) {
 	})
 }
 
-// FuzzParseTime: ParseTime never panics, returns only UTC instants, and
-// parses every string FormatTime emits for a whole second in the years 1
-// to 9999 back to it ("Unknown" for the zero time). Seeds are the
-// emulator's Submit, Start and End fields.
+// FuzzParseTime: ParseTime never panics, returns only UTC instants,
+// accepts no string other than the five sentinels that does not format back
+// to itself, and parses every string FormatTime emits for a whole second in
+// the years 1 to 9999 back to it ("Unknown" for the zero time). Seeds are
+// the emulator's Submit, Start and End fields and a fractional second the
+// parser used to accept.
 func FuzzParseTime(f *testing.F) {
 	addEmulatorFields(f, time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC).Unix(), "Submit", "Start", "End")
+	f.Add("2026-07-01T08:30:15.5", int64(0))
 	first := time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
 	span := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix() - first
 	f.Fuzz(func(t *testing.T, s string, secs int64) {
-		if got, err := ParseTime(s); err == nil && got.Location() != time.UTC {
+		got, err := ParseTime(s)
+		if err == nil && got.Location() != time.UTC {
 			t.Fatalf("ParseTime(%q) = %v, not UTC", s, got)
+		}
+		switch s {
+		case "", "Unknown", "N/A", "None", "NONE":
+		default:
+			if err == nil && FormatTime(got) != s {
+				t.Fatalf("ParseTime(%q) = %v, which formats as %q", s, got, FormatTime(got))
+			}
 		}
 		in := time.Unix(first+(secs%span+span)%span, 0).UTC()
 		out := FormatTime(in)
 		if got, err := ParseTime(out); err != nil || !got.Equal(in) {
 			t.Fatalf("ParseTime(FormatTime(%v)) = ParseTime(%q) = %v, %v", in, out, got, err)
+		}
+	})
+}
+
+// stubRunner answers every command with its own text.
+type stubRunner string
+
+func (s stubRunner) Run(string, ...string) (string, error) { return string(s), nil }
+
+// FuzzSreportRollup: the rollup report's parser never panics on any
+// output, for bucket rows or for op=bounds, and whatever it accepts,
+// printed back in the emulator's format, parses to the same rows and
+// bounds. Seeds are the emulator's own rows for every scope and its bounds.
+func FuzzSreportRollup(f *testing.F) {
+	r, cl, clk := newTestRunner(f)
+	start, end := finishRollupJobs(f, cl, clk)
+	for _, scope := range slurm.RollupScopes {
+		for _, op := range []string{"resolution=3600", "op=bounds"} {
+			out, err := r.Run("sreport", "cluster", "Rollup", "-P", "-n", "scope="+scope,
+				fmt.Sprintf("start=%d", start), fmt.Sprintf("end=%d", end), op)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(out)
+		}
+	}
+	rowsOpts := RollupOptions{Scope: slurm.RollupScopeTotal, Start: start, End: end, Resolution: slurm.RollupHour}
+	boundsOpts := RollupOptions{Scope: slurm.RollupScopeTotal, Op: "bounds"}
+	f.Fuzz(func(t *testing.T, out string) {
+		if res, err := SreportRollup(stubRunner(out), rowsOpts); err == nil {
+			text := formatRollupRows(res.Rows)
+			back, err := SreportRollup(stubRunner(text), rowsOpts)
+			if err != nil || !slices.Equal(back.Rows, res.Rows) {
+				t.Fatalf("rows %+v print as %q, which parses to %+v, %v", res.Rows, text, back.Rows, err)
+			}
+		}
+		if res, err := SreportRollup(stubRunner(out), boundsOpts); err == nil && res.HasBounds {
+			text := fmt.Sprintf("%d|%d\n", res.MinEnd, res.MaxEnd)
+			back, err := SreportRollup(stubRunner(text), boundsOpts)
+			if err != nil || !back.HasBounds || back.MinEnd != res.MinEnd || back.MaxEnd != res.MaxEnd {
+				t.Fatalf("bounds %+v print as %q, which parse to %+v, %v", res, text, back, err)
+			}
 		}
 	})
 }

@@ -13,7 +13,7 @@ import (
 // dashboard's historical widgets cost O(buckets) regardless of how many jobs
 // accounting holds. Times and durations are whole unix seconds and the
 // efficiency sums are fixed-point integers — nothing on this wire can lose
-// precision, which the rollup-vs-raw golden test depends on.
+// precision, which the rollup≡raw golden test depends on.
 
 // RollupOptions selects one rollup read.
 type RollupOptions struct {
@@ -115,7 +115,12 @@ func runSreportRollup(cl *slurm.Cluster, args []string) (string, error) {
 		return "", fmt.Errorf("slurmcli: sreport rollup: bad resolution %d", opts.Resolution)
 	}
 
-	rows := cl.DBD.RollupQuery(opts.Scope, opts.Name, opts.Start, opts.End, opts.Resolution)
+	return formatRollupRows(cl.DBD.RollupQuery(opts.Scope, opts.Name, opts.Start, opts.End, opts.Resolution)), nil
+}
+
+// formatRollupRows prints rows the way the report does, one parsable row
+// of rollupFieldCount fields per bucket and series.
+func formatRollupRows(rows []slurm.RollupRow) string {
 	var b strings.Builder
 	b.Grow(len(rows) * 96)
 	for i := range rows {
@@ -127,7 +132,7 @@ func runSreportRollup(cl *slurm.Cluster, args []string) (string, error) {
 			r.TimeEffMicro, r.TimeEffN, r.CPUEffMicro, r.CPUEffN,
 			r.MemEffMicro, r.MemEffN, r.GPUEffMicro, r.GPUEffN)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // SreportRollup runs one rollup read over the CLI transport and parses the

@@ -25,15 +25,25 @@ func appendTime(b []byte, t time.Time) []byte {
 }
 
 // ParseTime is the inverse of FormatTime. "Unknown", "N/A", "None" and the
-// empty string all parse to the zero time.
+// empty string all parse to the zero time; any other input must be a
+// timestamp exactly as FormatTime prints it. time.Parse alone also takes a
+// one-digit hour and a fractional second after the seconds field, which
+// Slurm never prints, and the zero instant, which FormatTime prints as
+// "Unknown".
 func ParseTime(s string) (time.Time, error) {
 	switch s {
 	case "", "Unknown", "N/A", "None", "NONE":
 		return time.Time{}, nil
 	}
+	if len(s) != len(slurmTimeLayout) {
+		return time.Time{}, fmt.Errorf("slurmcli: bad timestamp %q: want the form %s", s, slurmTimeLayout)
+	}
 	t, err := time.Parse(slurmTimeLayout, s)
 	if err != nil {
 		return time.Time{}, fmt.Errorf("slurmcli: bad timestamp %q: %v", s, err)
+	}
+	if t.IsZero() {
+		return time.Time{}, fmt.Errorf("slurmcli: bad timestamp %q: the zero instant prints as Unknown", s)
 	}
 	return t.UTC(), nil
 }

@@ -31,8 +31,15 @@ func TestParseTimeSpecials(t *testing.T) {
 			t.Errorf("ParseTime(%q) = %v, %v; want zero, nil", s, got, err)
 		}
 	}
-	if _, err := ParseTime("yesterday"); err == nil {
-		t.Error("ParseTime(\"yesterday\"): expected error")
+	// Fractional seconds, a one-digit hour and the zero instant parse with
+	// time.Parse on Slurm's layout, but FormatTime prints none of them.
+	for _, in := range []string{
+		"yesterday", "2026-07-01T08:30:15.5", "2026-07-01T08:30:15,25",
+		"2026-07-01T08:30:15.000000000", "2026-07-01T8:30:15", "0001-01-01T00:00:00",
+	} {
+		if got, err := ParseTime(in); err == nil || !strings.Contains(err.Error(), in) {
+			t.Errorf("ParseTime(%q) = %v, %v; want an error naming the input", in, got, err)
+		}
 	}
 	if got := FormatTime(time.Time{}); got != "Unknown" {
 		t.Errorf("FormatTime(zero) = %q, want Unknown", got)
