@@ -11,17 +11,20 @@ fmt:             ## fail if gofmt would change any file
 drills:          ## fast chaos-drill smoke under -race: every catalog scenario, unit drills, the fleet's shared-tier tests and the SSE stream tests
 	go test -race -run 'Drill|Peer|SSE|Shared|Join|PollsWhileTicking|EventStream' -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/ ./internal/push/
 
-fuzz:            ## fuzz the history range parser, rollup bucket selection (FuzzPickResolution), request identity and share keys, the live-queue parsers (squeue, scontrol show assoc), the sacct parser, the sreport rollup parser (FuzzSreportRollup), Slurm's duration, memory and time fields, the SSE decoder, If-None-Match matching and the SLO config parser for a bounded time each (native go test fuzzing)
+fuzz:            ## fuzz the history range parser, rollup bucket selection (FuzzPickResolution), request identity and share keys, the live-queue parsers (squeue, scontrol show assoc), the scontrol show node|job|reservation blocks (FuzzParseScontrolBlocks), the sacct parser, the sreport rollup parser (FuzzSreportRollup), Slurm's duration, memory and time fields, the REST accounting and jobs decoders (FuzzRESTAccountingDecode, FuzzRESTJobsDecode), the SSE decoder, If-None-Match matching and the SLO config parser for a bounded time each (native go test fuzzing)
 	go test -run '^$$' -fuzz '^FuzzParseTimeRange$$' -fuzztime 10s ./internal/core/
 	go test -run '^$$' -fuzz '^FuzzPickResolution$$' -fuzztime 10s ./internal/core/
 	go test -run '^$$' -fuzz '^FuzzFromRequest$$' -fuzztime 10s ./internal/core/
 	go test -run '^$$' -fuzz '^FuzzParseSqueueOutput$$' -fuzztime 10s ./internal/slurmcli/
 	go test -run '^$$' -fuzz '^FuzzParseAssocs$$' -fuzztime 10s ./internal/slurmcli/
+	go test -run '^$$' -fuzz '^FuzzParseScontrolBlocks$$' -fuzztime 10s ./internal/slurmcli/
 	go test -run '^$$' -fuzz '^FuzzParseSacctOutput$$' -fuzztime 10s ./internal/slurmcli/
 	go test -run '^$$' -fuzz '^FuzzSreportRollup$$' -fuzztime 10s ./internal/slurmcli/
 	go test -run '^$$' -fuzz '^FuzzParseDuration$$' -fuzztime 10s ./internal/slurmcli/
 	go test -run '^$$' -fuzz '^FuzzParseMem$$' -fuzztime 10s ./internal/slurmcli/
 	go test -run '^$$' -fuzz '^FuzzParseTime$$' -fuzztime 10s ./internal/slurmcli/
+	go test -run '^$$' -fuzz '^FuzzRESTAccountingDecode$$' -fuzztime 10s ./internal/slurmrest/
+	go test -run '^$$' -fuzz '^FuzzRESTJobsDecode$$' -fuzztime 10s ./internal/slurmrest/
 	go test -run '^$$' -fuzz '^FuzzSSEDecoder$$' -fuzztime 10s ./internal/push/
 	go test -run '^$$' -fuzz '^FuzzETagMatch$$' -fuzztime 10s ./internal/etag/
 	go test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/slo/

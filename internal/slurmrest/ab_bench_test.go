@@ -1,8 +1,8 @@
 // Package-level A/B microbenchmarks behind `make bench-go`: the CLI
 // parse-text path vs the REST decode-JSON path over the same accounting
-// query, plus the revalidating steady state. TestBackendRESTPooledP95 is
-// the gated comparison over the whole query mix; these give
-// `go test -bench` visibility into the accounting query alone.
+// query. TestBackendRESTPooledP95 is the gated comparison over the whole
+// query mix; these give `go test -bench` visibility into the accounting
+// query alone.
 package slurmrest_test
 
 import (
@@ -16,9 +16,10 @@ import (
 )
 
 // benchStack builds workload.SmallSpec with its REST daemon provisioned and
-// returns a revalidating dashboard-token client and a 24-hour all-users
-// accounting window. The daemon renders every request, so each REST call
-// runs the full server-side fill, matching the CLI's per-call re-format.
+// returns a dashboard-token client and a 24-hour all-users accounting
+// window. The daemon renders every request and the client decodes every
+// body, so each REST call runs the full server-side fill and a cold
+// decode, matching the CLI's per-call re-format and parse.
 func benchStack(tb testing.TB) (*workload.Env, *slurmrest.Client, slurmcli.SacctOptions) {
 	env, err := workload.Build(workload.SmallSpec())
 	if err != nil {
@@ -42,21 +43,8 @@ func BenchmarkSacctCLI(b *testing.B) {
 	}
 }
 
-// BenchmarkSacctRESTCold decodes the full body every iteration.
-func BenchmarkSacctRESTCold(b *testing.B) {
-	_, client, opts := benchStack(b)
-	client.NoConditional = true
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Sacct(ctx, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSacctREST revalidates: after the first fill every iteration is a
-// 304 reusing the decoded envelope.
+// BenchmarkSacctREST fetches and decodes the full body every iteration, as
+// every REST call does.
 func BenchmarkSacctREST(b *testing.B) {
 	_, client, opts := benchStack(b)
 	ctx := context.Background()

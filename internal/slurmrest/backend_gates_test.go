@@ -6,14 +6,14 @@ import (
 	"ooddash/internal/slurmrest"
 )
 
-// TestBackendRowsMatchFreshAndRevalidated runs the backend-swap contract
-// over workload.SmallSpec with the dashboard token workload.Env.ProvisionREST
-// issues: REST rows DeepEqual the CLI parser's on the fresh decode and on
-// the revalidated call. A faster backend that returns different rows is not
-// an optimization.
-func TestBackendRowsMatchFreshAndRevalidated(t *testing.T) {
-	env, steady, window := benchStack(t)
-	slurmrest.CheckRowsMatch(t, env.Runner, steady, window)
+// TestBackendRowsMatchOnTwoColdCalls runs the backend-swap contract over
+// workload.SmallSpec with the dashboard token workload.Env.ProvisionREST
+// issues: REST rows DeepEqual the CLI parser's on a first cold call and on
+// a second one. A faster backend that returns different rows is not an
+// optimization.
+func TestBackendRowsMatchOnTwoColdCalls(t *testing.T) {
+	env, client, window := benchStack(t)
+	slurmrest.CheckRowsMatch(t, env.Runner, client, window)
 }
 
 // TestRESTTokenScopeProbes runs the scope matrix and the redaction checks

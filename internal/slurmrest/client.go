@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ooddash/internal/slurm"
@@ -26,13 +24,13 @@ import (
 // httptest uses — so the simulated REST daemon needs no socket, and the
 // backend A/B gate measures fill cost without network noise.
 //
-// The client revalidates: it remembers each URL's ETag together with the
-// decoded envelope, sends If-None-Match on the next request, and on 304
-// reuses the decoded value — the decode-once counterpart of the server's
-// encode-once rendered cache, and where the JSON backend wins its steady
-// state (decoding a bulk response costs more CPU than parsing the CLI's
-// text, so skipping it when nothing changed is the whole game). The cache
-// never crosses principals: it lives inside a Client bound to one token.
+// The client keeps no state between calls: every call decodes the body it
+// got, and every row it returns is the caller's own. The dashboard's data
+// cache is the one tier in front of Slurm; the URLs a history fill asks
+// for carry the fill instant and never repeat, so a per-URL store of
+// decoded responses here would only hold memory. The bulk wires
+// (accounting and the live queue) decode through a fixed-schema decoder
+// (decode.go) that keeps a cold call near the CLI's cost.
 type Client struct {
 	// Handler receives every request (typically a *Server).
 	Handler http.Handler
@@ -42,28 +40,7 @@ type Client struct {
 	// name, owning daemon, wall-clock latency, and error — mirroring
 	// slurmcli.MeteredRunner so both backends feed the same metrics.
 	Observe func(endpoint, daemon string, d time.Duration, err error)
-	// NoConditional disables If-None-Match revalidation, forcing a full
-	// body and decode on every request (the A/B bench's cold-fill side).
-	NoConditional bool
-
-	mu   sync.Mutex
-	cond map[string]condEntry
 }
-
-// condEntry is one URL's revalidation state: the ETag the server sent and
-// the envelope decoded from that response. The envelope is shared across
-// 304s but never mutated — converters build fresh rows from it.
-type condEntry struct {
-	etag string
-	val  any
-}
-
-// condMax bounds the revalidation cache. The dashboard's URL space is
-// almost fixed, but each history fill (one per account set and range class
-// per TTL) asks for a window ending at its own instant, a URL that never
-// repeats, so stale keys accumulate; past the cap an arbitrary entry is
-// dropped (any victim works: a miss just costs one full decode).
-const condMax = 256
 
 // NewClient builds a client over the in-process handler h.
 func NewClient(h http.Handler, token string) *Client {
@@ -132,23 +109,10 @@ func (c *Client) doGet(ctx context.Context, endpoint, path string, q url.Values,
 		return err
 	}
 	req.Header.Set("Authorization", "Bearer "+c.Token)
-	var prior condEntry
-	if !c.NoConditional {
-		c.mu.Lock()
-		prior = c.cond[u]
-		c.mu.Unlock()
-		if prior.etag != "" {
-			req.Header.Set("If-None-Match", prior.etag)
-		}
-	}
 	rec := &responseRecorder{header: make(http.Header)}
 	c.Handler.ServeHTTP(rec, req)
 	if sp != nil {
 		sp.SetAttrInt("status", rec.status)
-	}
-	if rec.status == http.StatusNotModified && prior.etag != "" {
-		reflect.ValueOf(out).Elem().Set(reflect.ValueOf(prior.val))
-		return nil
 	}
 	if rec.status != http.StatusOK {
 		err := statusError(endpoint, rec.status, rec.body.Bytes())
@@ -157,24 +121,22 @@ func (c *Client) doGet(ctx context.Context, endpoint, path string, q url.Values,
 		}
 		return err
 	}
-	if err := json.Unmarshal(rec.body.Bytes(), out); err != nil {
-		return err
-	}
-	if tag := rec.header.Get("ETag"); tag != "" && !c.NoConditional {
-		c.mu.Lock()
-		if c.cond == nil {
-			c.cond = make(map[string]condEntry)
-		}
-		if len(c.cond) >= condMax {
-			for k := range c.cond {
-				delete(c.cond, k)
-				break
-			}
-		}
-		c.cond[u] = condEntry{etag: tag, val: reflect.ValueOf(out).Elem().Interface()}
-		c.mu.Unlock()
+	if err := decodeBody(rec.body.Bytes(), out); err != nil {
+		return fmt.Errorf("slurmrest: %s: %w", endpoint, err)
 	}
 	return nil
+}
+
+// decodeBody decodes a 200 body into out: the two bulk wires through their
+// fixed-schema decoders, the small endpoints through encoding/json.
+func decodeBody(body []byte, out any) error {
+	switch v := out.(type) {
+	case *AccountingResponse:
+		return decodeAccounting(body, v)
+	case *JobsResponse:
+		return decodeJobs(body, v)
+	}
+	return json.Unmarshal(body, out)
 }
 
 // statusError converts a non-200 response into the error class the rest of
@@ -222,11 +184,16 @@ func (c *Client) Squeue(ctx context.Context, opts slurmcli.SqueueOptions) ([]slu
 	if err := c.get(ctx, "jobs", "/slurm/v1/jobs", q, &resp); err != nil {
 		return nil, err
 	}
-	rows := make([]slurmcli.QueueEntry, len(resp.Jobs))
-	for i := range resp.Jobs {
-		rows[i] = resp.Jobs[i].QueueEntry()
+	return resp.rows(), nil
+}
+
+// rows converts the envelope to the CLI client's rows.
+func (r *JobsResponse) rows() []slurmcli.QueueEntry {
+	rows := make([]slurmcli.QueueEntry, len(r.Jobs))
+	for i := range r.Jobs {
+		rows[i] = r.Jobs[i].QueueEntry()
 	}
-	return rows, nil
+	return rows
 }
 
 // Sacct mirrors slurmcli.Sacct over the REST backend.
@@ -263,9 +230,14 @@ func (c *Client) Sacct(ctx context.Context, opts slurmcli.SacctOptions) ([]slurm
 	if err := c.get(ctx, "accounting", "/slurm/v1/accounting", q, &resp); err != nil {
 		return nil, err
 	}
-	rows := make([]slurmcli.SacctRow, 0, len(resp.Jobs))
-	for i := range resp.Jobs {
-		row, err := resp.Jobs[i].SacctRow()
+	return resp.rows()
+}
+
+// rows converts the envelope to the CLI client's rows.
+func (r *AccountingResponse) rows() ([]slurmcli.SacctRow, error) {
+	rows := make([]slurmcli.SacctRow, 0, len(r.Jobs))
+	for i := range r.Jobs {
+		row, err := r.Jobs[i].SacctRow()
 		if err != nil {
 			return nil, fmt.Errorf("slurmrest: accounting row %d: %w", i, err)
 		}

@@ -1,7 +1,7 @@
 // Package slurmrest is a slurmrestd-style REST surface over the simulated
 // Slurm daemons: a versioned JSON API (/slurm/v1/jobs, /nodes, /partitions,
 // /accounting, /diag) with bearer-token authentication, per-endpoint and
-// per-field permission scopes, and ETag'd responses the client revalidates.
+// per-field permission scopes, and ETag'd responses.
 //
 // It is the modern alternative to the CLI-shellout data path the paper's
 // dashboard uses (the Palmetto API direction: granular permissions and
@@ -10,7 +10,8 @@
 // or parsing — and the client decodes wire JSON back into the same typed
 // rows internal/slurmcli produces, so the dashboard can swap between the
 // two backends per source (-backend=cli|rest) and A/B the parse-text vs
-// decode-JSON cost on the fill path.
+// decode-JSON cost on the fill path. The client keeps no state: every call
+// decodes the body it got.
 //
 // Token scopes:
 //

@@ -415,9 +415,10 @@ func BackendOps(runner slurmcli.Runner, window slurmcli.SacctOptions) []BackendO
 }
 
 // CheckRowsMatch requires rc to return rows DeepEqual to the CLI parsers'
-// over runner for every BackendOps query, both on the fresh decode and on
-// the second call, where a 304 reuses the decoded envelope. The external
-// test package runs it over workload stacks too.
+// over runner for every BackendOps query, on a first call and on a second
+// one: each decodes the body it got, so a decoder that carried anything
+// from one call to the next would show. The external test package runs it
+// over workload stacks too.
 func CheckRowsMatch(t *testing.T, runner slurmcli.Runner, rc *Client, window slurmcli.SacctOptions) {
 	t.Helper()
 	for _, op := range BackendOps(runner, window) {
@@ -425,7 +426,7 @@ func CheckRowsMatch(t *testing.T, runner slurmcli.Runner, rc *Client, window slu
 		if err != nil {
 			t.Fatalf("%s/cli: %v", op.Name, err)
 		}
-		for _, pass := range []string{"fresh", "revalidated"} {
+		for _, pass := range []string{"first call", "second call"} {
 			got, err := op.REST(rc)
 			if err != nil {
 				t.Fatalf("%s/rest (%s): %v", op.Name, pass, err)

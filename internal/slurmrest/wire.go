@@ -475,12 +475,6 @@ func partitionFromUtil(u slurm.PartitionUtilization) Partition {
 
 // PartitionStatus converts the wire record to the CLI client's type.
 func (p *Partition) PartitionStatus() slurmcli.PartitionStatus {
-	// Copy the map: the receiver may be a revalidation-cached envelope the
-	// client hands to many callers, and callers own their rows.
-	states := make(map[string]int, len(p.NodeStates))
-	for k, v := range p.NodeStates {
-		states[k] = v
-	}
 	return slurmcli.PartitionStatus{
 		Name:        p.Name,
 		State:       p.State,
@@ -491,7 +485,7 @@ func (p *Partition) PartitionStatus() slurmcli.PartitionStatus {
 		AllocGPUs:   p.AllocGPUs,
 		PendingJobs: p.PendingJobs,
 		RunningJobs: p.RunningJobs,
-		NodeStates:  states,
+		NodeStates:  p.NodeStates,
 	}
 }
 
@@ -510,9 +504,5 @@ type DiagResponse struct {
 
 // CLIDiag converts the wire record to the CLI client's type.
 func (d *DaemonDiag) CLIDiag() slurmcli.DaemonDiag {
-	counts := make(map[string]int64, len(d.RPCCounts))
-	for k, v := range d.RPCCounts {
-		counts[k] = v
-	}
-	return slurmcli.DaemonDiag{Name: d.Name, Records: d.Records, RPCCounts: counts}
+	return slurmcli.DaemonDiag{Name: d.Name, Records: d.Records, RPCCounts: d.RPCCounts}
 }
