@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
-	"ooddash/internal/core"
 	"ooddash/internal/resilience"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -253,10 +252,8 @@ func nodeFailureStorm() Scenario {
 			r.Get(user, "/api/cluster_status")
 			// A background refresh source, so the drill observes
 			// skip-while-degraded scheduling without holding a stream open.
-			return r.Server.RegisterPushSource(core.PushSource{
-				Widget: "system_status", Key: "system_status:" + user,
-				Path: "/api/system_status", User: user, TTL: r.Server.Config().TTLs.SystemStatus,
-			})
+			_, err := r.Server.RegisterPushSource("system_status", nil)
+			return err
 		},
 		OnStep: func(r *Run, i int) error {
 			ctl := r.Env.Cluster.Ctl

@@ -22,7 +22,6 @@ type slurmBackend interface {
 	Rollup(ctx context.Context, opts slurmcli.RollupOptions) (slurmcli.RollupResult, error)
 	Sinfo(ctx context.Context) ([]slurmcli.PartitionStatus, error)
 	ShowAllNodes(ctx context.Context) ([]*slurmcli.NodeDetail, error)
-	ShowNode(ctx context.Context, name string) (*slurmcli.NodeDetail, error)
 	ShowJob(ctx context.Context, id slurm.JobID) (*slurmcli.JobDetail, error)
 	Sdiag(ctx context.Context) (ctld, dbd slurmcli.DaemonDiag, err error)
 }
@@ -49,10 +48,6 @@ func (b cliBackend) Sinfo(ctx context.Context) ([]slurmcli.PartitionStatus, erro
 
 func (b cliBackend) ShowAllNodes(ctx context.Context) ([]*slurmcli.NodeDetail, error) {
 	return slurmcli.ShowAllNodes(b.s.runnerCtx(ctx))
-}
-
-func (b cliBackend) ShowNode(ctx context.Context, name string) (*slurmcli.NodeDetail, error) {
-	return slurmcli.ShowNode(b.s.runnerCtx(ctx), name)
 }
 
 func (b cliBackend) ShowJob(ctx context.Context, id slurm.JobID) (*slurmcli.JobDetail, error) {

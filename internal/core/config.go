@@ -19,7 +19,6 @@ type CacheTTLs struct {
 	Storage       time.Duration // ZFS/GPFS database
 	JobHistory    time.Duration // sacct (My Jobs, Job Performance Metrics)
 	ClusterNodes  time.Duration // scontrol show node (all nodes)
-	NodeDetail    time.Duration // scontrol show node <name>
 	JobDetail     time.Duration // scontrol show job <id>
 }
 
@@ -33,7 +32,6 @@ func DefaultTTLs() CacheTTLs {
 		Storage:       time.Hour,
 		JobHistory:    2 * time.Minute,
 		ClusterNodes:  60 * time.Second,
-		NodeDetail:    30 * time.Second,
 		JobDetail:     15 * time.Second,
 	}
 }
@@ -105,7 +103,8 @@ type PushConfig struct {
 // TraceConfig tunes the span-tracing subsystem (internal/trace). Semantics
 // of the zero and negative values are delegated to trace.New: a zero field
 // takes the documented default, a negative one disables that feature. The
-// tail keeps trace.New's default slowest 5 traces per widget per minute.
+// tail keeps trace.New's default slowest 5 traces per widget per minute and
+// its default 5% baseline of fast, healthy traces.
 type TraceConfig struct {
 	// Sample is the head-sampling probability (0 = record everything,
 	// negative = tracing off).
@@ -114,19 +113,12 @@ type TraceConfig struct {
 	Slow time.Duration
 	// StoreMax bounds retained traces (0 = 256).
 	StoreMax int
-	// Baseline is the probabilistic keep rate for fast, healthy traces
-	// (0 = 0.05).
-	Baseline float64
 }
 
 // SLOConfig tunes the live SLO engine (internal/slo): per-objective SLI
 // recording from the instrument middleware, the 28-day error-budget
 // ledger, and multi-window burn-rate alerting.
 type SLOConfig struct {
-	// Disabled turns hit-path SLI recording off (the engine still exists,
-	// so /api/admin/slo answers with empty windows). The benchmarks use
-	// the runtime toggle (SetSLORecordingDisabled) instead.
-	Disabled bool
 	// Objectives overrides the objective set; empty means
 	// slo.DefaultObjectives(). Invalid objectives fail NewServer.
 	Objectives []slo.Objective
@@ -188,9 +180,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TTLs.ClusterNodes == 0 {
 		c.TTLs.ClusterNodes = def.ClusterNodes
-	}
-	if c.TTLs.NodeDetail == 0 {
-		c.TTLs.NodeDetail = def.NodeDetail
 	}
 	if c.TTLs.JobDetail == 0 {
 		c.TTLs.JobDetail = def.JobDetail

@@ -11,12 +11,14 @@ import (
 // way the server's fill does.
 var JobRowFromSacct = jobRowFromSacct
 
-// RecentJobFromEntry, AccountUsageFrom and WriteXLSX expose the live-view
-// building blocks to the external test package, whose live-view property
-// test renders direct queries the same way the server renders its views.
+// RecentJobFromEntry, AccountUsageFrom, NodeOverviewFrom and WriteXLSX
+// expose the live-view building blocks to the external test package, whose
+// live-view property test renders direct queries the same way the server
+// renders its views.
 var (
 	RecentJobFromEntry = recentJobFromEntry
 	AccountUsageFrom   = accountUsageFrom
+	NodeOverviewFrom   = nodeOverviewFrom
 	WriteXLSX          = writeXLSX
 )
 

@@ -27,14 +27,16 @@ import (
 // test. Over generated clusters (SmallSpec seeds 1–3, plus a user with more
 // than RecentJobsLimit jobs in mixed states, terminal ones included, a
 // user with no jobs, and an account holding a suspended job), every view
-// the server filters from its one live-queue fill and its one association
-// fill equals, at one instant and on the CLI and the REST backend alike,
-// the per-principal query it replaced, rendered the same way:
+// the server filters from its one live-queue fill, its one association
+// fill and its one node-table fill equals, at one instant and on the CLI
+// and the REST backend alike, the per-principal or per-node query it
+// replaced, rendered the same way:
 //
 //   - /api/recent_jobs: squeue -u <user> -t all --limit N;
 //   - /api/accounts and both exports: scontrol show assoc account=<a> plus
 //     squeue -A <a> per account;
-//   - /api/node/{n}/jobs: squeue -t R, filtered to node n.
+//   - /api/node/{n}/jobs: squeue -t R, filtered to node n;
+//   - /api/node/{n}: scontrol show node <n>.
 //
 // It checks a second instant after the queue moved past the TTL.
 func TestLiveViewsMatchDirectQueries(t *testing.T) {
@@ -115,6 +117,13 @@ func TestLiveViewsMatchDirectQueries(t *testing.T) {
 						want[b.name+"/api/node/"+n.Name+"/jobs"] = nodeJobsBody(t, n.Name, running)
 					}
 				}
+				for _, n := range env.Cluster.Ctl.Nodes() {
+					d, err := slurmcli.ShowNode(env.Runner, n.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want["/api/node/"+n.Name] = marshalBody(t, core.NodeOverviewFrom(d))
+				}
 				for _, user := range env.UserNames {
 					u, _ := env.Users.Lookup(user)
 					paths := []string{"/api/recent_jobs", "/api/accounts"}
@@ -138,6 +147,12 @@ func TestLiveViewsMatchDirectQueries(t *testing.T) {
 					path := "/api/node/" + n.Name + "/jobs"
 					for _, b := range backends {
 						if got, w := serveBody(t, b.server, env.UserNames[0], path), want[b.name+path]; !bytes.Equal(got, w) {
+							t.Fatalf("%s: %s %s:\n got %s\nwant %s", instant, b.name, path, got, w)
+						}
+					}
+					path = "/api/node/" + n.Name
+					for _, b := range backends {
+						if got, w := serveBody(t, b.server, env.UserNames[0], path), want[path]; !bytes.Equal(got, w) {
 							t.Fatalf("%s: %s %s:\n got %s\nwant %s", instant, b.name, path, got, w)
 						}
 					}

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/push"
 	"ooddash/internal/resilience"
 	"ooddash/internal/slurmcli"
@@ -40,7 +41,7 @@ func TestDrillPushBackoffUnderNodeFailureStorm(t *testing.T) {
 	ttl := wd.TTL
 	if _, err := sched.Register(push.Source{
 		Widget: wd.Name, Key: wd.sourceKey(""), TTL: ttl,
-		Fetch: e.server.pushFetch(wd.Name, wd.sourceKey(""), wd.path(), "alice"),
+		Fetch: e.server.pushFetch(wd, auth.User{}),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -120,13 +120,6 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 	var variant string
 	if wd != nil {
 		variant = wd.shareKey(user, namesViewer(r))
-		// A push refresh publishes to every subscriber of its source, so it
-		// may only build the body that source's key names. A public body is
-		// every caller's, whatever key its source carries.
-		if key, ok := r.Context().Value(pushSourceCtxKey{}).(string); ok && wd.vis != visPublic && key != wd.sourceKey(variant) {
-			writeError(w, fmt.Errorf("%w: push source %q does not serve share key %q", errForbidden, key, variant))
-			return
-		}
 	}
 	if wd == nil || meta.Degraded || meta.rev == 0 || meta.ttl <= 0 || s.renderOff.Load() {
 		v, err := build()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"ooddash/internal/auth"
@@ -105,115 +104,119 @@ func pickResolution(now, start, end time.Time, bucket string) (res int64, select
 	return 0, "", fmt.Errorf("%w: unknown bucket %q", errBadRequest, bucket)
 }
 
-// rollupQuery names one pre-aggregated read: a scope/series, a half-open
-// time window, and the requested bucket ("" = auto).
+// rollupQuery names one pre-aggregated read: a scope and series, and the
+// requested bucket ("" = auto).
 type rollupQuery struct {
 	scope, name string
-	start, end  time.Time
 	bucket      string
 }
 
-// rollupSeries is the fetched window: sparse rows at the chosen resolution
-// plus the aligned bounds actually queried. PartialStart/PartialEnd flag
-// requested edges that fell inside a bucket — the first/last buckets then
-// cover more than the request asked for, and are flagged rather than
-// silently scaled.
+// rollupSeries is one rollup fill: the window evaluated at the fill's
+// instant, and the sparse rows at the chosen resolution over that window
+// aligned outward to whole buckets. From is zero when range=all finds no
+// terminal job in the scope; Res is then zero and there are no rows.
+// PartialStart/PartialEnd flag window edges that fell inside a bucket — the
+// first/last buckets then cover more than the window asked for, and are
+// flagged rather than silently scaled. err records an explicit bucket the
+// window cannot be served at, which for range=all only the fill can tell.
 type rollupSeries struct {
+	From, To     time.Time
 	Rows         []slurm.RollupRow
 	Res          int64
-	Start, End   int64
 	PartialStart bool
 	PartialEnd   bool
+	err          error
 }
 
 // serveRollup is the head every rollup-backed route shares. It parses the
-// range (def when the request names none), evaluates the window on the
-// data clock, anchors range=all at the scope's earliest terminal end,
-// fetches the window and serves shape's body through the rendered layer.
-// The route keeps only its own parameters (q's series and bucket) and its
-// shape. A scope with no terminal job has no window to fetch: shape then
-// gets the zero start and an empty series, and what it builds from them
-// is the route's empty-history body.
-func (s *Server) serveRollup(w http.ResponseWriter, r *http.Request, user *auth.User, def string, q rollupQuery, shape func(start, end time.Time, sr rollupSeries) any) {
+// range (def when the request names none), takes the one fill per scope,
+// series, range and bucket, and serves shape's body through the rendered
+// layer. The route keeps only its own parameters (q's series and bucket)
+// and its shape.
+//
+// A bad explicit bucket is a 400 that costs no upstream call: decided here
+// when the window is known before the fill, which is every range but all;
+// an all window starts at the scope's earliest terminal end, which only
+// the fill reads, so here only the bucket's name is checked and the fill
+// records the pick's outcome.
+func (s *Server) serveRollup(w http.ResponseWriter, r *http.Request, user *auth.User, def string, q rollupQuery, shape func(sr *rollupSeries) any) {
 	tr, err := parseTimeRangeDefault(r, def)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	q.start, q.end = tr.window(s.clock.Now())
-	var (
-		meta fetchMeta
-		sr   rollupSeries
-	)
-	if q.start.IsZero() {
-		// The bounds are a cached fill like any other: every all view of
-		// the series within one TTL shares one slurmdbd call, and a warm
-		// one serves stale through an outage.
-		v, bm, err := s.fetchVia(r, srcDBD, "rollup-bounds:"+q.scope+":"+q.name, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
-			return s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{Scope: q.scope, Name: q.name, Op: "bounds"})
-		})
-		if err != nil {
-			writeFetchError(w, err)
-			return
-		}
-		meta = bm
-		if b := v.(slurmcli.RollupResult); b.HasBounds {
-			q.start = time.Unix(b.MinEnd, 0).UTC()
-		}
+	now := s.historyAsOf()
+	start, end := tr.window(now)
+	if start.IsZero() {
+		// An empty window checks the bucket's name alone.
+		start = end
 	}
-	if !q.start.IsZero() {
-		var sm fetchMeta
-		if sr, sm, err = s.fetchRollup(r, q); err != nil {
-			writeFetchError(w, err)
-			return
-		}
-		meta.absorb(sm)
+	if _, _, err := pickResolution(now, start, end, q.bucket); err != nil {
+		writeError(w, err)
+		return
+	}
+	key := "rollup:" + q.scope + ":" + q.name + ":" + tr.key() + ":" + q.bucket
+	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
+		return s.fillRollup(ctx, q, tr)
+	})
+	if err != nil {
+		writeFetchError(w, err)
+		return
+	}
+	sr := v.(*rollupSeries)
+	if sr.err != nil {
+		writeError(w, sr.err)
+		return
 	}
 	s.serveRendered(w, r, meta, user, func() (any, error) {
-		return shape(q.start, q.end, sr), nil
+		return shape(sr), nil
 	})
 }
 
-// fetchRollup is the cached read of one window. The window is aligned
-// outward to whole buckets before it becomes the cache key, so requests
-// that differ only inside one bucket share an entry.
-func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetchMeta, error) {
-	now := s.clock.Now()
-	res, selection, err := pickResolution(now, q.start, q.end, q.bucket)
-	if err != nil {
-		return rollupSeries{}, fetchMeta{}, err
-	}
-	s.obsm.rollupQueries.With(resolutionName(res), selection).Inc()
-	alignedStart := alignDown(q.start.Unix(), res)
-	alignedEnd := alignUp(q.end.Unix(), res)
-	key := "rollup:" + q.scope + ":" + q.name + ":" +
-		strconv.FormatInt(alignedStart, 10) + ":" + strconv.FormatInt(alignedEnd, 10) + ":" +
-		strconv.FormatInt(res, 10)
-	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
-		var sp *trace.Span
-		if trace.SpanFromContext(ctx) != nil {
-			ctx, sp = trace.StartSpan(ctx, "rollup.query")
-			sp.SetAttr("scope", q.scope)
-			sp.SetAttr("resolution", resolutionName(res))
-			defer sp.End()
-		}
-		result, err := s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{
-			Scope: q.scope, Name: q.name,
-			Start: alignedStart, End: alignedEnd, Resolution: res,
-		})
+// fillRollup is one rollup fill. It reads the clock once and evaluates the
+// window from that reading, as history fills do, so the key names a range
+// class and never an instant: a view refills once per TTL whatever its
+// bucket, and a warm one serves stale through an outage. range=all first
+// reads the scope's earliest terminal end, inside the same fill. Then it
+// picks the resolution, aligns the window outward to whole buckets and
+// queries.
+func (s *Server) fillRollup(ctx context.Context, q rollupQuery, tr timeRange) (*rollupSeries, error) {
+	now := s.historyAsOf()
+	sr := &rollupSeries{}
+	sr.From, sr.To = tr.window(now)
+	if sr.From.IsZero() {
+		b, err := s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{Scope: q.scope, Name: q.name, Op: "bounds"})
 		if err != nil {
 			return nil, err
 		}
-		return result.Rows, nil
+		if !b.HasBounds {
+			return sr, nil
+		}
+		sr.From = time.Unix(b.MinEnd, 0).UTC()
+	}
+	res, selection, err := pickResolution(now, sr.From, sr.To, q.bucket)
+	if err != nil {
+		sr.err = err
+		return sr, nil
+	}
+	s.obsm.rollupQueries.With(resolutionName(res), selection).Inc()
+	start, end := alignDown(sr.From.Unix(), res), alignUp(sr.To.Unix(), res)
+	sr.Res = res
+	sr.PartialStart, sr.PartialEnd = sr.From.Unix() != start, sr.To.Unix() != end
+	var sp *trace.Span
+	if trace.SpanFromContext(ctx) != nil {
+		ctx, sp = trace.StartSpan(ctx, "rollup.query")
+		sp.SetAttr("scope", q.scope)
+		sp.SetAttr("resolution", resolutionName(res))
+		defer sp.End()
+	}
+	result, err := s.dbdBk.Rollup(ctx, slurmcli.RollupOptions{
+		Scope: q.scope, Name: q.name,
+		Start: start, End: end, Resolution: res,
 	})
 	if err != nil {
-		return rollupSeries{}, fetchMeta{}, err
+		return nil, err
 	}
-	rows, _ := v.([]slurm.RollupRow)
-	return rollupSeries{
-		Rows: rows, Res: res,
-		Start: alignedStart, End: alignedEnd,
-		PartialStart: q.start.Unix() != alignedStart,
-		PartialEnd:   q.end.Unix() != alignedEnd,
-	}, meta, nil
+	sr.Rows = result.Rows
+	return sr, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/url"
 	"slices"
@@ -287,4 +288,136 @@ func FuzzPickResolution(f *testing.F) {
 			t.Fatalf("%q: auto picked %s over %d buckets, retained %v", query, resolutionName(res), n, retained)
 		}
 	})
+}
+
+// sreportCounter counts the sreport commands, rollup rows and bounds reads
+// alike, that reach the runner it wraps.
+type sreportCounter struct {
+	inner slurmcli.Runner
+	n     atomic.Int64
+}
+
+func (c *sreportCounter) Run(name string, args ...string) (string, error) {
+	if name == "sreport" {
+		c.n.Add(1)
+	}
+	return c.inner.Run(name, args...)
+}
+
+// countedRollupEnv is the mixed-history env behind an sreport counter, plus
+// one alice record that ended three days ago, so her range=all window
+// reaches past the minute retention.
+func countedRollupEnv(t *testing.T, mutate func(*Config)) (*env, *sreportCounter) {
+	counter := &sreportCounter{}
+	e := newEnvWith(t, mutate, func(r slurmcli.Runner) slurmcli.Runner {
+		counter.inner = r
+		return counter
+	})
+	seedMixedHistory(e)
+	end := e.clock.Now().Add(-72 * time.Hour)
+	tres := slurm.TRES{CPUs: 2, MemMB: 2048, Nodes: 1}
+	e.cluster.DBD.Backfill([]*slurm.Job{{
+		ID: 1 << 30, Name: "old", User: "alice", Account: "lab-a", Partition: "cpu", QOS: "normal",
+		State: slurm.StateCompleted, SubmitTime: end.Add(-2 * time.Hour), StartTime: end.Add(-time.Hour),
+		EndTime: end, TimeLimit: 2 * time.Hour, ReqTRES: tres, AllocTRES: tres,
+	}})
+	e.cluster.DBD.AdvanceRollups(e.clock.Now())
+	return e, counter
+}
+
+// TestDrillRollupOutageAcrossBuckets: a rollup fill is keyed by its scope,
+// series, range and bucket and evaluated at its own instant, so no key
+// moves with the clock. Warm minute, hour and day views serve their last
+// fill, stale and with its age, through a slurmdbd outage as the clock
+// steps past each view's next bucket boundary — the minute, the hour,
+// midnight — like every other widget.
+func TestDrillRollupOutageAcrossBuckets(t *testing.T) {
+	e := newEnvWith(t, func(c *Config) {
+		// A day of stale grace, so the outage can run past midnight.
+		c.Resilience.StaleFor = 24 * time.Hour
+	}, nil)
+	seedMixedHistory(e)
+	at := func(day, hour, min, sec int) time.Time { return time.Date(2026, 7, day, hour, min, sec, 0, time.UTC) }
+	e.advance(at(1, 22, 55, 30).Sub(e.clock.Now()))
+	views := []string{
+		"/api/jobperf/timeseries?range=24h&bucket=minute",
+		"/api/jobperf",                      // 7d at hour buckets
+		"/api/jobperf/timeseries?range=24h", // hour buckets
+		"/api/usage/cluster?range=30d",      // day buckets
+	}
+	for _, v := range views {
+		e.wantStatus("alice", v, 200)
+	}
+	warmed := e.clock.Now()
+
+	e.cluster.DBD.SetHealth(slurm.HealthDown, "maintenance")
+	for _, step := range []time.Time{at(1, 22, 58, 1), at(1, 23, 0, 1), at(2, 0, 0, 1)} {
+		e.clock.Advance(step.Sub(e.clock.Now()))
+		age := fmt.Sprintf(`"age_seconds":%d`, e.clock.Now().Sub(warmed)/time.Second)
+		for _, v := range views {
+			status, header, body := e.getFull("alice", v)
+			if status != 200 {
+				t.Fatalf("%s at %s: status %d: %s", v, step.Format(time.TimeOnly), status, body)
+			}
+			if got := header.Get("X-OODDash-Degraded"); got != "stale" {
+				t.Fatalf("%s at %s: X-OODDash-Degraded = %q, want stale", v, step.Format(time.TimeOnly), got)
+			}
+			if !bytes.Contains(body, []byte(age)) {
+				t.Fatalf("%s at %s: body lacks the fill's %s: %s", v, step.Format(time.TimeOnly), age, body)
+			}
+		}
+	}
+}
+
+// TestRollupFillsPerRangeClass counts what rollup views cost upstream with
+// one fill per scope, series, range and bucket:
+//
+//   - the minute view polled every 30 s for 10 minutes refills once per
+//     TTL: 5 sreport calls;
+//   - 5 requests for an all window too long for minute buckets are 400s
+//     for one bounds read, the fill that records the pick;
+//   - a user's /api/jobperf and /api/jobperf/timeseries share one fill;
+//   - over 3 hours of every view a minute apart, the data cache holds one
+//     rollup entry per view after each purge.
+func TestRollupFillsPerRangeClass(t *testing.T) {
+	e, counter := countedRollupEnv(t, nil)
+	for i := 0; i < 20; i++ {
+		e.wantStatus("alice", "/api/jobperf/timeseries?range=24h&bucket=minute", 200)
+		e.clock.Advance(30 * time.Second)
+	}
+	if got := counter.n.Swap(0); got != 5 {
+		t.Fatalf("10 minutes of the minute view cost %d sreport calls, want 5", got)
+	}
+	for i := 0; i < 5; i++ {
+		e.wantStatus("alice", "/api/jobperf/timeseries?range=all&bucket=minute", 400)
+	}
+	if got := counter.n.Swap(0); got != 1 {
+		t.Fatalf("5 bad all requests cost %d sreport calls, want 1", got)
+	}
+	e.wantStatus("bob", "/api/jobperf", 200)
+	e.wantStatus("bob", "/api/jobperf/timeseries", 200)
+	if got := counter.n.Swap(0); got != 1 {
+		t.Fatalf("/api/jobperf and its time series cost %d sreport calls, want 1", got)
+	}
+
+	e, _ = countedRollupEnv(t, nil)
+	views := []string{
+		"/api/jobperf",
+		"/api/jobperf/timeseries?range=24h&bucket=minute",
+		"/api/jobperf/timeseries?range=24h",
+		"/api/usage/cluster",
+		"/api/usage/cluster?range=all",
+		"/api/usage/accounts",
+		"/api/usage/efficiency",
+	}
+	for minute := 0; minute < 180; minute++ {
+		for _, v := range views {
+			e.wantStatus("alice", v, 200)
+		}
+		e.clock.Advance(time.Minute)
+		e.server.TickPush()
+		if n := e.server.Cache().Len(); n != len(views) {
+			t.Fatalf("minute %d: the data cache holds %d entries after the purge, want one per view (%d)", minute, n, len(views))
+		}
+	}
 }

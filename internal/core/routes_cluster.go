@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -221,55 +222,59 @@ type NodeOverviewResponse struct {
 	Partitions []string `json:"partitions"`
 }
 
+// handleNodeOverview picks the node from the table the grid reads: one
+// scontrol show node fill per TTL serves the grid and every node's
+// overview, so the two always agree, and a name the table lacks is a 404
+// that costs nothing upstream.
 func (s *Server) handleNodeOverview(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	name := r.PathValue("name")
-	key := "node:" + name
-	v, meta, err := s.fetchVia(r, srcCtld, key, s.cfg.TTLs.NodeDetail, func(ctx context.Context) (any, error) {
-		return s.ctldBk.ShowNode(ctx, name)
-	})
+	details, meta, err := s.fetchAllNodes(r)
 	if err != nil {
-		// An unreachable controller is a 503; only a healthy "no such
-		// node" answer maps to 404.
-		if isUnavailable(err) {
-			writeFetchError(w, err)
-		} else {
-			writeError(w, fmt.Errorf("%w: node %s: %v", errNotFound, name, err))
-		}
+		writeFetchError(w, err)
 		return
 	}
 	s.serveRendered(w, r, meta, user, func() (any, error) {
-		d := v.(*slurmcli.NodeDetail)
-		resp := NodeOverviewResponse{
-			Name:     d.Name,
-			State:    string(d.State),
-			Color:    nodeStateColor(d.State),
-			Reason:   d.Reason,
-			LastBusy: d.LastBusy,
-			BootTime: d.BootTime,
-
-			CPUsTotal:  d.CPUTotal,
-			CPUsAlloc:  d.CPUAlloc,
-			CPULoad:    d.CPULoad,
-			MemMB:      d.MemMB,
-			AllocMemMB: d.AllocMemMB,
-			GPUsTotal:  d.GPUTotal,
-			GPUsAlloc:  d.GPUAlloc,
-			GPUType:    d.GPUType,
-
-			OS: d.OS, Arch: d.Arch,
-			Features: d.Features, Partitions: d.Partitions,
+		i := slices.IndexFunc(details, func(d *slurmcli.NodeDetail) bool { return d.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("%w: node %s", errNotFound, name)
 		}
-		if d.CPUTotal > 0 {
-			resp.CPUPercent = 100 * float64(d.CPUAlloc) / float64(d.CPUTotal)
-		}
-		if d.MemMB > 0 {
-			resp.MemPercent = 100 * float64(d.AllocMemMB) / float64(d.MemMB)
-		}
-		if d.GPUTotal > 0 {
-			resp.GPUPercent = 100 * float64(d.GPUAlloc) / float64(d.GPUTotal)
-		}
-		return resp, nil
+		return nodeOverviewFrom(details[i]), nil
 	})
+}
+
+// nodeOverviewFrom renders one node's detail as the overview's status and
+// usage cards and its details tab.
+func nodeOverviewFrom(d *slurmcli.NodeDetail) NodeOverviewResponse {
+	resp := NodeOverviewResponse{
+		Name:     d.Name,
+		State:    string(d.State),
+		Color:    nodeStateColor(d.State),
+		Reason:   d.Reason,
+		LastBusy: d.LastBusy,
+		BootTime: d.BootTime,
+
+		CPUsTotal:  d.CPUTotal,
+		CPUsAlloc:  d.CPUAlloc,
+		CPULoad:    d.CPULoad,
+		MemMB:      d.MemMB,
+		AllocMemMB: d.AllocMemMB,
+		GPUsTotal:  d.GPUTotal,
+		GPUsAlloc:  d.GPUAlloc,
+		GPUType:    d.GPUType,
+
+		OS: d.OS, Arch: d.Arch,
+		Features: d.Features, Partitions: d.Partitions,
+	}
+	if d.CPUTotal > 0 {
+		resp.CPUPercent = 100 * float64(d.CPUAlloc) / float64(d.CPUTotal)
+	}
+	if d.MemMB > 0 {
+		resp.MemPercent = 100 * float64(d.AllocMemMB) / float64(d.MemMB)
+	}
+	if d.GPUTotal > 0 {
+		resp.GPUPercent = 100 * float64(d.GPUAlloc) / float64(d.GPUTotal)
+	}
+	return resp
 }
 
 // NodeJobRow is one row in the Node Overview running-jobs tab.

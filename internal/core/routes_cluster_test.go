@@ -117,6 +117,37 @@ func TestNodeOverviewUnknownNode(t *testing.T) {
 	e.wantStatus("alice", "/api/node/zz999", 404)
 }
 
+// TestNodeOverviewReadsNodeTable: an overview picks its node from the
+// cluster_nodes fill the grid reads, so the grid and three overviews cost
+// one scontrol show node, an unknown name is a 404 that costs nothing
+// upstream, and past the TTL one table refill serves them all again.
+func TestNodeOverviewReadsNodeTable(t *testing.T) {
+	e := newEnv(t)
+	before := e.cluster.Ctl.Stats().Count(slurm.RPCNodeInfo)
+	rpcs := func() int64 { return e.cluster.Ctl.Stats().Count(slurm.RPCNodeInfo) - before }
+	e.wantStatus("alice", "/api/cluster_status", 200)
+	for _, n := range []string{"c001", "c002", "g001"} {
+		e.wantStatus("bob", "/api/node/"+n, 200)
+	}
+	if got := rpcs(); got != 1 {
+		t.Fatalf("the grid and three overviews cost %d node RPCs, want 1", got)
+	}
+	for i := 0; i < 5; i++ {
+		e.wantStatus("carol", "/api/node/zz999", 404)
+	}
+	if got := rpcs(); got != 1 {
+		t.Fatalf("5 unknown names cost %d node RPCs beyond the table fill", got-1)
+	}
+	e.clock.Advance(e.server.Config().TTLs.ClusterNodes + time.Second)
+	for i := 0; i < 5; i++ {
+		e.wantStatus("carol", "/api/node/zz999", 404)
+	}
+	e.wantStatus("alice", "/api/node/c001", 200)
+	if got := rpcs(); got != 2 {
+		t.Fatalf("past the TTL: %d node RPCs in all, want 2", got)
+	}
+}
+
 func TestNodeJobsTab(t *testing.T) {
 	e := newEnv(t)
 	id := e.submit(slurm.SubmitRequest{

@@ -937,16 +937,16 @@ type JobPerfResponse struct {
 // it.
 func (s *Server) handleJobPerf(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	q := rollupQuery{scope: slurm.RollupScopeUser, name: user.Name}
-	s.serveRollup(w, r, user, "7d", q, func(start, end time.Time, sr rollupSeries) any {
-		return aggregateJobPerf(start, end, sr)
+	s.serveRollup(w, r, user, "7d", q, func(sr *rollupSeries) any {
+		return aggregateJobPerf(sr)
 	})
 }
 
 // aggregateJobPerf folds a rollup window into the summary metrics. The
 // efficiency averages come from the store's exact fixed-point sums, so they
 // equal a per-job mean recomputed from accounting rows.
-func aggregateJobPerf(start, end time.Time, sr rollupSeries) JobPerfResponse {
-	resp := JobPerfResponse{RangeStart: start, RangeEnd: end}
+func aggregateJobPerf(sr *rollupSeries) JobPerfResponse {
+	resp := JobPerfResponse{RangeStart: sr.From, RangeEnd: sr.To}
 	var total slurm.RollupAgg
 	for i := range sr.Rows {
 		total.Add(&sr.Rows[i].RollupAgg)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,12 +25,13 @@ import (
 // visibility.go), and the server lifecycle hooks (StartPush / TickPush /
 // Close).
 //
-// A refresh is a loopback request through the server's own mux, so it takes
-// exactly the route's normal path — auth, cache fill, resilience policy,
-// degraded annotation — and costs upstream exactly what one cache-missing
-// poll would. Connected SSE clients then receive the bytes the polling
-// route would have served them, without issuing requests of their own:
-// upstream cost becomes O(sources), not O(clients).
+// A refresh is a loopback request through the widget's own instrumented
+// handler, run as what the source's share key names, so it takes the
+// route's normal path — cache fill, resilience policy, degraded annotation,
+// rendered layer — and costs upstream exactly what one cache-missing poll
+// would. Connected SSE clients then receive the bytes the polling route
+// would have served them, without issuing requests of their own: upstream
+// cost becomes O(sources), not O(clients).
 
 // pushRefreshHeader marks scheduler-issued loopback requests so access logs
 // can tell background refreshes from client traffic.
@@ -68,32 +70,38 @@ func (l *loopbackRecorder) WriteHeader(code int)        { l.status = code }
 func (l *loopbackRecorder) Write(p []byte) (int, error) { return l.body.Write(p) }
 func (l *loopbackRecorder) Flush()                      {}
 
-// pushSourceCtxKey carries a push refresh's source key into its loopback
-// request, so serveRendered can refuse to build a body its source's
-// subscribers do not share.
-type pushSourceCtxKey struct{}
-
 // pushFetch builds the scheduler fetch for one widget source: a loopback
-// GET of path through the server's own mux as the given user, the source's
-// first subscriber. Every subscriber of the source shares its key, so the
-// body built for that user is the body each of them would be served —
-// unless the user's account set changed since: serveRendered then answers
-// 403 and the refresh fails rather than publishing.
-func (s *Server) pushFetch(widget, key, path, user string) push.FetchFunc {
+// GET of the widget's route through its instrumented handler, run as the
+// principal the source's share key names (RegisterPushSource). Every
+// subscriber of the source holds that key, so the body is the one each of
+// them would be served, and a refresh cannot build another key's body.
+func (s *Server) pushFetch(wd *Widget, as auth.User) push.FetchFunc {
+	path := wd.path()
+	h := s.instrument(wd, func(w http.ResponseWriter, r *http.Request) {
+		u := as
+		if wd.vis == visUser {
+			// A user key names the user as the directory holds them now.
+			cur, ok := s.users.Lookup(as.Name)
+			if !ok {
+				writeError(w, fmt.Errorf("%w: %q", auth.ErrUnknownUser, as.Name))
+				return
+			}
+			u = *cur
+		}
+		wd.serve(w, r, &u)
+	})
 	return func(ctx context.Context) (etag.Body, bool, error) {
-		ctx = context.WithValue(ctx, pushSourceCtxKey{}, key)
 		// Root the refresh in its own trace, origin "push": the loopback
 		// request carries the minted ID in the trace header so the instrument
 		// middleware joins this trace as a child "http" span instead of
 		// minting an orphaned root it would misattribute to client traffic.
 		id := obs.NewTraceID()
-		tctx, sp := s.tracer.StartRoot(ctx, id, "push.refresh", widget, "push")
+		tctx, sp := s.tracer.StartRoot(ctx, id, "push.refresh", wd.Name, "push")
 		req, err := http.NewRequestWithContext(tctx, http.MethodGet, path, nil)
 		if err != nil {
 			sp.End()
 			return etag.Body{}, false, err
 		}
-		req.Header.Set(auth.UserHeader, user)
 		req.Header.Set("Accept", "application/json")
 		req.Header.Set(pushRefreshHeader, "refresh")
 		if sp != nil {
@@ -101,7 +109,7 @@ func (s *Server) pushFetch(widget, key, path, user string) push.FetchFunc {
 		}
 		rec := newLoopbackRecorder()
 		defer rec.release()
-		s.mux.ServeHTTP(rec, req)
+		h(rec, req)
 		degraded := rec.header.Get(degradedHeader) != ""
 		if sp != nil {
 			sp.SetAttr("status", statusLabel(rec.status))
@@ -119,26 +127,34 @@ func (s *Server) pushFetch(widget, key, path, user string) push.FetchFunc {
 	}
 }
 
-// PushSource identifies one background refresh source: everything the
-// scheduler needs to re-fetch a widget for one subscriber identity.
-type PushSource struct {
-	Widget string        // event/widget name ("system_status", ...)
-	Key    string        // scheduler/hub key (Widget, or "widget:<share key>")
-	Path   string        // polling route the loopback refresh fetches
-	User   string        // identity the refresh runs as
-	TTL    time.Duration // refresh cadence = the widget's cache TTL
-}
-
-// RegisterPushSource registers src with the background refresh scheduler
-// (idempotent). The SSE endpoint calls it for each subscribed widget.
-func (s *Server) RegisterPushSource(src PushSource) error {
+// RegisterPushSource registers, idempotently, the background refresh
+// source of the push widget named widget that serves u, and returns its
+// key. The source is keyed by u's share key (visibility.go), refreshes on
+// the widget's TTL and runs as what the key names, never as u: anyone for
+// a public widget (u may then be nil), u's account set for an account-set
+// one (u alone when in no account), and u's name, looked up at each
+// refresh, for a user one. The SSE endpoint calls it for each subscribed
+// widget.
+func (s *Server) RegisterPushSource(widget string, u *auth.User) (string, error) {
+	wd := s.widget(widget)
+	if wd == nil || !wd.push {
+		return "", fmt.Errorf("core: %q is not a push widget", widget)
+	}
+	var as auth.User
+	switch {
+	case wd.vis == visAccountSet && len(u.Accounts) > 0:
+		as.Accounts = slices.Clone(u.Accounts)
+	case wd.vis != visPublic:
+		as.Name = u.Name
+	}
+	key := wd.sourceKey(wd.shareKey(&as, false))
 	_, err := s.pushSched.Register(push.Source{
-		Widget: src.Widget,
-		Key:    src.Key,
-		TTL:    src.TTL,
-		Fetch:  s.pushFetch(src.Widget, src.Key, src.Path, src.User),
+		Widget: wd.Name,
+		Key:    key,
+		TTL:    wd.TTL,
+		Fetch:  s.pushFetch(wd, as),
 	})
-	return err
+	return key, err
 }
 
 // handleEvents dispatches /api/events: an SSE request (Accept:
@@ -235,9 +251,7 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request, user 
 	// source during an outage) leaves the stream open; events begin when
 	// the source recovers.
 	for i, wd := range subs {
-		if err := s.RegisterPushSource(PushSource{
-			Widget: wd.Name, Key: keys[i], Path: wd.path(), User: user.Name, TTL: wd.TTL,
-		}); err != nil {
+		if _, err := s.RegisterPushSource(wd.Name, user); err != nil {
 			writeError(w, err)
 			return
 		}

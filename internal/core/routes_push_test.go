@@ -183,6 +183,41 @@ func TestEventStreamResumeReplaysOnlyNewer(t *testing.T) {
 	}
 }
 
+// TestSSEAccountSetSourceOutlivesItsRegistrant: alice and dave stream
+// the accounts widget on one account-set key, alice's stream first, so it
+// registers the key's source. alice then moves to another account set. The
+// source refreshes as the set its key names, not as alice, so dave's
+// stream receives the key's next event, lab-a's new usage, and no refresh
+// fails.
+func TestSSEAccountSetSourceOutlivesItsRegistrant(t *testing.T) {
+	e := newEnvWith(t, func(c *Config) { c.Push.Jitter = -1 }, nil)
+	defer e.server.Close()
+	e.users.AddUser(auth.User{Name: "dave", Accounts: []string{"lab-a"}})
+	first := e.openSSE("alice", "widgets=accounts")
+	first.next(t)
+	second := e.openSSE("dave", "widgets=accounts")
+	initial := second.next(t)
+
+	e.users.AddUser(auth.User{Name: "alice", Accounts: []string{"lab-b"}})
+	e.submit(slurm.SubmitRequest{User: "bob", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 4, MemMB: 1024}, Profile: slurm.UsageProfile{ActualDuration: time.Hour}})
+	e.clock.Advance(e.server.Config().TTLs.Accounts + time.Second)
+	if e.server.TickPush() == 0 {
+		t.Fatal("TickPush refreshed nothing")
+	}
+	ev := second.next(t)
+	if ev.ID <= initial.ID {
+		t.Fatalf("dave's next event has version %d, not after %d", ev.ID, initial.ID)
+	}
+	status, want := e.get("dave", "/api/accounts")
+	if status != http.StatusOK || !bytes.Equal(bytes.TrimSpace(ev.Data), bytes.TrimSpace(want)) {
+		t.Fatalf("dave's stream got %s; /api/accounts serves dave %d %s", ev.Data, status, want)
+	}
+	if got := e.server.PushScheduler().Stats().Errors; got != 0 {
+		t.Fatalf("%d refresh errors across alice's account change, want 0", got)
+	}
+}
+
 func TestEventStreamRejectsUnknownWidget(t *testing.T) {
 	e := newEnv(t)
 	defer e.server.Close()

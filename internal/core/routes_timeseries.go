@@ -63,7 +63,7 @@ type TimeseriesResponse struct {
 // rollups, so cost is O(buckets in the window), not O(jobs in accounting).
 func (s *Server) handleJobPerfTimeseries(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	q := rollupQuery{scope: slurm.RollupScopeUser, name: user.Name, bucket: r.URL.Query().Get("bucket")}
-	s.serveRollup(w, r, user, "7d", q, func(_, _ time.Time, sr rollupSeries) any {
+	s.serveRollup(w, r, user, "7d", q, func(sr *rollupSeries) any {
 		return &TimeseriesResponse{
 			User: user.Name, BucketSecs: sr.Res, Resolution: resolutionName(sr.Res),
 			PartialStart: sr.PartialStart, PartialEnd: sr.PartialEnd,

@@ -33,7 +33,7 @@ type ClusterUsageResponse struct {
 // cluster consumption over time (default range 1y).
 func (s *Server) handleUsageCluster(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	q := rollupQuery{scope: slurm.RollupScopeTotal, bucket: r.URL.Query().Get("bucket")}
-	s.serveRollup(w, r, user, "1y", q, func(_, _ time.Time, sr rollupSeries) any {
+	s.serveRollup(w, r, user, "1y", q, func(sr *rollupSeries) any {
 		return &ClusterUsageResponse{
 			BucketSecs: sr.Res, Resolution: resolutionName(sr.Res),
 			PartialStart: sr.PartialStart, PartialEnd: sr.PartialEnd,
@@ -70,7 +70,7 @@ func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request, use
 			return
 		}
 	}
-	s.serveRollup(w, r, user, "90d", rollupQuery{scope: slurm.RollupScopeAccount}, func(start, end time.Time, sr rollupSeries) any {
+	s.serveRollup(w, r, user, "90d", rollupQuery{scope: slurm.RollupScopeAccount}, func(sr *rollupSeries) any {
 		byAccount := make(map[string]*AccountUsage)
 		for i := range sr.Rows {
 			row := &sr.Rows[i]
@@ -98,7 +98,7 @@ func (s *Server) handleUsageAccounts(w http.ResponseWriter, r *http.Request, use
 			ranked = ranked[:top]
 		}
 		return &TopAccountsResponse{
-			RangeStart: start, RangeEnd: end,
+			RangeStart: sr.From, RangeEnd: sr.To,
 			Resolution: resolutionName(sr.Res), Accounts: ranked,
 		}
 	})
@@ -130,7 +130,7 @@ type EfficiencyTrendResponse struct {
 // (default range 30d), from the rollup store's exact fixed-point sums.
 func (s *Server) handleUsageEfficiency(w http.ResponseWriter, r *http.Request, user *auth.User) {
 	q := rollupQuery{scope: slurm.RollupScopeTotal, bucket: r.URL.Query().Get("bucket")}
-	s.serveRollup(w, r, user, "30d", q, func(_, _ time.Time, sr rollupSeries) any {
+	s.serveRollup(w, r, user, "30d", q, func(sr *rollupSeries) any {
 		resp := &EfficiencyTrendResponse{
 			BucketSecs: sr.Res, Resolution: resolutionName(sr.Res),
 			PartialStart: sr.PartialStart, PartialEnd: sr.PartialEnd,

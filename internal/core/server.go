@@ -170,7 +170,6 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	// collectors can be registered; it shares the server clock, so chaos
 	// drills evaluate alerts deterministically on simulated time.
 	s.sloEng = slo.New(deps.Clock, s.cfg.SLO.Objectives)
-	s.sloOff.Store(s.cfg.SLO.Disabled)
 	s.rendered = cache.New(deps.Clock)
 	s.lastPurge = deps.Clock.Now()
 	s.fills = newFillGates(s.cfg.Resilience.MaxConcurrentFills)
@@ -199,25 +198,7 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	// The tracer precedes the metrics registry so its store gauges can be
 	// registered as collectors; its hooks read s.obsm/s.accessLog lazily (both
 	// are set before any request can be served).
-	s.tracer = trace.New(trace.Config{
-		Clock:    deps.Clock,
-		Sample:   s.cfg.Trace.Sample,
-		Slow:     s.cfg.Trace.Slow,
-		StoreMax: s.cfg.Trace.StoreMax,
-		Baseline: s.cfg.Trace.Baseline,
-		OnSpan: func(layer string, seconds float64) {
-			s.obsm.traceSpans.With(layer).Observe(seconds)
-		},
-		OnSlow: func(sum trace.Summary) {
-			line := fmt.Sprintf("slow-request trace=%s widget=%s origin=%s duration_ms=%.1f spans=%d degraded=%t error=%t",
-				sum.ID, sum.Widget, sum.Origin, sum.DurationMS, sum.Spans, sum.Degraded, sum.Error)
-			if s.accessLog != nil {
-				s.accessLog(line)
-			} else {
-				log.Printf("core: %s", line)
-			}
-		},
-	})
+	s.tracer = trace.New(s.traceConfig())
 	s.obsm = newServerObs(s)
 	if deps.RESTServer != nil {
 		deps.RESTServer.RegisterMetrics(s.obsm.reg)
@@ -278,6 +259,30 @@ func (s *Server) Config() Config { return s.cfg }
 // Resilience exposes the per-source breaker set for inspection (health
 // routes, experiments, failure drills).
 func (s *Server) Resilience() *resilience.Set { return s.res }
+
+// traceConfig is the tracer's configuration: the server's TraceConfig on
+// its clock, baseline retention at trace.New's default, and the hooks that
+// feed the span histogram and the slow-request log line.
+func (s *Server) traceConfig() trace.Config {
+	return trace.Config{
+		Clock:    s.clock,
+		Sample:   s.cfg.Trace.Sample,
+		Slow:     s.cfg.Trace.Slow,
+		StoreMax: s.cfg.Trace.StoreMax,
+		OnSpan: func(layer string, seconds float64) {
+			s.obsm.traceSpans.With(layer).Observe(seconds)
+		},
+		OnSlow: func(sum trace.Summary) {
+			line := fmt.Sprintf("slow-request trace=%s widget=%s origin=%s duration_ms=%.1f spans=%d degraded=%t error=%t",
+				sum.ID, sum.Widget, sum.Origin, sum.DurationMS, sum.Spans, sum.Degraded, sum.Error)
+			if s.accessLog != nil {
+				s.accessLog(line)
+			} else {
+				log.Printf("core: %s", line)
+			}
+		},
+	}
+}
 
 // Tracer exposes the span-tracing subsystem (admin routes, tests,
 // benchmarks).
@@ -387,7 +392,7 @@ func (s *Server) registerWidgets() {
 			TTL: s.cfg.TTLs.ClusterNodes, DataSource: "scontrol show node (Slurm)",
 			serve: s.handleClusterStatus, vis: visPublic},
 		{Name: "node_overview", Route: "GET /api/node/{name}",
-			TTL: s.cfg.TTLs.NodeDetail, DataSource: "scontrol show node (Slurm)",
+			TTL: s.cfg.TTLs.ClusterNodes, DataSource: "scontrol show node (Slurm)",
 			serve: s.handleNodeOverview, vis: visPublic},
 		{Name: "node_jobs", Route: "GET /api/node/{name}/jobs",
 			TTL: s.cfg.TTLs.RecentJobs, DataSource: "squeue (Slurm)",

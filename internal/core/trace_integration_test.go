@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
@@ -18,9 +19,20 @@ import (
 // sampled, every finished trace retained (baseline probability 1), so tests
 // can assert on exact store contents.
 func tracedEnv(t *testing.T) *env {
-	return newEnvWith(t, func(c *Config) {
-		c.Trace = TraceConfig{Sample: 1, Baseline: 1}
+	e := newEnvWith(t, func(c *Config) {
+		c.Trace = TraceConfig{Sample: 1}
 	}, nil)
+	setTraceBaseline(e.server, 1)
+	return e
+}
+
+// setTraceBaseline rebuilds s's tracer with baseline retention p: 1 keeps
+// every fast, healthy trace and a negative p none, so a test can assert on
+// exact store contents. Call it before s serves a request.
+func setTraceBaseline(s *Server, p float64) {
+	cfg := s.traceConfig()
+	cfg.Baseline = p
+	s.tracer = trace.New(cfg)
 }
 
 // findSpan walks a span tree depth-first for the first span whose name has
@@ -109,13 +121,14 @@ func TestSreportSlowdownTraceAttribution(t *testing.T) {
 	var clk *clock.Sim
 	var fr *slurmcli.FaultRunner
 	e := newEnvWith(t, func(c *Config) {
-		// Baseline off: only the slow/error tail classes retain, so the
-		// fast request's fate is deterministic.
-		c.Trace = TraceConfig{Sample: 1, Baseline: -1, Slow: 500 * time.Millisecond}
+		c.Trace = TraceConfig{Sample: 1, Slow: 500 * time.Millisecond}
 	}, func(r slurmcli.Runner) slurmcli.Runner {
 		fr = slurmcli.NewFaultRunner(r, 1, func(d time.Duration) { clk.Advance(d) })
 		return fr
 	})
+	// Baseline off: only the slow/error tail classes retain, so the fast
+	// request's fate is deterministic.
+	setTraceBaseline(e.server, -1)
 	clk = e.clock
 	fr.SetRules(slurmcli.FaultRule{Command: "sreport", Latency: 800 * time.Millisecond})
 
@@ -245,7 +258,7 @@ func TestPushRefreshTraceOrigin(t *testing.T) {
 	if !wd.push {
 		t.Fatal("recent_jobs is not push-enabled")
 	}
-	if _, _, err := s.pushFetch(wd.Name, "recent_jobs:alice", wd.path(), "alice")(context.Background()); err != nil {
+	if _, _, err := s.pushFetch(wd, auth.User{Name: "alice"})(context.Background()); err != nil {
 		t.Fatalf("push refresh: %v", err)
 	}
 

@@ -525,10 +525,14 @@ func TestSLOFleetDualView(t *testing.T) {
 			// events directly, so incidental request traffic can't skew the
 			// windows. The aggregator copies these tight objectives from
 			// replica r0's engine.
-			return env.NewServerRunner(newsSrv.URL, core.Config{
+			s, err := env.NewServerRunner(newsSrv.URL, core.Config{
 				Push: core.PushConfig{DisableIdlePause: true, Jitter: -1},
-				SLO:  core.SLOConfig{Disabled: true, Objectives: sloFleetObjectives()},
+				SLO:  core.SLOConfig{Objectives: sloFleetObjectives()},
 			}, r)
+			if err == nil {
+				s.SetSLORecordingDisabled(true)
+			}
+			return s, err
 		},
 	})
 	if err != nil {

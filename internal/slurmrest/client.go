@@ -272,15 +272,6 @@ func (c *Client) ShowAllNodes(ctx context.Context) ([]*slurmcli.NodeDetail, erro
 	return rows, nil
 }
 
-// ShowNode mirrors slurmcli.ShowNode over the REST backend.
-func (c *Client) ShowNode(ctx context.Context, name string) (*slurmcli.NodeDetail, error) {
-	var wire Node
-	if err := c.get(ctx, "node", "/slurm/v1/nodes/"+url.PathEscape(name), nil, &wire); err != nil {
-		return nil, err
-	}
-	return wire.NodeDetail(), nil
-}
-
 // ShowJob mirrors slurmcli.ShowJob over the REST backend (including the
 // server-side fallback to accounting for aged-out jobs).
 func (c *Client) ShowJob(ctx context.Context, id slurm.JobID) (*slurmcli.JobDetail, error) {

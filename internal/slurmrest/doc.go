@@ -1,7 +1,7 @@
 // Package slurmrest is a slurmrestd-style REST surface over the simulated
 // Slurm daemons: a versioned JSON API (/slurm/v1/jobs, /nodes, /partitions,
-// /accounting, /diag) with bearer-token authentication, per-endpoint and
-// per-field permission scopes, and ETag'd responses.
+// /accounting, /diag) with bearer-token authentication and per-endpoint and
+// per-field permission scopes.
 //
 // It is the modern alternative to the CLI-shellout data path the paper's
 // dashboard uses (the Palmetto API direction: granular permissions and

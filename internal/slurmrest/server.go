@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"ooddash/internal/etag"
 	"ooddash/internal/obs"
 	"ooddash/internal/slurm"
 )
@@ -21,7 +20,7 @@ import (
 type Options struct{}
 
 // Server is the slurmrestd stand-in: a versioned JSON API over the simulated
-// daemons with bearer-token scopes and ETag'd responses.
+// daemons with bearer-token scopes.
 type Server struct {
 	cluster *slurm.Cluster
 	tokens  *TokenStore
@@ -115,7 +114,7 @@ func scopeAllows(endpoint string, kind Kind) bool {
 }
 
 // handlerFunc builds the response body for an authorized request. The
-// endpoint wrapper handles auth, scope, ETag and error mapping.
+// endpoint wrapper handles auth, scope and error mapping.
 type handlerFunc func(r *http.Request, p Principal) ([]byte, error)
 
 // errNotFound marks semantic lookups that found nothing; mapped to 404.
@@ -130,7 +129,7 @@ var errForbidden = errors.New("slurmrest: forbidden")
 var jsonContentType = []string{"application/json"}
 
 // endpoint wraps a handler with the shared request pipeline:
-// authenticate → scope check → build → ETag/304.
+// authenticate → scope check → build → write.
 func (s *Server) endpoint(name string, fn handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		p, ok := s.tokens.FromRequest(r)
@@ -166,13 +165,9 @@ func (s *Server) endpoint(name string, fn handlerFunc) http.HandlerFunc {
 			return
 		}
 
-		// Content-Type goes on first so 304s carry it too.
 		w.Header()["Content-Type"] = jsonContentType
-		if etag.New(body).Serve(w, r, jsonContentType) {
-			s.count(name, http.StatusNotModified)
-		} else {
-			s.count(name, http.StatusOK)
-		}
+		w.Write(body)
+		s.count(name, http.StatusOK)
 	}
 }
 
